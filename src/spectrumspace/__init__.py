@@ -17,6 +17,7 @@ from .admission import (
     admit_quantified,
     aggregate_opportunity,
     compare_policies,
+    rights_register,
 )
 from .model import (
     OMNI,
@@ -58,6 +59,7 @@ from .propagation import (
 from .quantify import (
     ConsumptionSpace,
     HarvestMetrics,
+    LinkBudget,
     PowerField,
     SpectrumQuantity,
     available_spectrum,

@@ -15,11 +15,11 @@ from .model import RFNetwork, Scenario, Transmitter, db_to_linear
 from .policy import Grant, Refusal, RightsRequest, define_rights
 from .quantify import (
     ConsumptionSpace,
+    LinkBudget,
     SpectrumQuantity,
     available_spectrum,
     combine_consumption,
     occupancy_at_cell,
-    opportunity_at_cell,
     quantify,
     sinr_db,
     tx_consumption,
@@ -35,6 +35,7 @@ __all__ = [
     "admit_quantified",
     "aggregate_opportunity",
     "compare_policies",
+    "rights_register",
 ]
 
 ENTRANT_NETWORK_ID = "entrants"
@@ -115,11 +116,15 @@ def _entrant_id(req: AccessRequest, band: int) -> str:
     return req.request_id if req.required_bands == 1 else f"{req.request_id}:b{band}"
 
 
-def _realize(scenario: Scenario, req: AccessRequest, band: int, power_dbm: float) -> Scenario:
+def _realize(scenario: Scenario, req: AccessRequest, band: int,
+             power_dbm: float) -> tuple[Scenario, Transmitter]:
     """Append an admitted entrant as an omni transmitter at its cell center.
 
     Grants cap cells, so the realized transmitter sits exactly at the center
     the cap was computed for.
+
+    Returns:
+      (scenario with the entrant, the entrant).
     """
     cell = scenario.grid.cell_of(req.position)
     tx = Transmitter(
@@ -134,8 +139,60 @@ def _realize(scenario: Scenario, req: AccessRequest, band: int, power_dbm: float
         if net.id == ENTRANT_NETWORK_ID:
             nets = list(scenario.networks)
             nets[i] = replace(net, transmitters=net.transmitters + (tx,))
-            return replace(scenario, networks=tuple(nets))
-    return scenario.with_network(RFNetwork(id=ENTRANT_NETWORK_ID, transmitters=(tx,)))
+            return replace(scenario, networks=tuple(nets)), tx
+    return scenario.with_network(RFNetwork(id=ENTRANT_NETWORK_ID, transmitters=(tx,))), tx
+
+
+def _admit_in_order(scenario: Scenario, requests, margin_db: float,
+                    protected) -> tuple[list[RequestOutcome], LinkBudget]:
+    """Quantified admission of already checked requests, highest priority first.
+
+    One link budget follows the working scenario: every realized entrant is
+    added to it before the next request is priced.
+
+    Returns:
+      (outcomes in admission order, the budget of the augmented scenario).
+    """
+    budget = LinkBudget(scenario, protected)
+    outcomes: list[RequestOutcome] = []
+    issued = 0
+    for req in _order(requests):
+        candidates: list[tuple[float, int, Grant]] = []
+        refusals: list[Refusal] = []
+        for band in sorted(req.acceptable_bands):
+            rights = RightsRequest(
+                tx_id=_entrant_id(req, band),
+                position=req.position,
+                desired_dbm=req.desired_dbm,
+                min_useful_dbm=req.min_useful_dbm,
+                band=band,
+                quanta=req.quanta,
+            )
+            result = define_rights(budget.scenario, rights, margin_db, issued_at=issued, budget=budget)
+            if isinstance(result, Grant):
+                candidates.append((result.cap_dbm(), band, result))
+            else:
+                refusals.append(result)
+        if len(candidates) >= req.required_bands:
+            candidates.sort(key=lambda item: (-item[0], item[1]))
+            chosen = candidates[: req.required_bands]
+            for cap, band, _ in chosen:
+                budget.add(*_realize(budget.scenario, req, band, cap))
+            issued += 1
+            outcomes.append(RequestOutcome(
+                request_id=req.request_id,
+                admitted=True,
+                bands=tuple(band for _, band, _ in chosen),
+                powers_dbm=tuple(cap for cap, _, _ in chosen),
+                grants=tuple(grant for _, _, grant in chosen),
+            ))
+        else:
+            outcomes.append(RequestOutcome(
+                request_id=req.request_id,
+                admitted=False,
+                refusals=tuple(refusals),
+            ))
+    return outcomes, budget
 
 
 def admit_quantified(scenario: Scenario, requests, margin_db: float,
@@ -151,51 +208,39 @@ def admit_quantified(scenario: Scenario, requests, margin_db: float,
       (outcome, scenario augmented with the admitted entrants).
     """
     _check_requests(scenario, requests)
-    working = scenario
-    outcomes: list[RequestOutcome] = []
-    issued = 0
-    for req in _order(requests):
-        candidates: list[tuple[float, int, Grant]] = []
-        refusals: list[Refusal] = []
-        for band in sorted(req.acceptable_bands):
-            rights = RightsRequest(
-                tx_id=_entrant_id(req, band),
-                position=req.position,
-                desired_dbm=req.desired_dbm,
-                min_useful_dbm=req.min_useful_dbm,
-                band=band,
-                quanta=req.quanta,
-            )
-            result = define_rights(working, rights, margin_db, protected, issued_at=issued)
-            if isinstance(result, Grant):
-                candidates.append((result.cap_dbm(), band, result))
-            else:
-                refusals.append(result)
-        if len(candidates) >= req.required_bands:
-            candidates.sort(key=lambda item: (-item[0], item[1]))
-            chosen = candidates[: req.required_bands]
-            for cap, band, _ in chosen:
-                working = _realize(working, req, band, cap)
-            issued += 1
-            outcomes.append(RequestOutcome(
-                request_id=req.request_id,
-                admitted=True,
-                bands=tuple(band for _, band, _ in chosen),
-                powers_dbm=tuple(cap for cap, _, _ in chosen),
-                grants=tuple(grant for _, _, grant in chosen),
-            ))
-        else:
-            outcomes.append(RequestOutcome(
-                request_id=req.request_id,
-                admitted=False,
-                refusals=tuple(refusals),
-            ))
+    outcomes, budget = _admit_in_order(scenario, requests, margin_db, protected)
     outcome = AdmissionOutcome(
         outcomes=tuple(outcomes),
         admitted_count=sum(1 for o in outcomes if o.admitted),
-        post_available=available_spectrum(working, protected),
+        post_available=budget.available_spectrum(),
     )
-    return outcome, working
+    return outcome, budget.scenario
+
+
+def rights_register(observed: Scenario, requests, margin_db: float,
+                    protected=None) -> tuple[list[Grant], list[Refusal]]:
+    """The rights a request batch holds, for auditing an observed scenario.
+
+    Quantified admission is replayed on the observed scenario without the
+    requests' own entrant transmitters (named as admission names them), so
+    every grant is priced in admission order against the entrants admitted
+    before it, exactly as admit_quantified priced it. Admitted requests hold
+    the grants of their chosen bands; refused requests contribute their
+    refusals.
+
+    Returns:
+      (grants, refusals), both in admission order.
+    """
+    entrant_ids = {_entrant_id(req, band) for req in requests for band in req.acceptable_bands}
+    baseline = replace(observed, networks=tuple(
+        replace(net, transmitters=tuple(tx for tx in net.transmitters if tx.id not in entrant_ids))
+        for net in observed.networks
+    ))
+    _check_requests(baseline, requests)
+    outcomes, _ = _admit_in_order(baseline, requests, margin_db, protected)
+    grants = [grant for o in outcomes for grant in o.grants]
+    refusals = [refusal for o in outcomes for refusal in o.refusals]
+    return grants, refusals
 
 
 def admit_osa(scenario: Scenario, requests, sensitivity_dbm: float) -> tuple[AdmissionOutcome, Scenario]:
@@ -229,7 +274,7 @@ def admit_osa(scenario: Scenario, requests, sensitivity_dbm: float) -> tuple[Adm
             candidates.sort()
             chosen = candidates[: req.required_bands]
             for _, band in chosen:
-                working = _realize(working, req, band, req.desired_dbm)
+                working, _ = _realize(working, req, band, req.desired_dbm)
             outcomes.append(RequestOutcome(
                 request_id=req.request_id,
                 admitted=True,
@@ -262,11 +307,12 @@ def aggregate_opportunity(scenario: Scenario, position: tuple[float, float],
     grid, bounds, dims = scenario.grid, scenario.bounds, scenario.dims
     cell = grid.cell_of(position)
     quantum_list = list(range(dims.t_hat)) if quanta is None else sorted(quanta)
+    budget = LinkBudget(scenario, protected)
     entries: list[tuple[int, int, float]] = []
     breakdown: dict[tuple[int, int], float] = {}
     for band in range(dims.b_hat):
         for q in quantum_list:
-            value, _ = opportunity_at_cell(scenario, band, q, cell, protected)
+            value, _ = budget.opportunity_at_cell(band, q, cell)
             entries.append((band, q, value))
             breakdown[(band, q)] = (
                 (db_to_linear(value) - bounds.p_min_linear) * grid.cell_area / 1000.0

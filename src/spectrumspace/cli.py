@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
-from .admission import admit_quantified, compare_policies
+from .admission import admit_quantified, compare_policies, rights_register
 from .model import Scenario, ScenarioValidationError
-from .policy import Grant, PriceSheet, Refusal, RightsRequest, Violation, define_rights, enforce
+from .policy import Grant, PriceSheet, Refusal, Violation, enforce
 from .quantify import (
     available_spectrum,
     occupancy_map,
@@ -198,14 +197,6 @@ def _price_sheet(doc: ScenarioDocument) -> PriceSheet | None:
     )
 
 
-def _without_transmitter(scenario: Scenario, tx_id: str) -> Scenario:
-    nets = tuple(
-        replace(net, transmitters=tuple(t for t in net.transmitters if t.id != tx_id))
-        for net in scenario.networks
-    )
-    return replace(scenario, networks=nets)
-
-
 def _dispatch(args, doc: ScenarioDocument) -> int:
     scenario = doc.scenario
     command = args.command
@@ -272,28 +263,14 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
         return 0
 
     if command == "enforce":
-        # The request batch is the register of authorized rights. Each grant is
-        # priced against the scenario minus the grantee's own observed
-        # transmitter, then every observed transmitter is audited.
+        # The request batch is the register of authorized rights. It is rebuilt
+        # by replaying quantified admission on the observed scenario without
+        # the requests' own entrant transmitters: each request holds the grants
+        # of the bands admission chose for it, priced in admission order as
+        # `admit` priced them, and its entrants carry the ids admission gives
+        # them. Then every observed transmitter is audited.
         margin = doc.policy.margin_db if args.margin_db is None else args.margin_db
-        grants: list[Grant] = []
-        refusals: list[Refusal] = []
-        for req in doc.requests:
-            baseline = _without_transmitter(scenario, req.request_id)
-            for band in sorted(req.acceptable_bands):
-                rights = RightsRequest(
-                    tx_id=req.request_id,
-                    position=req.position,
-                    desired_dbm=req.desired_dbm,
-                    min_useful_dbm=req.min_useful_dbm,
-                    band=band,
-                    quanta=req.quanta,
-                )
-                result = define_rights(baseline, rights, margin, protected)
-                if isinstance(result, Grant):
-                    grants.append(result)
-                else:
-                    refusals.append(result)
+        grants, refusals = rights_register(scenario, doc.requests, margin, protected)
         violations = enforce(grants, scenario, doc.policy.tolerance_db)
         report = {
             "command": command,

@@ -301,6 +301,14 @@ def validation_errors(scenario: Scenario) -> list[str]:
 
     errors: list[str] = []
     grid, dims, bounds, prop = scenario.grid, scenario.dims, scenario.bounds, scenario.propagation
+    _check_finite("grid", errors, origin=grid.origin, cell_size=grid.cell_size)
+    _check_finite("dims", errors, band_width_hz=dims.band_width_hz,
+                  quantum_duration_s=dims.quantum_duration_s)
+    _check_finite("bounds", errors, p_max_dbm=bounds.p_max_dbm, p_min_dbm=bounds.p_min_dbm)
+    _check_finite("propagation", errors, path_loss_exponent=prop.path_loss_exponent,
+                  reference_distance_m=prop.reference_distance_m,
+                  reference_loss_db=prop.reference_loss_db,
+                  min_distance_clamp_m=prop.min_distance_clamp_m)
 
     if grid.cell_size <= 0 or grid.n_x < 1 or grid.n_y < 1:
         errors.append(
@@ -335,6 +343,8 @@ def validation_errors(scenario: Scenario) -> list[str]:
     for net in scenario.networks:
         tx_ids = {tx.id: tx for tx in net.transmitters}
         for tx in net.transmitters:
+            _check_finite(f"transmitter {tx.id!r}", errors, position=tx.position,
+                          tx_power_dbm=tx.tx_power_dbm)
             _check_pattern(tx.pattern, f"transmitter {tx.id!r}", errors)
             if tx.tx_power_dbm > bounds.p_max_dbm:
                 errors.append(
@@ -346,6 +356,8 @@ def validation_errors(scenario: Scenario) -> list[str]:
                 )
             _check_slices(tx.band, tx.quanta, dims, f"transmitter {tx.id!r}", errors)
         for rx in net.receivers:
+            _check_finite(f"receiver {rx.id!r}", errors, position=rx.position,
+                          beta_db=rx.beta_db, noise_floor_dbm=rx.noise_floor_dbm)
             _check_pattern(rx.pattern, f"receiver {rx.id!r}", errors)
             if not rx.beta_db > 0:
                 errors.append(f"receiver {rx.id!r}: beta_db must be positive (got {rx.beta_db})")
@@ -389,7 +401,21 @@ def _check_slices(band: int, quanta: frozenset[int], dims: SpectrumSpaceDims, wh
             errors.append(f"{who}: time quantum {q} out of range [0, {dims.t_hat})")
 
 
+def _check_finite(who: str, errors: list[str], **values) -> None:
+    """Report every value (a number or a tuple of numbers) that is NaN or infinite.
+
+    Comparisons with NaN are false, so a non-finite number would otherwise
+    slip past every range check below and poison the fields downstream.
+    """
+    for name, value in values.items():
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            errors.append(f"{who}: {name} must be finite (got {value!r})")
+
+
 def _check_pattern(pattern: AntennaPattern, who: str, errors: list[str]) -> None:
+    _check_finite(f"{who} pattern", errors, boresight_deg=pattern.boresight_deg,
+                  beamwidth_deg=pattern.beamwidth_deg, main_gain_db=pattern.main_gain_db,
+                  back_gain_db=pattern.back_gain_db)
     if pattern.kind not in (OMNI_KIND, SECTORED_KIND):
         errors.append(f"{who}: unknown antenna kind {pattern.kind!r}")
     elif pattern.kind == SECTORED_KIND and not 0 < pattern.beamwidth_deg <= 360:

@@ -16,11 +16,11 @@ from .model import PowerBounds, Scenario, db_to_linear
 from .propagation import link_gain_linear
 from .quantify import (
     Cell,
+    LinkBudget,
     PowerField,
     Slice,
     SpectrumQuantity,
     _signal_and_interference,
-    opportunity_at_cell,
 )
 
 __all__ = [
@@ -112,13 +112,18 @@ def apply_guard_margin(opportunity: PowerField, margin_db: float, bounds: PowerB
 
 
 def define_rights(scenario: Scenario, request: RightsRequest, margin_db: float,
-                  protected=None, issued_at: int = 0, grant_id: str | None = None):
+                  protected=None, issued_at: int = 0, grant_id: str | None = None,
+                  budget: LinkBudget | None = None):
     """Issue a Grant for one band, or a Refusal explaining why not.
 
     The cap at the request's cell is min(desired power, guarded opportunity),
     where the guarded opportunity is the worst over the requested quanta. A
     cap below the requester's minimum useful power yields a Refusal naming
     the limiting receiver.
+
+    Args:
+      budget: a LinkBudget of ``scenario`` and ``protected`` whose margins the
+        opportunity is read from; a fresh one is built when None.
 
     Returns:
       Grant or Refusal.
@@ -127,13 +132,15 @@ def define_rights(scenario: Scenario, request: RightsRequest, margin_db: float,
         raise ValueError(f"guard margin must be non-negative (got {margin_db})")
     if not request.quanta:
         raise ValueError(f"request {request.tx_id!r}: no time quanta requested")
+    if budget is None:
+        budget = LinkBudget(scenario, protected)
     bounds = scenario.bounds
     cell = scenario.grid.cell_of(request.position)
 
     guarded = np.inf
     limiting: str | None = None
     for quantum in sorted(request.quanta):
-        opp, rx_id = opportunity_at_cell(scenario, request.band, quantum, cell, protected)
+        opp, rx_id = budget.opportunity_at_cell(request.band, quantum, cell)
         value = max(bounds.p_min_dbm, opp - margin_db)
         if value < guarded:
             guarded, limiting = value, rx_id

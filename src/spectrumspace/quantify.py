@@ -24,6 +24,7 @@ from .model import (
     linear_to_db,
 )
 from .propagation import (
+    PropagationConfig,
     bearing_deg,
     entrant_gain_field_linear,
     link_gain_linear,
@@ -34,7 +35,9 @@ from .propagation import (
 __all__ = [
     "ConsumptionSpace",
     "HarvestMetrics",
+    "LinkBudget",
     "PowerField",
+    "SliceBudget",
     "SpectrumQuantity",
     "available_spectrum",
     "combine_consumption",
@@ -104,26 +107,6 @@ def _check_slice(dims: SpectrumSpaceDims, band: int, quantum: int) -> None:
         raise ValueError(f"time quantum {quantum} out of range [0, {dims.t_hat})")
 
 
-def _resolve_protected(scenario: Scenario, protected, band: int, quantum: int) -> list[Receiver]:
-    """Protected receivers active in the slice, in scenario declaration order.
-
-    ``protected`` is None for every receiver, or an iterable of receiver ids
-    or Receiver objects. Receivers inactive in the slice impose no constraint
-    and are dropped here.
-    """
-    if protected is None:
-        wanted = None
-    else:
-        wanted = {rx.id if isinstance(rx, Receiver) else rx for rx in protected}
-    out = []
-    for rx in scenario.receivers():
-        if wanted is not None and rx.id not in wanted:
-            continue
-        if rx.active_in(band, quantum):
-            out.append(rx)
-    return out
-
-
 def occupancy_linear(scenario: Scenario, band: int, quantum: int) -> np.ndarray:
     """Aggregate man-made linear power (mW) at every cell center, unclipped.
 
@@ -182,14 +165,21 @@ def _signal_and_interference(scenario: Scenario, rx: Receiver, quantum: int) -> 
     for tx in scenario.transmitters():
         if not tx.active_in(rx.band, quantum):
             continue
-        power = db_to_linear(tx.tx_power_dbm) * link_gain_linear(
-            tx, rx.position, scenario.propagation, rx.pattern
-        )
+        power = _received_linear(tx, rx, scenario.propagation)
         if tx.id == rx.linked_tx_id:
             signal = power
         else:
             interference += power
     return signal, interference
+
+
+def _received_linear(tx: Transmitter, rx: Receiver, config: PropagationConfig) -> float:
+    return db_to_linear(tx.tx_power_dbm) * link_gain_linear(tx, rx.position, config, rx.pattern)
+
+
+def _margin(rx: Receiver, signal: float, interference: float) -> float:
+    tolerable = signal / db_to_linear(rx.beta_db) - db_to_linear(rx.noise_floor_dbm) - interference
+    return max(0.0, tolerable)
 
 
 def sinr_db(scenario: Scenario, rx: Receiver, quantum: int) -> float:
@@ -206,9 +196,139 @@ def receiver_margin_linear(scenario: Scenario, rx: Receiver, quantum: int) -> fl
 
     Zero when the link is already at or below its threshold.
     """
-    signal, interference = _signal_and_interference(scenario, rx, quantum)
-    tolerable = signal / db_to_linear(rx.beta_db) - db_to_linear(rx.noise_floor_dbm) - interference
-    return max(0.0, tolerable)
+    return _margin(rx, *_signal_and_interference(scenario, rx, quantum))
+
+
+@dataclass(eq=False)
+class SliceBudget:
+    """Link budget of the protected receivers active in one (band, quantum) slice.
+
+    ``receivers`` are in scenario declaration order; ``signal``,
+    ``interference`` and ``margin`` are parallel lists in linear mW.
+    """
+
+    receivers: list[Receiver]
+    signal: list[float]
+    interference: list[float]
+    margin: list[float]
+
+
+class LinkBudget:
+    """Signal, interference and margin of a scenario's protected receivers, per slice.
+
+    A slice is built on first use with the arithmetic of
+    receiver_margin_linear, so it holds exactly the floats that function
+    returns. ``add`` moves the budget to a scenario with one more transmitter.
+    When that transmitter comes last in declaration order, its received power
+    is the next term of each receiver's sum, so adding it to every built slice
+    gives, bit for bit, what a rebuild would; otherwise the slices it is
+    active in are dropped and rebuilt on next use.
+
+    Args:
+      scenario: validated world.
+      protected: receiver ids or Receiver objects; None protects all.
+    """
+
+    def __init__(self, scenario: Scenario, protected=None):
+        self.scenario = scenario
+        self._wanted = None if protected is None else frozenset(
+            rx.id if isinstance(rx, Receiver) else rx for rx in protected
+        )
+        self._slices: dict[Slice, SliceBudget] = {}
+
+    def slice(self, band: int, quantum: int) -> SliceBudget:
+        """The budget of one slice; receivers inactive in it impose no constraint."""
+        found = self._slices.get((band, quantum))
+        if found is None:
+            _check_slice(self.scenario.dims, band, quantum)
+            rxs = [
+                rx for rx in self.scenario.receivers()
+                if (self._wanted is None or rx.id in self._wanted) and rx.active_in(band, quantum)
+            ]
+            terms = [_signal_and_interference(self.scenario, rx, quantum) for rx in rxs]
+            found = SliceBudget(
+                receivers=rxs,
+                signal=[signal for signal, _ in terms],
+                interference=[interference for _, interference in terms],
+                margin=[_margin(rx, *term) for rx, term in zip(rxs, terms)],
+            )
+            self._slices[(band, quantum)] = found
+        return found
+
+    def add(self, scenario: Scenario, tx: Transmitter) -> None:
+        """Move to ``scenario``: the current scenario plus the transmitter ``tx``."""
+        appended = bool(scenario.networks) and scenario.networks[-1].transmitters[-1:] == (tx,)
+        self.scenario = scenario
+        for quantum in sorted(tx.quanta):
+            found = self._slices.get((tx.band, quantum))
+            if found is None:
+                continue
+            if not appended:
+                del self._slices[(tx.band, quantum)]
+                continue
+            for i, rx in enumerate(found.receivers):
+                power = _received_linear(tx, rx, scenario.propagation)
+                if tx.id == rx.linked_tx_id:
+                    found.signal[i] = power
+                else:
+                    found.interference[i] += power
+                found.margin[i] = _margin(rx, found.signal[i], found.interference[i])
+
+    def opportunity_map(self, band: int, quantum: int) -> PowerField:
+        """:func:`opportunity_map` of this budget's scenario and protected set."""
+        grid, bounds = self.scenario.grid, self.scenario.bounds
+        found = self.slice(band, quantum)
+        if not found.receivers:
+            return PowerField(band, quantum, np.full((grid.n_y, grid.n_x), float(bounds.p_max_dbm)))
+
+        allowed = np.full((grid.n_y, grid.n_x), np.inf)
+        zero_margin = []
+        for rx, margin in zip(found.receivers, found.margin):
+            if margin == 0.0:
+                zero_margin.append(rx.id)
+            gain = entrant_gain_field_linear(rx.position, rx.pattern, grid, self.scenario.propagation)
+            allowed = np.minimum(allowed, margin / gain)
+
+        values = np.clip(linear_to_db(allowed), bounds.p_min_dbm, bounds.p_max_dbm)
+        for rx in found.receivers:
+            if grid.contains(rx.position):
+                ix, iy = grid.cell_of(rx.position)
+                values[iy, ix] = bounds.p_min_dbm
+        return PowerField(band, quantum, values, tuple(zero_margin))
+
+    def opportunity_at_cell(self, band: int, quantum: int, cell: Cell) -> tuple[float, str | None]:
+        """:func:`opportunity_at_cell` of this budget's scenario and protected set."""
+        grid, bounds = self.scenario.grid, self.scenario.bounds
+        found = self.slice(band, quantum)
+        if not found.receivers:
+            return float(bounds.p_max_dbm), None
+        for rx in found.receivers:
+            if grid.contains(rx.position) and grid.cell_of(rx.position) == cell:
+                return float(bounds.p_min_dbm), rx.id
+
+        center = grid.cell_center(*cell)
+        best = np.inf
+        limiting = None
+        for rx, margin in zip(found.receivers, found.margin):
+            dist = np.hypot(center[0] - rx.position[0], center[1] - rx.position[1])
+            gain_db = float(rx.pattern.gain_db(bearing_deg(rx.position, center)))
+            gain = db_to_linear(gain_db - path_loss_db(float(dist), self.scenario.propagation))
+            entrant_cap = margin / gain
+            if entrant_cap < best:
+                best, limiting = entrant_cap, rx.id
+        value = min(max(linear_to_db(best), bounds.p_min_dbm), bounds.p_max_dbm)
+        return value, limiting
+
+    def available_spectrum(self) -> SpectrumQuantity:
+        """:func:`available_spectrum` of this budget's scenario and protected set."""
+        grid, bounds, dims = self.scenario.grid, self.scenario.bounds, self.scenario.dims
+        breakdown: dict[Slice, float] = {}
+        for b in range(dims.b_hat):
+            for t in range(dims.t_hat):
+                opp = self.opportunity_map(b, t)
+                above = db_to_linear(opp.values_dbm) - bounds.p_min_linear
+                breakdown[(b, t)] = float(np.sum(above)) * grid.cell_area / 1000.0
+        return SpectrumQuantity(sum(breakdown.values()), breakdown)
 
 
 def opportunity_map(scenario: Scenario, band: int, quantum: int, protected=None) -> PowerField:
@@ -225,27 +345,7 @@ def opportunity_map(scenario: Scenario, band: int, quantum: int, protected=None)
       band, quantum: the slice to evaluate.
       protected: receiver ids or Receiver objects; None protects all.
     """
-    _check_slice(scenario.dims, band, quantum)
-    grid, bounds = scenario.grid, scenario.bounds
-    rxs = _resolve_protected(scenario, protected, band, quantum)
-    if not rxs:
-        return PowerField(band, quantum, np.full((grid.n_y, grid.n_x), float(bounds.p_max_dbm)))
-
-    allowed = np.full((grid.n_y, grid.n_x), np.inf)
-    zero_margin = []
-    for rx in rxs:
-        margin = receiver_margin_linear(scenario, rx, quantum)
-        if margin == 0.0:
-            zero_margin.append(rx.id)
-        gain = entrant_gain_field_linear(rx.position, rx.pattern, grid, scenario.propagation)
-        allowed = np.minimum(allowed, margin / gain)
-
-    values = np.clip(linear_to_db(allowed), bounds.p_min_dbm, bounds.p_max_dbm)
-    for rx in rxs:
-        if grid.contains(rx.position):
-            ix, iy = grid.cell_of(rx.position)
-            values[iy, ix] = bounds.p_min_dbm
-    return PowerField(band, quantum, values, tuple(zero_margin))
+    return LinkBudget(scenario, protected).opportunity_map(band, quantum)
 
 
 def opportunity_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell,
@@ -255,28 +355,7 @@ def opportunity_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell,
     Returns (dBm value, limiting receiver id). The id is None when no
     protected receiver constrains the slice.
     """
-    _check_slice(scenario.dims, band, quantum)
-    grid, bounds = scenario.grid, scenario.bounds
-    rxs = _resolve_protected(scenario, protected, band, quantum)
-    if not rxs:
-        return float(bounds.p_max_dbm), None
-    for rx in rxs:
-        if grid.contains(rx.position) and grid.cell_of(rx.position) == cell:
-            return float(bounds.p_min_dbm), rx.id
-
-    center = grid.cell_center(*cell)
-    best = np.inf
-    limiting = None
-    for rx in rxs:
-        margin = receiver_margin_linear(scenario, rx, quantum)
-        dist = np.hypot(center[0] - rx.position[0], center[1] - rx.position[1])
-        gain_db = float(rx.pattern.gain_db(bearing_deg(rx.position, center)))
-        gain = db_to_linear(gain_db - path_loss_db(float(dist), scenario.propagation))
-        entrant_cap = margin / gain
-        if entrant_cap < best:
-            best, limiting = entrant_cap, rx.id
-    value = min(max(linear_to_db(best), bounds.p_min_dbm), bounds.p_max_dbm)
-    return value, limiting
+    return LinkBudget(scenario, protected).opportunity_at_cell(band, quantum, cell)
 
 
 def _slice_lists(dims: SpectrumSpaceDims, bands, quanta) -> tuple[list[int], list[int]]:
@@ -346,13 +425,13 @@ def denied_consumption(scenario: Scenario, protected=None, bands=None, quanta=No
     """
     bounds = scenario.bounds
     band_list, quantum_list = _slice_lists(scenario.dims, bands, quanta)
+    budget = LinkBudget(scenario, protected)
     ids: set[str] = set()
     slices: dict[Slice, np.ndarray] = {}
     for b in band_list:
         for t in quantum_list:
-            rxs = _resolve_protected(scenario, protected, b, t)
-            ids.update(rx.id for rx in rxs)
-            opp = opportunity_map(scenario, b, t, protected=[rx.id for rx in rxs])
+            ids.update(rx.id for rx in budget.slice(b, t).receivers)
+            opp = budget.opportunity_map(b, t)
             slices[(b, t)] = bounds.p_max_linear - db_to_linear(opp.values_dbm)
     return ConsumptionSpace(frozenset(ids), slices)
 
@@ -406,14 +485,7 @@ def available_spectrum(scenario: Scenario, protected=None) -> SpectrumQuantity:
     Integrates the opportunity field above the floor. With nothing protected
     this equals total_spectrum.
     """
-    grid, bounds, dims = scenario.grid, scenario.bounds, scenario.dims
-    breakdown: dict[Slice, float] = {}
-    for b in range(dims.b_hat):
-        for t in range(dims.t_hat):
-            opp = opportunity_map(scenario, b, t, protected)
-            above = db_to_linear(opp.values_dbm) - bounds.p_min_linear
-            breakdown[(b, t)] = float(np.sum(above)) * grid.cell_area / 1000.0
-    return SpectrumQuantity(sum(breakdown.values()), breakdown)
+    return LinkBudget(scenario, protected).available_spectrum()
 
 
 def harvest_metrics(estimated: PowerField, truth: PowerField, grid: Grid,

@@ -161,6 +161,75 @@ def o_opportunity_cell(scn: Scenario, band, quantum, protected_ids, ix, iy) -> f
     return min(max(o_db(best), b.p_min_dbm), b.p_max_dbm)
 
 
+def o_limiting_rx(scn: Scenario, band, quantum, protected_ids, ix, iy) -> str | None:
+    """The receiver that sets o_opportunity_cell: the first with the lowest entrant cap."""
+    rxs = _o_protected(scn, protected_ids, band, quantum)
+    for rx in rxs:
+        if scn.grid.contains(rx.position) and scn.grid.cell_of(rx.position) == (ix, iy):
+            return rx.id
+    center = scn.grid.cell_center(ix, iy)
+    best, limiting = math.inf, None
+    for rx in rxs:
+        gain_db = o_pattern_gain(rx.pattern, o_bearing(rx.position, center)) - o_pl(
+            math.hypot(center[0] - rx.position[0], center[1] - rx.position[1]), scn.propagation
+        )
+        cap = o_margin_lin(scn, rx, quantum) / o_lin(gain_db)
+        if cap < best:
+            best, limiting = cap, rx.id
+    return limiting
+
+
+def o_admit(scn: Scenario, requests, margin_db: float, protected_ids=None) -> list[tuple]:
+    """Sequential quantified admission with straight loops over o_opportunity_cell.
+
+    Requests go in (priority, id) order; each admitted entrant joins the
+    "entrants" network at its cell center before the next request is priced.
+    Returns one (request_id, bands, powers_dbm, refusal limiting rx ids) per
+    request; bands and powers are empty for a refused request, and the
+    limiting ids are empty for an admitted one.
+    """
+    b = scn.bounds
+    results = []
+    for req in sorted(requests, key=lambda r: (r.priority, r.request_id)):
+        ix, iy = scn.grid.cell_of(req.position)
+        caps, limits = [], []
+        for band in sorted(req.acceptable_bands):
+            guarded, limiting = math.inf, None
+            for q in sorted(req.quanta):
+                opp = o_opportunity_cell(scn, band, q, protected_ids, ix, iy)
+                value = max(b.p_min_dbm, opp - margin_db)
+                if value < guarded:
+                    guarded, limiting = value, o_limiting_rx(scn, band, q, protected_ids, ix, iy)
+            cap = min(req.desired_dbm, guarded)
+            if cap < req.min_useful_dbm:
+                limits.append(limiting)
+            else:
+                caps.append((cap, band))
+        if len(caps) < req.required_bands:
+            results.append((req.request_id, [], [], limits))
+            continue
+        chosen = sorted(caps, key=lambda c: (-c[0], c[1]))[: req.required_bands]
+        for cap, band in chosen:
+            tx = Transmitter(
+                id=req.request_id if req.required_bands == 1 else f"{req.request_id}:b{band}",
+                network_id="entrants", position=scn.grid.cell_center(ix, iy),
+                tx_power_dbm=cap, band=band, quanta=req.quanta,
+            )
+            nets = list(scn.networks)
+            at = [i for i, net in enumerate(nets) if net.id == "entrants"]
+            if at:
+                net = nets[at[0]]
+                nets[at[0]] = RFNetwork(id=net.id, transmitters=net.transmitters + (tx,),
+                                        receivers=net.receivers)
+            else:
+                nets.append(RFNetwork(id="entrants", transmitters=(tx,)))
+            scn = Scenario(grid=scn.grid, dims=scn.dims, bounds=scn.bounds,
+                           propagation=scn.propagation, networks=tuple(nets))
+        results.append((req.request_id, [band for _, band in chosen],
+                        [cap for cap, _ in chosen], []))
+    return results
+
+
 def o_available(scn: Scenario, protected_ids=None) -> float:
     """Available spectrum in W*m^2 across all slices, straight loops."""
     total = 0.0

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spectrumspace import (
     AccessRequest,
+    LinkBudget,
     Receiver,
     RFNetwork,
     SpectrumSpaceDims,
@@ -19,7 +22,16 @@ from spectrumspace import (
 )
 from spectrumspace.admission import ENTRANT_NETWORK_ID
 
-from helpers import BOUNDS, make_grid, make_link, make_scenario, o_sinr_db
+from helpers import (
+    BOUNDS,
+    make_grid,
+    make_link,
+    make_scenario,
+    o_admit,
+    o_sinr_db,
+    random_requests,
+    random_scenario,
+)
 
 
 def canonical_link():
@@ -291,3 +303,93 @@ class TestComparePolicies:
         first = compare_policies(scn, requests, margin_db=3.0, sensitivity_dbm=-70.0)
         second = compare_policies(scn, requests, margin_db=3.0, sensitivity_dbm=-70.0)
         assert first == second
+
+
+def _protected_subset(scn, seed):
+    """None for even seeds, else every other receiver in declaration order."""
+    return None if seed % 2 == 0 else [rx.id for rx in scn.receivers()][::2]
+
+
+class TestIncrementalBudget:
+    """Admission's incrementally kept link budget against budgets built from scratch."""
+
+    def admit_and_compare(self, monkeypatch, scn, requests, protected):
+        added = []
+        real_add = LinkBudget.add
+
+        def add_then_compare(budget, scenario, tx):
+            real_add(budget, scenario, tx)
+            fresh = LinkBudget(scenario, protected)
+            for band in range(scenario.dims.b_hat):
+                for quantum in range(scenario.dims.t_hat):
+                    kept, rebuilt = budget.slice(band, quantum), fresh.slice(band, quantum)
+                    assert [rx.id for rx in kept.receivers] == [rx.id for rx in rebuilt.receivers]
+                    assert kept.signal == rebuilt.signal
+                    assert kept.interference == rebuilt.interference
+                    assert kept.margin == rebuilt.margin
+            added.append(tx.id)
+
+        def entrant_ids(scenario):
+            net = scenario.network(ENTRANT_NETWORK_ID)
+            return [tx.id for tx in net.transmitters] if net else []
+
+        monkeypatch.setattr(LinkBudget, "add", add_then_compare)
+        outcome, final = admit_quantified(scn, requests, 1.0, protected)
+        assert entrant_ids(scn) + added == entrant_ids(final)
+        return outcome, final
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_a_rebuilt_budget_after_every_admission(self, monkeypatch, seed):
+        scn = random_scenario(seed, b_hat=2, t_hat=2, n_networks=3)
+        requests = random_requests(seed + 100, scn, n=10)
+        outcome, _ = self.admit_and_compare(monkeypatch, scn, requests, _protected_subset(scn, seed))
+        assert outcome.admitted_count > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pre_existing_entrants_network_before_others(self, monkeypatch, seed):
+        # New entrants join the "entrants" network, which here is not the
+        # last one, so each lands mid-way through the declaration order.
+        scn = random_scenario(seed, b_hat=2, t_hat=2, n_networks=3)
+        first = scn.networks[0]
+        entrants = dataclasses.replace(
+            first, id=ENTRANT_NETWORK_ID, receivers=(),
+            transmitters=tuple(dataclasses.replace(tx, network_id=ENTRANT_NETWORK_ID)
+                               for tx in first.transmitters))
+        scn = make_scenario((entrants,) + scn.networks[1:] + (make_link(
+            "last", (10.0, 10.0), (60.0, 10.0), 20.0, quanta=(0, 1)),),
+            grid=scn.grid, dims=scn.dims)
+        requests = random_requests(seed + 200, scn, n=10)
+        _, final = self.admit_and_compare(monkeypatch, scn, requests, None)
+        assert final.networks[-1].id == "last"
+
+    def test_entrant_linked_to_a_protected_receiver_sets_its_signal(self):
+        # A budget fed a transmitter some receiver links to must replace that
+        # receiver's signal, as a rebuild would, not count it as interference.
+        full = make_scenario([make_link("a", (50.0, 50.0), (150.0, 50.0), 20.0)])
+        net = full.networks[0]
+        budget = LinkBudget(dataclasses.replace(full, networks=(
+            dataclasses.replace(net, transmitters=()),)))
+        assert budget.slice(0, 0).signal == [0.0]
+        budget.add(full, net.transmitters[0])
+        fresh = LinkBudget(full).slice(0, 0)
+        assert budget.slice(0, 0).signal == fresh.signal
+        assert budget.slice(0, 0).interference == fresh.interference == [0.0]
+        assert budget.slice(0, 0).margin == fresh.margin
+
+
+class TestAgainstStraightLoopAdmission:
+    # A 25 dB guard margin makes refusals, and so limiting receivers, common.
+    @pytest.mark.parametrize("margin_db", [2.0, 25.0])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bands_powers_and_limiting_receivers(self, seed, margin_db):
+        scn = random_scenario(seed, b_hat=2, t_hat=2)
+        requests = random_requests(seed + 300, scn, n=10)
+        protected = _protected_subset(scn, seed)
+        outcome, _ = admit_quantified(scn, requests, margin_db, protected)
+        expected = o_admit(scn, requests, margin_db, None if protected is None else set(protected))
+        assert [o.request_id for o in outcome.outcomes] == [e[0] for e in expected]
+        for got, (_, bands, powers, limits) in zip(outcome.outcomes, expected):
+            assert got.admitted == bool(bands)
+            assert list(got.bands) == bands
+            assert list(got.powers_dbm) == pytest.approx(powers, rel=1e-12, abs=0.0)
+            assert [r.limiting_rx_id for r in got.refusals] == limits

@@ -288,6 +288,71 @@ class TestEnforceCommand:
         assert refusal["limiting_rx_id"] == "a-rx"
 
 
+class TestAdmitEnforceRoundTrip:
+    """`enforce` audits what `admit` granted: admitted entrants pass, excess is caught."""
+
+    def scenario(self):
+        data = json.loads(json.dumps(LINK))
+        data["grid"] = {"origin": [0.0, 0.0], "cell_size": 100.0, "n_x": 10, "n_y": 10}
+        data["dims"] = {"bands": 2, "quanta": 1}
+        data["networks"][0]["transmitters"][0].update(position=[250.0, 250.0], tx_power_dbm=20.0)
+        data["networks"][0]["receivers"][0]["position"] = [350.0, 250.0]
+        data["networks"].append({
+            "id": "b",
+            "transmitters": [{"id": "b-tx", "position": [650.0, 650.0], "tx_power_dbm": 20.0,
+                              "band": 1, "quanta": [0]}],
+            "receivers": [{"id": "b-rx", "position": [750.0, 650.0], "band": 1, "quanta": [0],
+                           "beta_db": 10.0, "noise_floor_dbm": -100.0, "linked_tx": "b-tx"}],
+        })
+        request = {"desired_dbm": 25.0, "min_useful_dbm": -40.0, "quanta": [0]}
+        # r1 and r2 are both held back by a-rx, so r2 is priced against r1's
+        # interference; r3 needs both bands.
+        data["requests"] = [
+            {**request, "id": "r1", "position": [550.0, 250.0], "required_bands": 1,
+             "acceptable_bands": [0]},
+            {**request, "id": "r2", "position": [550.0, 350.0], "required_bands": 1,
+             "acceptable_bands": [0], "priority": 1},
+            {**request, "id": "r3", "position": [450.0, 650.0], "required_bands": 2,
+             "acceptable_bands": [0, 1], "priority": 2},
+        ]
+        data["policy"] = {"margin_db": 3.0}
+        return data
+
+    def admit_then_enforce(self, tmp_path, raise_db=None):
+        data = self.scenario()
+        scn = write(tmp_path, data)
+        assert run(["admit", "--scenario", str(scn), "--out", str(tmp_path / "admit")]) == 0
+        admitted = load(tmp_path / "admit", "admit.json")
+        outcomes = admitted["admission"]["outcomes"]
+        assert [o["admitted"] for o in outcomes] == [True, True, True]
+        assert [o["powers_dbm"][0] < 25.0 for o in outcomes[:2]] == [True, True]
+        observed = dict(admitted["augmented_scenario"], requests=data["requests"],
+                        policy=data["policy"])
+        entrants = next(net for net in observed["networks"] if net["id"] == "entrants")
+        for tx_id, delta in (raise_db or {}).items():
+            tx = next(tx for tx in entrants["transmitters"] if tx["id"] == tx_id)
+            tx["tx_power_dbm"] += delta
+        path = write(tmp_path, observed, "observed.json")
+        assert run(["enforce", "--scenario", str(path), "--out", str(tmp_path / "enforce")]) == 0
+        report = load(tmp_path / "enforce", "enforce.json")
+        entrant_ids = {tx["id"] for tx in entrants["transmitters"]}
+        return report, entrant_ids
+
+    def test_admitted_entrants_pass_enforce(self, tmp_path):
+        report, entrant_ids = self.admit_then_enforce(tmp_path)
+        assert entrant_ids == {"r1", "r2", "r3:b0", "r3:b1"}
+        assert sorted(g["grantee_tx_id"] for g in report["grants"]) == sorted(entrant_ids)
+        assert [v for v in report["violations"] if v["tx_id"] in entrant_ids] == []
+        assert {v["tx_id"] for v in report["violations"]} == {"a-tx", "b-tx"}
+
+    def test_over_cap_entrant_is_caught(self, tmp_path):
+        report, _ = self.admit_then_enforce(tmp_path, {"r2": 3.0, "r3:b0": 1.0})
+        excess = {v["tx_id"]: v["excess_db"] for v in report["violations"]}
+        assert excess.pop("r2") == pytest.approx(3.0, abs=1e-9)
+        assert excess.pop("r3:b0") == pytest.approx(1.0, abs=1e-9)
+        assert set(excess) == {"a-tx", "b-tx"}
+
+
 class TestCompareCommand:
     def scenario_with_entrants(self):
         data = json.loads(json.dumps(LINK))

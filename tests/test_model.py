@@ -204,6 +204,53 @@ class TestValidation:
         assert "beamwidth_deg must be in (0, 360]" in text
         assert "unknown model 'two-ray'" in text
 
+    def test_nan_power_is_rejected(self):
+        # NaN compares false with both power bounds. Before the finiteness
+        # check this scenario validated clean, its occupancy was NaN and its
+        # available spectrum read 0.0.
+        scn = Scenario(grid=make_grid(), dims=SpectrumSpaceDims(), bounds=BOUNDS,
+                       propagation=PROP,
+                       networks=(make_link("a", (50.0, 50.0), (150.0, 50.0), power_dbm=math.nan),))
+        assert validation_errors(scn) == ["transmitter 'a-tx': tx_power_dbm must be finite (got nan)"]
+        with pytest.raises(ScenarioValidationError):
+            validate_scenario(scn)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("owner,field", [
+        ("grid", "origin"), ("grid", "cell_size"),
+        ("dims", "band_width_hz"), ("dims", "quantum_duration_s"),
+        ("bounds", "p_max_dbm"), ("bounds", "p_min_dbm"),
+        ("propagation", "path_loss_exponent"), ("propagation", "reference_distance_m"),
+        ("propagation", "reference_loss_db"), ("propagation", "min_distance_clamp_m"),
+        ("transmitter", "position"), ("transmitter", "tx_power_dbm"),
+        ("receiver", "position"), ("receiver", "beta_db"), ("receiver", "noise_floor_dbm"),
+        *((who, field) for who in ("transmitter pattern", "receiver pattern")
+          for field in ("boresight_deg", "beamwidth_deg", "main_gain_db", "back_gain_db")),
+    ])
+    def test_every_model_float_must_be_finite(self, owner, field, bad):
+        sector = AntennaPattern(kind="sectored", boresight_deg=0.0, beamwidth_deg=90.0,
+                                main_gain_db=6.0, back_gain_db=-10.0)
+        net = make_link("a", (50.0, 50.0), (150.0, 50.0), 10.0,
+                        tx_pattern=sector, rx_pattern=sector)
+        parts = {"grid": make_grid(), "dims": SpectrumSpaceDims(), "bounds": BOUNDS,
+                 "propagation": PROP, "transmitter": net.transmitters[0],
+                 "receiver": net.receivers[0]}
+        value = (bad, 50.0) if field in ("origin", "position") else bad
+        entity, _, attr = owner.partition(" ")
+        if attr:
+            pattern = dataclasses.replace(parts[entity].pattern, **{field: value})
+            parts[entity] = dataclasses.replace(parts[entity], pattern=pattern)
+        else:
+            parts[entity] = dataclasses.replace(parts[entity], **{field: value})
+        scn = Scenario(
+            grid=parts["grid"], dims=parts["dims"], bounds=parts["bounds"],
+            propagation=parts["propagation"],
+            networks=(RFNetwork(id="a", transmitters=(parts["transmitter"],),
+                                receivers=(parts["receiver"],)),),
+        )
+        errors = validation_errors(scn)
+        assert any(e.startswith(entity) and f"{field} must be finite" in e for e in errors), errors
+
     def test_scenario_is_immutable(self):
         scn = _two_link_scenario()
         with pytest.raises(dataclasses.FrozenInstanceError):
