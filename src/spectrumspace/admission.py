@@ -337,15 +337,16 @@ def _entrant_exploitation(scenario: Scenario) -> SpectrumQuantity:
 def _sinr_violations(original: Scenario, final: Scenario, tolerance_db: float = 1e-6) -> tuple[int, float]:
     """Brute-force recheck of every original receiver in the final scenario.
 
-    Counts (receiver, quantum) slices whose SINR fell below beta by more than
-    the tolerance, and totals the dB shortfall.
+    Counts (receiver, quantum) slices below beta by more than the tolerance in
+    the final scenario but not in the original one (computed only for slices
+    that fail), and totals their dB shortfall.
     """
     count = 0
     total_short = 0.0
     for rx in original.receivers():
         for quantum in sorted(rx.quanta):
             shortfall = rx.beta_db - sinr_db(final, rx, quantum)
-            if shortfall > tolerance_db:
+            if shortfall > tolerance_db and rx.beta_db - sinr_db(original, rx, quantum) <= tolerance_db:
                 count += 1
                 total_short += shortfall
     return count, total_short
@@ -356,8 +357,9 @@ def compare_policies(scenario: Scenario, requests, margin_db: float,
     """Run quantified admission and the sensing baseline on identical inputs.
 
     Each side reports how many requests it admitted, how much spectrum the
-    entrants exploit, and whether any incumbent receiver was pushed below its
-    SINR threshold (checked by brute force, not by the admission math).
+    entrants exploit, and which incumbent receivers it pushed below their
+    SINR threshold (checked by brute force, not by the admission math);
+    receivers already below it before admission are not counted.
     """
     q_outcome, q_final = admit_quantified(scenario, requests, margin_db, protected)
     o_outcome, o_final = admit_osa(scenario, requests, sensitivity_dbm)

@@ -29,7 +29,6 @@ __all__ = [
     "ScenarioValidationError",
     "SpectrumSpaceDims",
     "Transmitter",
-    "cell_of",
     "db_to_linear",
     "linear_to_db",
     "validate_scenario",
@@ -148,11 +147,6 @@ def _axis_index(coord: float, origin: float, cell_size: float, n: int) -> int | 
     if i < 0 or i >= n:
         return None
     return i
-
-
-def cell_of(position: tuple[float, float], grid: Grid) -> tuple[int, int]:
-    """Free-function form of :meth:`Grid.cell_of`."""
-    return grid.cell_of(position)
 
 
 @dataclass(frozen=True)
@@ -280,9 +274,6 @@ class Scenario:
 
     def active_transmitters(self, band: int, quantum: int) -> list[Transmitter]:
         return [tx for tx in self.transmitters() if tx.active_in(band, quantum)]
-
-    def active_receivers(self, band: int, quantum: int) -> list[Receiver]:
-        return [rx for rx in self.receivers() if rx.active_in(band, quantum)]
 
     def with_network(self, network: RFNetwork) -> "Scenario":
         """A copy with one more network appended (used for admitted entrants)."""

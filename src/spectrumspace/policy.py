@@ -13,15 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from .model import PowerBounds, Scenario, db_to_linear
-from .propagation import link_gain_linear
-from .quantify import (
-    Cell,
-    LinkBudget,
-    PowerField,
-    Slice,
-    SpectrumQuantity,
-    _signal_and_interference,
-)
+from .quantify import Cell, LinkBudget, PowerField, Slice, SpectrumQuantity, link_powers
 
 __all__ = [
     "Grant",
@@ -65,8 +57,11 @@ class Grant:
         return self.caps_dbm.get((band, quantum), {}).get(cell)
 
     def cap_dbm(self) -> float:
-        """The single cap value; grants issued here cap one cell uniformly."""
-        return next(iter(next(iter(self.caps_dbm.values())).values()))
+        """The grant's one cap; ValueError unless all its caps are one value, as define_rights issues."""
+        caps = {cap for cells in self.caps_dbm.values() for cap in cells.values()}
+        if len(caps) != 1:
+            raise ValueError(f"grant {self.grant_id!r} has {len(caps)} distinct caps, not one")
+        return caps.pop()
 
 
 @dataclass(frozen=True)
@@ -190,22 +185,14 @@ def enforce(grants, observed: Scenario, tolerance_db: float = 0.5) -> list[Viola
                 cap = grant.cap_at(tx.band, quantum, cell)
                 if cap is not None and (best_cap is None or cap > best_cap):
                     best_cap, best_grant = cap, grant.grant_id
-            if best_cap is None:
-                excess = tx.tx_power_dbm - p_min
-                if excess > tolerance_db:
-                    violations.append(Violation(
-                        grant_id=None, tx_id=tx.id, cell=cell, band=tx.band,
-                        quantum=quantum, granted_dbm=p_min,
-                        observed_dbm=tx.tx_power_dbm, excess_db=excess,
-                    ))
-            else:
-                excess = tx.tx_power_dbm - best_cap
-                if excess > tolerance_db:
-                    violations.append(Violation(
-                        grant_id=best_grant, tx_id=tx.id, cell=cell, band=tx.band,
-                        quantum=quantum, granted_dbm=best_cap,
-                        observed_dbm=tx.tx_power_dbm, excess_db=excess,
-                    ))
+            granted = p_min if best_cap is None else best_cap
+            excess = tx.tx_power_dbm - granted
+            if excess > tolerance_db:
+                violations.append(Violation(
+                    grant_id=best_grant, tx_id=tx.id, cell=cell, band=tx.band,
+                    quantum=quantum, granted_dbm=granted,
+                    observed_dbm=tx.tx_power_dbm, excess_db=excess,
+                ))
     return violations
 
 
@@ -226,14 +213,8 @@ def attribute_harmful_interference(rx, scenario: Scenario, quantum: int) -> dict
             raise ValueError(f"unknown receiver {rx!r}")
         rx = resolved
 
-    contributions: dict[str, float] = {}
-    for tx in scenario.transmitters():
-        if tx.active_in(rx.band, quantum) and tx.id != rx.linked_tx_id:
-            contributions[tx.id] = db_to_linear(tx.tx_power_dbm) * link_gain_linear(
-                tx, rx.position, scenario.propagation, rx.pattern
-            )
-
-    signal, interference = _signal_and_interference(scenario, rx, quantum)
+    powers = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
+    signal, interference, contributions = powers.signal, powers.interference, powers.interferers
     noise = db_to_linear(rx.noise_floor_dbm)
     if interference <= 0.0 or signal >= db_to_linear(rx.beta_db) * (noise + interference):
         return {tx_id: 0.0 for tx_id in contributions}

@@ -8,23 +8,21 @@ only means replacing this module's lookups.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OMNI, AntennaPattern, Grid, db_to_linear, linear_to_db
+from .model import OMNI, OMNI_KIND, AntennaPattern, Grid, db_to_linear
 
 __all__ = [
     "FREE_SPACE",
     "LOG_DISTANCE",
     "PropagationConfig",
-    "bearing_deg",
     "entrant_gain_field_linear",
+    "gain_db",
     "link_gain_db",
     "link_gain_linear",
     "path_loss_db",
-    "received_power_dbm",
     "tx_gain_db_field",
 ]
 
@@ -63,9 +61,23 @@ def path_loss_db(distance_m, config: PropagationConfig):
     return float(loss) if np.ndim(distance_m) == 0 else loss
 
 
-def bearing_deg(from_pos: tuple[float, float], to_pos: tuple[float, float]) -> float:
-    """Bearing from one point toward another, degrees CCW from +x."""
-    return math.degrees(math.atan2(to_pos[1] - from_pos[1], to_pos[0] - from_pos[0]))
+def gain_db(src: tuple[float, float], src_pattern: AntennaPattern, dst, dst_pattern: AntennaPattern,
+            config: PropagationConfig):
+    """Directional gain in dB from a source point to destination points: the one gain formula.
+
+    ``dst`` is (x, y) with numbers or arrays, broadcast together. Returns the
+    source pattern toward each destination, plus the destination pattern back
+    toward the source, minus path loss; an omni pattern's 0 dB is not computed.
+    """
+    x, y = src
+    px, py = dst
+    dist = np.hypot(px - x, py - y)
+    gain = 0.0
+    if src_pattern.kind != OMNI_KIND:
+        gain = src_pattern.gain_db(np.degrees(np.arctan2(py - y, px - x)))
+    if dst_pattern.kind != OMNI_KIND:
+        gain = gain + dst_pattern.gain_db(np.degrees(np.arctan2(y - py, x - px)))
+    return gain - path_loss_db(dist, config)
 
 
 def link_gain_db(tx, rx_point: tuple[float, float], config: PropagationConfig,
@@ -82,10 +94,7 @@ def link_gain_db(tx, rx_point: tuple[float, float], config: PropagationConfig,
       tx pattern gain toward the point, plus rx pattern gain back toward the
       transmitter, minus path loss. Always negative in practice.
     """
-    dist = math.hypot(rx_point[0] - tx.position[0], rx_point[1] - tx.position[1])
-    g = float(tx.pattern.gain_db(bearing_deg(tx.position, rx_point)))
-    g += float(rx_pattern.gain_db(bearing_deg(rx_point, tx.position)))
-    return g - path_loss_db(dist, config)
+    return float(gain_db(tx.position, tx.pattern, rx_point, rx_pattern, config))
 
 
 def link_gain_linear(tx, rx_point: tuple[float, float], config: PropagationConfig,
@@ -94,22 +103,12 @@ def link_gain_linear(tx, rx_point: tuple[float, float], config: PropagationConfi
     return db_to_linear(link_gain_db(tx, rx_point, config, rx_pattern))
 
 
-def received_power_dbm(tx, point: tuple[float, float], config: PropagationConfig,
-                       rx_pattern: AntennaPattern = OMNI) -> float:
-    """Received power in dBm at a point, unclipped."""
-    return tx.tx_power_dbm + link_gain_db(tx, point, config, rx_pattern)
-
-
 def tx_gain_db_field(tx, grid: Grid, config: PropagationConfig) -> np.ndarray:
     """Gain in dB from a transmitter to every cell center, omni probe at the cell.
 
     Returns an (n_y, n_x) array aligned with the grid.
     """
-    cx, cy = grid.center_arrays()
-    x, y = tx.position
-    dist = np.hypot(cx - x, cy - y)
-    gain = tx.pattern.gain_db(np.degrees(np.arctan2(cy - y, cx - x)))
-    return gain - path_loss_db(dist, config)
+    return gain_db(tx.position, tx.pattern, grid.center_arrays(), OMNI, config)
 
 
 def entrant_gain_field_linear(rx_position: tuple[float, float], rx_pattern: AntennaPattern,
@@ -119,8 +118,4 @@ def entrant_gain_field_linear(rx_position: tuple[float, float], rx_pattern: Ante
     The receiver's own pattern weights each arrival direction, so a sectored
     receiver is harder to disturb from behind.
     """
-    cx, cy = grid.center_arrays()
-    rx_x, rx_y = rx_position
-    dist = np.hypot(cx - rx_x, cy - rx_y)
-    gain_db = rx_pattern.gain_db(np.degrees(np.arctan2(cy - rx_y, cx - rx_x)))
-    return db_to_linear(gain_db - path_loss_db(dist, config))
+    return db_to_linear(gain_db(rx_position, rx_pattern, grid.center_arrays(), OMNI, config))

@@ -14,6 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .model import (
+    OMNI,
     Grid,
     PowerBounds,
     Receiver,
@@ -25,10 +26,9 @@ from .model import (
 )
 from .propagation import (
     PropagationConfig,
-    bearing_deg,
     entrant_gain_field_linear,
+    gain_db,
     link_gain_linear,
-    path_loss_db,
     tx_gain_db_field,
 )
 
@@ -36,6 +36,7 @@ __all__ = [
     "ConsumptionSpace",
     "HarvestMetrics",
     "LinkBudget",
+    "LinkPowers",
     "PowerField",
     "SliceBudget",
     "SpectrumQuantity",
@@ -43,6 +44,7 @@ __all__ = [
     "combine_consumption",
     "denied_consumption",
     "harvest_metrics",
+    "link_powers",
     "occupancy_at_cell",
     "occupancy_linear",
     "occupancy_map",
@@ -153,28 +155,39 @@ def occupancy_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell) -
     return min(max(linear_to_db(total), bounds.p_min_dbm), bounds.p_max_dbm)
 
 
-def _signal_and_interference(scenario: Scenario, rx: Receiver, quantum: int) -> tuple[float, float]:
-    """Desired linear power and co-channel interference (mW) at a receiver.
+@dataclass(frozen=True, eq=False)
+class LinkPowers:
+    """What a receiver hears in one quantum, in linear mW.
 
-    The desired signal comes from the linked transmitter when it is active in
-    the slice; every other active transmitter on the band contributes
-    interference, accumulated in declaration order.
+    The linked signal (0.0 when silent), each interferer's power in the order
+    given, and their total accumulated with += in that order (sum()
+    compensates float sums from Python 3.12, which would change the bits).
     """
-    signal = 0.0
-    interference = 0.0
-    for tx in scenario.transmitters():
+
+    signal: float
+    interference: float
+    interferers: dict[str, float]
+
+
+def link_powers(rx: Receiver, quantum: int, transmitters: Iterable[Transmitter],
+                config: PropagationConfig) -> LinkPowers:
+    """The one signal/interference rule: what a receiver hears in a quantum, in linear mW.
+
+    Of the given transmitters active in the receiver's slice, the linked one
+    is signal and every other one an interferer, kept in the order given.
+    """
+    signal = interference = 0.0
+    interferers: dict[str, float] = {}
+    for tx in transmitters:
         if not tx.active_in(rx.band, quantum):
             continue
-        power = _received_linear(tx, rx, scenario.propagation)
+        power = db_to_linear(tx.tx_power_dbm) * link_gain_linear(tx, rx.position, config, rx.pattern)
         if tx.id == rx.linked_tx_id:
             signal = power
         else:
+            interferers[tx.id] = power
             interference += power
-    return signal, interference
-
-
-def _received_linear(tx: Transmitter, rx: Receiver, config: PropagationConfig) -> float:
-    return db_to_linear(tx.tx_power_dbm) * link_gain_linear(tx, rx.position, config, rx.pattern)
+    return LinkPowers(signal, interference, interferers)
 
 
 def _margin(rx: Receiver, signal: float, interference: float) -> float:
@@ -187,8 +200,8 @@ def sinr_db(scenario: Scenario, rx: Receiver, quantum: int) -> float:
 
     -inf when the linked transmitter is silent in that quantum.
     """
-    signal, interference = _signal_and_interference(scenario, rx, quantum)
-    return linear_to_db(signal / (db_to_linear(rx.noise_floor_dbm) + interference))
+    powers = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
+    return linear_to_db(powers.signal / (db_to_linear(rx.noise_floor_dbm) + powers.interference))
 
 
 def receiver_margin_linear(scenario: Scenario, rx: Receiver, quantum: int) -> float:
@@ -196,7 +209,8 @@ def receiver_margin_linear(scenario: Scenario, rx: Receiver, quantum: int) -> fl
 
     Zero when the link is already at or below its threshold.
     """
-    return _margin(rx, *_signal_and_interference(scenario, rx, quantum))
+    powers = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
+    return _margin(rx, powers.signal, powers.interference)
 
 
 @dataclass(eq=False)
@@ -245,13 +259,12 @@ class LinkBudget:
                 rx for rx in self.scenario.receivers()
                 if (self._wanted is None or rx.id in self._wanted) and rx.active_in(band, quantum)
             ]
-            terms = [_signal_and_interference(self.scenario, rx, quantum) for rx in rxs]
-            found = SliceBudget(
-                receivers=rxs,
-                signal=[signal for signal, _ in terms],
-                interference=[interference for _, interference in terms],
-                margin=[_margin(rx, *term) for rx, term in zip(rxs, terms)],
-            )
+            found = SliceBudget(rxs, [], [], [])
+            for rx in rxs:
+                powers = link_powers(rx, quantum, self.scenario.transmitters(), self.scenario.propagation)
+                found.signal.append(powers.signal)
+                found.interference.append(powers.interference)
+                found.margin.append(_margin(rx, powers.signal, powers.interference))
             self._slices[(band, quantum)] = found
         return found
 
@@ -267,11 +280,11 @@ class LinkBudget:
                 del self._slices[(tx.band, quantum)]
                 continue
             for i, rx in enumerate(found.receivers):
-                power = _received_linear(tx, rx, scenario.propagation)
-                if tx.id == rx.linked_tx_id:
-                    found.signal[i] = power
+                powers = link_powers(rx, quantum, (tx,), scenario.propagation)
+                if powers.interferers:
+                    found.interference[i] += powers.interference
                 else:
-                    found.interference[i] += power
+                    found.signal[i] = powers.signal
                 found.margin[i] = _margin(rx, found.signal[i], found.interference[i])
 
     def opportunity_map(self, band: int, quantum: int) -> PowerField:
@@ -310,9 +323,7 @@ class LinkBudget:
         best = np.inf
         limiting = None
         for rx, margin in zip(found.receivers, found.margin):
-            dist = np.hypot(center[0] - rx.position[0], center[1] - rx.position[1])
-            gain_db = float(rx.pattern.gain_db(bearing_deg(rx.position, center)))
-            gain = db_to_linear(gain_db - path_loss_db(float(dist), self.scenario.propagation))
+            gain = db_to_linear(float(gain_db(rx.position, rx.pattern, center, OMNI, self.scenario.propagation)))
             entrant_cap = margin / gain
             if entrant_cap < best:
                 best, limiting = entrant_cap, rx.id

@@ -8,8 +8,10 @@ fix numeric output at 12 significant digits.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass
 
 from .admission import AccessRequest
@@ -448,7 +450,7 @@ def export_field(field: PowerField, path) -> None:
     lines = [f"# band={field.band} quantum={field.quantum} unit=dBm"]
     for row in field.values_dbm:
         lines.append(",".join(f"{v:.4f}" for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -469,6 +471,20 @@ def quantity_to_dict(quantity: SpectrumQuantity) -> dict:
 
 def write_report(report: dict, path) -> None:
     """Serialize a report dict as deterministic JSON."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file beside ``path`` that replaces ``path`` only if the block completes."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

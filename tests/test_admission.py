@@ -296,6 +296,54 @@ class TestComparePolicies:
         assert result.quantified.violation_count == 0
         assert result.osa.violation_count == 0
 
+    def test_receiver_already_below_beta_is_not_blamed(self):
+        # The weak link starts ~66 dB below beta with no request at all.
+        scn = make_scenario([make_link("inc", (250.0, 250.0), (350.0, 250.0), 20.0),
+                             make_link("weak", (950.0, 950.0), (300.0, 250.0), -10.0)],
+                            grid=make_grid(10, 10, 100.0))
+        assert sinr_db(scn, scn.receiver("weak-rx"), 0) < -50.0
+        result = compare_policies(scn, [], margin_db=0.0, sensitivity_dbm=-90.0)
+        for side in (result.quantified, result.osa):
+            assert side.violation_count == 0
+            assert side.violation_total_db == 0.0
+
+    def test_silent_linked_transmitter_is_not_blamed(self):
+        # The receiver listens in quanta 0 and 1, its transmitter talks only in
+        # 0: SINR is -inf in quantum 1 before any admission.
+        scn = make_scenario(
+            [RFNetwork(id="inc", transmitters=(
+                Transmitter(id="inc-tx", network_id="inc", position=(250.0, 250.0),
+                            tx_power_dbm=20.0, band=0, quanta=frozenset({0})),
+            ), receivers=(
+                Receiver(id="inc-rx", network_id="inc", position=(350.0, 250.0), band=0,
+                         quanta=frozenset({0, 1}), beta_db=10.0, noise_floor_dbm=-100.0,
+                         linked_tx_id="inc-tx"),
+            ))],
+            grid=make_grid(10, 10, 100.0), dims=SpectrumSpaceDims(b_hat=1, t_hat=2))
+        assert sinr_db(scn, scn.receiver("inc-rx"), 1) == float("-inf")
+        requests = [_request("r1", (850.0, 850.0), desired=-20.0, quanta=(0, 1))]
+        result = compare_policies(scn, requests, margin_db=0.0, sensitivity_dbm=-30.0)
+        for side in (result.quantified, result.osa):
+            assert side.violation_count == 0
+            assert side.violation_total_db == 0.0
+
+    def test_healthy_receiver_pushed_below_beta_is_still_counted(self):
+        # Beside a receiver that starts below beta, the sensing baseline's
+        # entrant pushes the healthy one under: only that one counts.
+        scn = make_scenario([make_link("inc", (250.0, 250.0), (350.0, 250.0), 20.0),
+                             make_link("weak", (950.0, 950.0), (850.0, 150.0), -10.0)],
+                            grid=make_grid(10, 10, 100.0))
+        healthy, weak = scn.receiver("inc-rx"), scn.receiver("weak-rx")
+        assert sinr_db(scn, healthy, 0) >= healthy.beta_db > sinr_db(scn, weak, 0)
+        requests = [_request("r1", (450.0, 250.0), desired=25.0)]
+        result = compare_policies(scn, requests, margin_db=0.0, sensitivity_dbm=-30.0)
+        assert result.osa.admitted_count == 1
+        _, final = admit_osa(scn, requests, -30.0)
+        assert sinr_db(final, weak, 0) < weak.beta_db
+        assert result.osa.violation_count == 1
+        assert result.osa.violation_total_db == healthy.beta_db - sinr_db(final, healthy, 0)
+        assert result.quantified.violation_count == 0
+
     def test_deterministic(self):
         scn = comparison_family()
         requests = [_request("r1", (450.0, 250.0), desired=25.0),

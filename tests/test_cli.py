@@ -382,6 +382,26 @@ class TestCompareCommand:
         assert osa["violation_count"] >= 1
         assert osa["exploited"]["value"] > quantified["exploited"]["value"]
 
+    def test_silent_linked_transmitter_writes_strict_json(self, tmp_path):
+        # The receiver listens in a quantum its transmitter is silent in, so its
+        # SINR there is -inf before any admission; that is not a violation.
+        data = self.scenario_with_entrants()
+        data["dims"] = {"bands": 1, "quanta": 2}
+        data["networks"][0]["receivers"][0]["quanta"] = [0, 1]
+        data["requests"][0]["quanta"] = [0, 1]
+        scn = write(tmp_path, data)
+        assert run(["compare-osa", "--scenario", str(scn), "--out", str(tmp_path),
+                    "--sensitivity-dbm", "-30"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads((tmp_path / "compare-osa.json").read_text(), parse_constant=reject)
+        osa = report["comparison"]["osa"]
+        assert osa["admitted_count"] == 1
+        assert osa["violation_count"] == 1
+        assert 0.0 < osa["violation_total_db"] < float("inf")
+
     def test_sensitivity_flag_overrides_document(self, tmp_path):
         data = self.scenario_with_entrants()
         data["policy"] = {"sensitivity_dbm": -30.0}

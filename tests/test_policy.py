@@ -85,6 +85,24 @@ class TestDefineRights:
         assert grant.caps_dbm == {(0, 0): {(2, 0): 30.0}}
         assert grant.cap_dbm() == 30.0
 
+    def test_cap_dbm_of_a_uniform_multi_slice_grant(self):
+        scn = make_scenario([make_link("a", (50.0, 50.0), (150.0, 50.0), 30.0, quanta=(0, 1))],
+                            grid=make_grid(12, 1, 100.0), dims=SpectrumSpaceDims(t_hat=2))
+        request = RightsRequest(tx_id="e1", position=(250.0, 50.0), desired_dbm=5.0,
+                                min_useful_dbm=0.0, band=0, quanta=frozenset({0, 1}))
+        grant = define_rights(scn, request, margin_db=0.0)
+        assert len(grant.caps_dbm) == 2
+        assert grant.cap_dbm() == 5.0
+
+    def test_cap_dbm_refuses_differing_caps(self):
+        # The first cap inserted is not the binding one.
+        grant = Grant(grant_id="g", grantee_tx_id="e1", margin_db=0.0,
+                      caps_dbm={(0, 0): {(2, 0): 7.0}, (0, 1): {(2, 0): 5.0}})
+        with pytest.raises(ValueError, match="2 distinct caps"):
+            grant.cap_dbm()
+        with pytest.raises(ValueError, match="0 distinct caps"):
+            Grant(grant_id="g", grantee_tx_id="e1", margin_db=0.0, caps_dbm={}).cap_dbm()
+
     def test_desired_below_opportunity_is_kept(self):
         scn = canonical_link()
         request = RightsRequest(tx_id="e1", position=(250.0, 50.0), desired_dbm=5.0,

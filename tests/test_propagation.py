@@ -4,24 +4,45 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spectrumspace import AntennaPattern, PropagationConfig, Transmitter
+from spectrumspace import AntennaPattern, PropagationConfig, Transmitter, db_to_linear
 from spectrumspace.propagation import (
     FREE_SPACE,
-    bearing_deg,
     entrant_gain_field_linear,
+    gain_db,
     link_gain_db,
     link_gain_linear,
     path_loss_db,
-    received_power_dbm,
     tx_gain_db_field,
 )
 
-from helpers import PROP, make_grid, o_gain_db
+from helpers import PROP, make_grid, o_bearing, o_gain_db
 
 
 def _tx(pos=(0.0, 0.0), power=30.0, pattern=None):
     return Transmitter(id="t", network_id="n", position=pos, tx_power_dbm=power,
                        band=0, quanta=frozenset({0}), pattern=pattern or AntennaPattern())
+
+
+def _sector(boresight, beamwidth=1.0, main=10.0, back=-10.0):
+    return AntennaPattern(kind="sectored", boresight_deg=boresight, beamwidth_deg=beamwidth,
+                          main_gain_db=main, back_gain_db=back)
+
+
+def _random_sector(rng):
+    return _sector(float(rng.uniform(-180.0, 180.0)), float(rng.uniform(5.0, 300.0)),
+                   float(rng.uniform(0.0, 12.0)), float(rng.uniform(-30.0, 0.0)))
+
+
+# Positions inside and outside a 1000 m square grid, and arbitrary sectors.
+POINTS = st.tuples(st.floats(-500.0, 1500.0), st.floats(-500.0, 1500.0))
+SECTORS = st.builds(_sector, st.floats(-360.0, 360.0), st.floats(1.0, 360.0),
+                    st.floats(-10.0, 15.0), st.floats(-40.0, 0.0))
+
+
+def _near_edge(pattern, bearing):
+    """Within 1e-9 deg of a sector edge, where numpy's and math's atan2 may round apart."""
+    off = abs((bearing - pattern.boresight_deg + 180.0) % 360.0 - 180.0)
+    return abs(off - pattern.beamwidth_deg / 2.0) < 1e-9
 
 
 class TestPathLoss:
@@ -80,9 +101,6 @@ class TestLinkGain:
         a, b = (120.0, 45.0), (371.0, 402.0)
         assert link_gain_db(_tx(pos=a), b, PROP) == link_gain_db(_tx(pos=b), a, PROP)
 
-    def test_received_power(self):
-        assert received_power_dbm(_tx(power=30.0), (100.0, 0.0), PROP) == pytest.approx(-50.0, abs=1e-12)
-
     def test_matches_reference_loops(self):
         tx_pattern = AntennaPattern(kind="sectored", boresight_deg=45.0, beamwidth_deg=120.0,
                                     main_gain_db=4.0, back_gain_db=-12.0)
@@ -94,38 +112,74 @@ class TestLinkGain:
             assert link_gain_db(tx, point, PROP, rx_pattern) == pytest.approx(expected, abs=1e-12)
 
 
-class TestBearing:
-    @pytest.mark.parametrize("target,expected", [
+class TestGainKernel:
+    @pytest.mark.parametrize("target,bearing", [
         ((1.0, 0.0), 0.0),
         ((0.0, 1.0), 90.0),
         ((-1.0, 0.0), 180.0),
         ((0.0, -1.0), -90.0),
     ])
-    def test_cardinal_directions(self, target, expected):
-        assert bearing_deg((0.0, 0.0), target) == pytest.approx(expected, abs=1e-12)
+    def test_cardinal_directions(self, target, bearing):
+        # 1 m away the path loss is the 40 dB reference; a 1-degree sector
+        # adds its main gain only when aimed along the bearing.
+        toward, away = _sector(bearing), _sector(bearing + 180.0)
+        omni = AntennaPattern()
+        assert gain_db((0.0, 0.0), toward, target, omni, PROP) == pytest.approx(-30.0, abs=1e-12)
+        assert gain_db((0.0, 0.0), away, target, omni, PROP) == pytest.approx(-50.0, abs=1e-12)
+        assert gain_db((0.0, 0.0), omni, target, away, PROP) == pytest.approx(-30.0, abs=1e-12)
+        assert gain_db((0.0, 0.0), toward, target, toward, PROP) == pytest.approx(-40.0, abs=1e-12)
+
+    def test_broadcasts_over_destination_arrays(self):
+        xs, ys = np.array([[100.0, 0.0], [-80.0, 37.0]]), np.array([[0.0, 250.0], [91.0, -5.0]])
+        tx_pattern, rx_pattern = _sector(30.0, 120.0, 4.0, -12.0), _sector(200.0, 60.0, 8.0, -25.0)
+        field = gain_db((37.0, 91.0), tx_pattern, (xs, ys), rx_pattern, PROP)
+        assert field.shape == (2, 2)
+        for i, j in np.ndindex(2, 2):
+            point = (float(xs[i, j]), float(ys[i, j]))
+            assert field[i, j] == gain_db((37.0, 91.0), tx_pattern, point, rx_pattern, PROP)
+
+    @given(src=POINTS, points=st.lists(POINTS, min_size=1, max_size=8),
+           src_pattern=SECTORS, dst_pattern=SECTORS)
+    def test_matches_straight_loop_oracle(self, src, points, src_pattern, dst_pattern):
+        points = [p for p in points
+                  if not _near_edge(src_pattern, o_bearing(src, p))
+                  and not _near_edge(dst_pattern, o_bearing(p, src))]
+        if not points:
+            return
+        xs, ys = np.array([p[0] for p in points]), np.array([p[1] for p in points])
+        field = gain_db(src, src_pattern, (xs, ys), dst_pattern, PROP)
+        for k, point in enumerate(points):
+            expected = o_gain_db(src, src_pattern, point, dst_pattern, PROP)
+            assert field[k] == pytest.approx(expected, abs=1e-9)
+            assert float(gain_db(src, src_pattern, point, dst_pattern, PROP)) == field[k]
 
 
 class TestFieldHelpers:
+    # Seeded random sectors over 2,400 cells each, with transmitters and
+    # receivers inside and outside the grid: the fields and the scalar links
+    # go through one kernel, so they agree bit for bit.
+    GRID = make_grid(60, 40, 25.0)
+
+    def _positions_and_patterns(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            yield (float(rng.uniform(-200.0, 1700.0)), float(rng.uniform(-200.0, 1200.0))), _random_sector(rng)
+
     def test_tx_gain_field_matches_scalar_links(self):
-        grid = make_grid(5, 4, 100.0)
-        pattern = AntennaPattern(kind="sectored", boresight_deg=30.0, beamwidth_deg=90.0,
-                                 main_gain_db=5.0, back_gain_db=-18.0)
-        tx = _tx(pos=(130.0, 222.0), pattern=pattern)
-        field = tx_gain_db_field(tx, grid, PROP)
-        assert field.shape == (4, 5)
-        for iy in range(4):
-            for ix in range(5):
-                expected = link_gain_db(tx, grid.cell_center(ix, iy), PROP)
-                assert field[iy, ix] == pytest.approx(expected, abs=1e-9)
+        grid = self.GRID
+        for pos, pattern in self._positions_and_patterns(7):
+            tx = _tx(pos=pos, pattern=pattern)
+            field = tx_gain_db_field(tx, grid, PROP)
+            assert field.shape == (grid.n_y, grid.n_x)
+            scalar = np.array([[link_gain_db(tx, grid.cell_center(ix, iy), PROP)
+                                for ix in range(grid.n_x)] for iy in range(grid.n_y)])
+            assert np.count_nonzero(field != scalar) == 0
 
     def test_entrant_gain_field_matches_scalar_links(self):
-        grid = make_grid(4, 4, 50.0)
-        rx_pattern = AntennaPattern(kind="sectored", boresight_deg=-90.0, beamwidth_deg=45.0,
-                                    main_gain_db=7.0, back_gain_db=-22.0)
-        rx_pos = (105.0, 77.0)
-        field = entrant_gain_field_linear(rx_pos, rx_pattern, grid, PROP)
-        for iy in range(4):
-            for ix in range(4):
-                entrant = _tx(pos=grid.cell_center(ix, iy))
-                expected = link_gain_linear(entrant, rx_pos, PROP, rx_pattern)
-                assert field[iy, ix] == pytest.approx(expected, rel=1e-9)
+        grid = self.GRID
+        for rx_pos, rx_pattern in self._positions_and_patterns(8):
+            field = entrant_gain_field_linear(rx_pos, rx_pattern, grid, PROP)
+            scalar_db = np.array([[link_gain_db(_tx(pos=grid.cell_center(ix, iy)), rx_pos, PROP, rx_pattern)
+                                   for ix in range(grid.n_x)] for iy in range(grid.n_y)])
+            # One dB-to-linear conversion on both sides: equal fields mean equal dB gains.
+            assert np.count_nonzero(field != db_to_linear(scalar_db)) == 0

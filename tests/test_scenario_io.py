@@ -253,6 +253,38 @@ class TestReportHelpers:
         assert json.loads(one.read_text()) == report
         assert one.read_text().index('"a"') < one.read_text().index('"b"')
 
+    def test_failed_report_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_report({"a": 1}, path)
+        before = path.read_bytes()
+        # json fails at the third key, after writing the first two to the temp file
+        with pytest.raises(TypeError):
+            write_report({"a": 1, "b": float("nan"), "c": object()}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_failed_field_export_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "field.csv"
+        export_field(PowerField(0, 0, np.full((1, 2), 30.0)), path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            export_field(PowerField(0, 0, np.array([[1.0, "x"]], dtype=object)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["field.csv"]
+
+    def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        write_report({"a": 1}, path)
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_report({"a": 2}, path)
+        assert json.loads(path.read_text()) == {"a": 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_scenario_to_dict_parses_back(self):
         scn = parse_document(FULL).scenario
         assert parse_document(scenario_to_dict(scn)).scenario == scn
