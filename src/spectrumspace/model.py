@@ -275,6 +275,9 @@ class Scenario:
     def active_transmitters(self, band: int, quantum: int) -> list[Transmitter]:
         return [tx for tx in self.transmitters() if tx.active_in(band, quantum)]
 
+    def active_receivers(self, band: int, quantum: int) -> list[Receiver]:
+        return [rx for rx in self.receivers() if rx.active_in(band, quantum)]
+
     def with_network(self, network: RFNetwork) -> "Scenario":
         """A copy with one more network appended (used for admitted entrants)."""
         return replace(self, networks=self.networks + (network,))

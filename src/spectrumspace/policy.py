@@ -213,8 +213,7 @@ def attribute_harmful_interference(rx, scenario: Scenario, quantum: int) -> dict
             raise ValueError(f"unknown receiver {rx!r}")
         rx = resolved
 
-    powers = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
-    signal, interference, contributions = powers.signal, powers.interference, powers.interferers
+    signal, interference, contributions = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
     noise = db_to_linear(rx.noise_floor_dbm)
     if interference <= 0.0 or signal >= db_to_linear(rx.beta_db) * (noise + interference):
         return {tx_id: 0.0 for tx_id in contributions}

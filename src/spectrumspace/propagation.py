@@ -23,6 +23,7 @@ __all__ = [
     "link_gain_db",
     "link_gain_linear",
     "path_loss_db",
+    "received_power_dbm",
     "tx_gain_db_field",
 ]
 
@@ -101,6 +102,12 @@ def link_gain_linear(tx, rx_point: tuple[float, float], config: PropagationConfi
                      rx_pattern: AntennaPattern = OMNI) -> float:
     """Linear power gain of a link; multiply by linear tx power to get rx power."""
     return db_to_linear(link_gain_db(tx, rx_point, config, rx_pattern))
+
+
+def received_power_dbm(tx, point: tuple[float, float], config: PropagationConfig,
+                       rx_pattern: AntennaPattern = OMNI) -> float:
+    """Received power in dBm at a point, unclipped."""
+    return tx.tx_power_dbm + link_gain_db(tx, point, config, rx_pattern)
 
 
 def tx_gain_db_field(tx, grid: Grid, config: PropagationConfig) -> np.ndarray:

@@ -36,7 +36,6 @@ __all__ = [
     "ConsumptionSpace",
     "HarvestMetrics",
     "LinkBudget",
-    "LinkPowers",
     "PowerField",
     "SliceBudget",
     "SpectrumQuantity",
@@ -52,6 +51,7 @@ __all__ = [
     "opportunity_map",
     "quantify",
     "receiver_margin_linear",
+    "received_linear",
     "rx_consumption",
     "sinr_db",
     "total_spectrum",
@@ -155,39 +155,33 @@ def occupancy_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell) -
     return min(max(linear_to_db(total), bounds.p_min_dbm), bounds.p_max_dbm)
 
 
-@dataclass(frozen=True, eq=False)
-class LinkPowers:
-    """What a receiver hears in one quantum, in linear mW.
-
-    The linked signal (0.0 when silent), each interferer's power in the order
-    given, and their total accumulated with += in that order (sum()
-    compensates float sums from Python 3.12, which would change the bits).
-    """
-
-    signal: float
-    interference: float
-    interferers: dict[str, float]
+def received_linear(tx: Transmitter, rx: Receiver, config: PropagationConfig) -> float:
+    """Power (linear mW) a receiver's antenna picks up from one transmitter."""
+    return db_to_linear(tx.tx_power_dbm) * link_gain_linear(tx, rx.position, config, rx.pattern)
 
 
 def link_powers(rx: Receiver, quantum: int, transmitters: Iterable[Transmitter],
-                config: PropagationConfig) -> LinkPowers:
+                config: PropagationConfig) -> tuple[float, float, dict[str, float]]:
     """The one signal/interference rule: what a receiver hears in a quantum, in linear mW.
 
     Of the given transmitters active in the receiver's slice, the linked one
-    is signal and every other one an interferer, kept in the order given.
+    is signal (0.0 when silent) and every other one an interferer. Returns
+    (signal, interference, {interferer id: power}) with interferers in the
+    order given and their total accumulated with += in that order (sum()
+    compensates float sums from Python 3.12, which would change the bits).
     """
     signal = interference = 0.0
     interferers: dict[str, float] = {}
     for tx in transmitters:
         if not tx.active_in(rx.band, quantum):
             continue
-        power = db_to_linear(tx.tx_power_dbm) * link_gain_linear(tx, rx.position, config, rx.pattern)
+        power = received_linear(tx, rx, config)
         if tx.id == rx.linked_tx_id:
             signal = power
         else:
             interferers[tx.id] = power
             interference += power
-    return LinkPowers(signal, interference, interferers)
+    return signal, interference, interferers
 
 
 def _margin(rx: Receiver, signal: float, interference: float) -> float:
@@ -200,8 +194,8 @@ def sinr_db(scenario: Scenario, rx: Receiver, quantum: int) -> float:
 
     -inf when the linked transmitter is silent in that quantum.
     """
-    powers = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
-    return linear_to_db(powers.signal / (db_to_linear(rx.noise_floor_dbm) + powers.interference))
+    signal, interference, _ = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
+    return linear_to_db(signal / (db_to_linear(rx.noise_floor_dbm) + interference))
 
 
 def receiver_margin_linear(scenario: Scenario, rx: Receiver, quantum: int) -> float:
@@ -209,8 +203,8 @@ def receiver_margin_linear(scenario: Scenario, rx: Receiver, quantum: int) -> fl
 
     Zero when the link is already at or below its threshold.
     """
-    powers = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
-    return _margin(rx, powers.signal, powers.interference)
+    signal, interference, _ = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
+    return _margin(rx, signal, interference)
 
 
 @dataclass(eq=False)
@@ -261,10 +255,10 @@ class LinkBudget:
             ]
             found = SliceBudget(rxs, [], [], [])
             for rx in rxs:
-                powers = link_powers(rx, quantum, self.scenario.transmitters(), self.scenario.propagation)
-                found.signal.append(powers.signal)
-                found.interference.append(powers.interference)
-                found.margin.append(_margin(rx, powers.signal, powers.interference))
+                signal, interference, _ = link_powers(rx, quantum, self.scenario.transmitters(), self.scenario.propagation)
+                found.signal.append(signal)
+                found.interference.append(interference)
+                found.margin.append(_margin(rx, signal, interference))
             self._slices[(band, quantum)] = found
         return found
 
@@ -280,11 +274,11 @@ class LinkBudget:
                 del self._slices[(tx.band, quantum)]
                 continue
             for i, rx in enumerate(found.receivers):
-                powers = link_powers(rx, quantum, (tx,), scenario.propagation)
-                if powers.interferers:
-                    found.interference[i] += powers.interference
+                power = received_linear(tx, rx, scenario.propagation)
+                if tx.id == rx.linked_tx_id:
+                    found.signal[i] = power
                 else:
-                    found.signal[i] = powers.signal
+                    found.interference[i] += power
                 found.margin[i] = _margin(rx, found.signal[i], found.interference[i])
 
     def opportunity_map(self, band: int, quantum: int) -> PowerField:

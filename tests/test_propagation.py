@@ -12,6 +12,7 @@ from spectrumspace.propagation import (
     link_gain_db,
     link_gain_linear,
     path_loss_db,
+    received_power_dbm,
     tx_gain_db_field,
 )
 
@@ -100,6 +101,9 @@ class TestLinkGain:
     def test_reciprocity_for_omni(self):
         a, b = (120.0, 45.0), (371.0, 402.0)
         assert link_gain_db(_tx(pos=a), b, PROP) == link_gain_db(_tx(pos=b), a, PROP)
+
+    def test_received_power(self):
+        assert received_power_dbm(_tx(power=30.0), (100.0, 0.0), PROP) == pytest.approx(-50.0, abs=1e-12)
 
     def test_matches_reference_loops(self):
         tx_pattern = AntennaPattern(kind="sectored", boresight_deg=45.0, beamwidth_deg=120.0,

@@ -30,6 +30,7 @@ from spectrumspace import (
     total_spectrum,
     tx_consumption,
 )
+from spectrumspace.quantify import link_powers, received_linear
 
 from helpers import (
     BOUNDS,
@@ -143,6 +144,18 @@ class TestSinrAndMargin:
                             dims=SpectrumSpaceDims(b_hat=1, t_hat=2))
         assert sinr_db(scn, rx, 1) == float("-inf")
         assert receiver_margin_linear(scn, rx, 1) == 0.0
+
+    def test_link_powers_splits_linked_signal_from_interferers(self):
+        scn = make_scenario([make_link(n, (50.0 + 100.0 * i, 50.0), (150.0 + 100.0 * i, 250.0), 30.0 - i)
+                             for i, n in enumerate("cab")], grid=make_grid(5, 5, 100.0))
+        rx, config = scn.receiver("a-rx"), scn.propagation
+        signal, interference, interferers = link_powers(rx, 0, scn.transmitters(), config)
+        assert signal == received_linear(scn.transmitter("a-tx"), rx, config)
+        assert list(interferers) == ["c-tx", "b-tx"]
+        for tx_id, power in interferers.items():
+            assert power == received_linear(scn.transmitter(tx_id), rx, config)
+        assert interference == interferers["c-tx"] + interferers["b-tx"]
+        assert sinr_db(scn, rx, 0) == linear_to_db(signal / (db_to_linear(-100.0) + interference))
 
     def test_matches_reference_loop(self):
         scn = random_scenario(seed=11, max_n=9)
