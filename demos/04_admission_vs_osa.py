@@ -34,7 +34,7 @@ result = compare_policies(scenario, requests, margin_db=policy.margin_db,
 for summary in (result.quantified, result.osa):
     print(f"--- {summary.policy} ---")
     print(f"admitted {summary.admitted_count} of {len(requests)}")
-    for outcome in summary.outcome.outcomes:
+    for outcome in summary.outcomes:
         if outcome.admitted:
             assigned = ", ".join(
                 f"band {band} at {dbm:.4f} dBm"

@@ -54,7 +54,6 @@ from .propagation import (
     link_gain_db,
     link_gain_linear,
     path_loss_db,
-    received_power_dbm,
 )
 from .quantify import (
     ConsumptionSpace,

@@ -4,12 +4,14 @@ The quantified path walks requests in priority order, prices each one against
 the live opportunity (including everyone admitted before it), and realizes
 winners as omni transmitters capped at their grant. The baseline is plain
 listen-before-talk: admit at full power wherever the locally sensed occupancy
-looks quiet, which is exactly how hidden receivers get hurt.
+looks quiet, which is exactly how hidden receivers get hurt. Both policies
+share one request walk and differ only in how they price a band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .model import RFNetwork, Scenario, Transmitter, db_to_linear
 from .policy import Grant, Refusal, RightsRequest, define_rights
@@ -17,7 +19,6 @@ from .quantify import (
     ConsumptionSpace,
     LinkBudget,
     SpectrumQuantity,
-    available_spectrum,
     combine_consumption,
     occupancy_at_cell,
     quantify,
@@ -84,7 +85,7 @@ class PolicySummary:
     exploited: SpectrumQuantity
     violation_count: int
     violation_total_db: float
-    outcome: AdmissionOutcome
+    outcomes: tuple[RequestOutcome, ...]
 
 
 @dataclass(frozen=True)
@@ -143,48 +144,44 @@ def _realize(scenario: Scenario, req: AccessRequest, band: int,
     return scenario.with_network(RFNetwork(id=ENTRANT_NETWORK_ID, transmitters=(tx,))), tx
 
 
-def _admit_in_order(scenario: Scenario, requests, margin_db: float,
-                    protected) -> tuple[list[RequestOutcome], LinkBudget]:
-    """Quantified admission of already checked requests, highest priority first.
+def _admit_in_order(budget: LinkBudget, requests, offer) -> tuple[tuple[RequestOutcome, ...], int]:
+    """Admission of already checked requests, highest priority first.
 
-    One link budget follows the working scenario: every realized entrant is
-    added to it before the next request is priced.
+    ``offer(budget, req, band, issued)`` prices one acceptable band against
+    the budget's scenario: a Refusal, or (rank, power, grant or None). When at
+    least ``required_bands`` bands are offered, the lowest ranks win (ties to
+    the lower band), each winner is realized at its power and added to the
+    budget before the next request is priced, and ``issued`` counts the
+    requests admitted so far.
 
     Returns:
-      (outcomes in admission order, the budget of the augmented scenario).
+      (outcomes in admission order, admitted count); ``budget`` ends on the
+      augmented scenario.
     """
-    budget = LinkBudget(scenario, protected)
     outcomes: list[RequestOutcome] = []
     issued = 0
     for req in _order(requests):
-        candidates: list[tuple[float, int, Grant]] = []
+        offers: list[tuple[float, int, float, Grant | None]] = []
         refusals: list[Refusal] = []
         for band in sorted(req.acceptable_bands):
-            rights = RightsRequest(
-                tx_id=_entrant_id(req, band),
-                position=req.position,
-                desired_dbm=req.desired_dbm,
-                min_useful_dbm=req.min_useful_dbm,
-                band=band,
-                quanta=req.quanta,
-            )
-            result = define_rights(budget.scenario, rights, margin_db, issued_at=issued, budget=budget)
-            if isinstance(result, Grant):
-                candidates.append((result.cap_dbm(), band, result))
-            else:
+            result = offer(budget, req, band, issued)
+            if isinstance(result, Refusal):
                 refusals.append(result)
-        if len(candidates) >= req.required_bands:
-            candidates.sort(key=lambda item: (-item[0], item[1]))
-            chosen = candidates[: req.required_bands]
-            for cap, band, _ in chosen:
-                budget.add(*_realize(budget.scenario, req, band, cap))
+            else:
+                rank, power, grant = result
+                offers.append((rank, band, power, grant))
+        if len(offers) >= req.required_bands:
+            offers.sort(key=lambda item: item[:2])
+            chosen = offers[: req.required_bands]
+            for _, band, power, _ in chosen:
+                budget.add(*_realize(budget.scenario, req, band, power))
             issued += 1
             outcomes.append(RequestOutcome(
                 request_id=req.request_id,
                 admitted=True,
-                bands=tuple(band for _, band, _ in chosen),
-                powers_dbm=tuple(cap for cap, _, _ in chosen),
-                grants=tuple(grant for _, _, grant in chosen),
+                bands=tuple(band for _, band, _, _ in chosen),
+                powers_dbm=tuple(power for _, _, power, _ in chosen),
+                grants=tuple(grant for _, _, _, grant in chosen if grant is not None),
             ))
         else:
             outcomes.append(RequestOutcome(
@@ -192,7 +189,40 @@ def _admit_in_order(scenario: Scenario, requests, margin_db: float,
                 admitted=False,
                 refusals=tuple(refusals),
             ))
-    return outcomes, budget
+    return tuple(outcomes), issued
+
+
+def _rights_offer(margin_db: float, budget: LinkBudget, req: AccessRequest, band: int,
+                  issued: int):
+    """Quantified pricing: the band's grant, ranked by highest cap and realized at it."""
+    rights = RightsRequest(
+        tx_id=_entrant_id(req, band),
+        position=req.position,
+        desired_dbm=req.desired_dbm,
+        min_useful_dbm=req.min_useful_dbm,
+        band=band,
+        quanta=req.quanta,
+    )
+    result = define_rights(budget.scenario, rights, margin_db, issued_at=issued, budget=budget)
+    if isinstance(result, Refusal):
+        return result
+    cap = result.cap_dbm()
+    return -cap, cap, result
+
+
+def _sensing_offer(sensitivity_dbm: float, budget: LinkBudget, req: AccessRequest, band: int,
+                   issued: int):
+    """Listen-before-talk pricing: quietest band first, at full desired power, no grant."""
+    scenario = budget.scenario
+    cell = scenario.grid.cell_of(req.position)
+    sensed = max(occupancy_at_cell(scenario, band, q, cell) for q in sorted(req.quanta))
+    if sensed < sensitivity_dbm:
+        return sensed, req.desired_dbm, None
+    return Refusal(
+        tx_id=_entrant_id(req, band),
+        band=band,
+        reason=f"sensed occupancy {sensed:.4f} dBm is not below {sensitivity_dbm:.4f} dBm",
+    )
 
 
 def admit_quantified(scenario: Scenario, requests, margin_db: float,
@@ -208,13 +238,9 @@ def admit_quantified(scenario: Scenario, requests, margin_db: float,
       (outcome, scenario augmented with the admitted entrants).
     """
     _check_requests(scenario, requests)
-    outcomes, budget = _admit_in_order(scenario, requests, margin_db, protected)
-    outcome = AdmissionOutcome(
-        outcomes=tuple(outcomes),
-        admitted_count=sum(1 for o in outcomes if o.admitted),
-        post_available=budget.available_spectrum(),
-    )
-    return outcome, budget.scenario
+    budget = LinkBudget(scenario, protected)
+    outcomes, admitted = _admit_in_order(budget, requests, partial(_rights_offer, margin_db))
+    return AdmissionOutcome(outcomes, admitted, budget.available_spectrum()), budget.scenario
 
 
 def rights_register(observed: Scenario, requests, margin_db: float,
@@ -237,7 +263,8 @@ def rights_register(observed: Scenario, requests, margin_db: float,
         for net in observed.networks
     ))
     _check_requests(baseline, requests)
-    outcomes, _ = _admit_in_order(baseline, requests, margin_db, protected)
+    outcomes, _ = _admit_in_order(LinkBudget(baseline, protected), requests,
+                                  partial(_rights_offer, margin_db))
     grants = [grant for o in outcomes for grant in o.grants]
     refusals = [refusal for o in outcomes for refusal in o.refusals]
     return grants, refusals
@@ -252,47 +279,11 @@ def admit_osa(scenario: Scenario, requests, sensitivity_dbm: float) -> tuple[Adm
     first. Admitted entrants join the scenario for subsequent decisions.
     """
     _check_requests(scenario, requests)
-    working = scenario
-    outcomes: list[RequestOutcome] = []
-    for req in _order(requests):
-        cell = working.grid.cell_of(req.position)
-        candidates: list[tuple[float, int]] = []
-        refusals: list[Refusal] = []
-        for band in sorted(req.acceptable_bands):
-            sensed = max(
-                occupancy_at_cell(working, band, q, cell) for q in sorted(req.quanta)
-            )
-            if sensed < sensitivity_dbm:
-                candidates.append((sensed, band))
-            else:
-                refusals.append(Refusal(
-                    tx_id=_entrant_id(req, band),
-                    band=band,
-                    reason=f"sensed occupancy {sensed:.4f} dBm is not below {sensitivity_dbm:.4f} dBm",
-                ))
-        if len(candidates) >= req.required_bands:
-            candidates.sort()
-            chosen = candidates[: req.required_bands]
-            for _, band in chosen:
-                working, _ = _realize(working, req, band, req.desired_dbm)
-            outcomes.append(RequestOutcome(
-                request_id=req.request_id,
-                admitted=True,
-                bands=tuple(band for _, band in chosen),
-                powers_dbm=tuple(req.desired_dbm for _ in chosen),
-            ))
-        else:
-            outcomes.append(RequestOutcome(
-                request_id=req.request_id,
-                admitted=False,
-                refusals=tuple(refusals),
-            ))
-    outcome = AdmissionOutcome(
-        outcomes=tuple(outcomes),
-        admitted_count=sum(1 for o in outcomes if o.admitted),
-        post_available=available_spectrum(working),
-    )
-    return outcome, working
+    # Sensing reads no margin, so this budget is never sliced before
+    # available_spectrum: add only moves its scenario.
+    budget = LinkBudget(scenario)
+    outcomes, admitted = _admit_in_order(budget, requests, partial(_sensing_offer, sensitivity_dbm))
+    return AdmissionOutcome(outcomes, admitted, budget.available_spectrum()), budget.scenario
 
 
 def aggregate_opportunity(scenario: Scenario, position: tuple[float, float],
@@ -359,23 +350,25 @@ def compare_policies(scenario: Scenario, requests, margin_db: float,
     Each side reports how many requests it admitted, how much spectrum the
     entrants exploit, and which incumbent receivers it pushed below their
     SINR threshold (checked by brute force, not by the admission math);
-    receivers already below it before admission are not counted.
+    receivers already below it before admission are not counted. Neither
+    side computes the spectrum left available after admission.
     """
-    q_outcome, q_final = admit_quantified(scenario, requests, margin_db, protected)
-    o_outcome, o_final = admit_osa(scenario, requests, sensitivity_dbm)
+    _check_requests(scenario, requests)
 
-    def summary(name: str, outcome: AdmissionOutcome, final: Scenario) -> PolicySummary:
-        violations, total_db = _sinr_violations(scenario, final)
+    def summary(name: str, budget: LinkBudget, offer) -> PolicySummary:
+        outcomes, admitted = _admit_in_order(budget, requests, offer)
+        violations, total_db = _sinr_violations(scenario, budget.scenario)
         return PolicySummary(
             policy=name,
-            admitted_count=outcome.admitted_count,
-            exploited=_entrant_exploitation(final),
+            admitted_count=admitted,
+            exploited=_entrant_exploitation(budget.scenario),
             violation_count=violations,
             violation_total_db=total_db,
-            outcome=outcome,
+            outcomes=outcomes,
         )
 
     return PolicyComparison(
-        quantified=summary("quantified", q_outcome, q_final),
-        osa=summary("osa", o_outcome, o_final),
+        quantified=summary("quantified", LinkBudget(scenario, protected),
+                           partial(_rights_offer, margin_db)),
+        osa=summary("osa", LinkBudget(scenario), partial(_sensing_offer, sensitivity_dbm)),
     )

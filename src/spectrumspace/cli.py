@@ -155,7 +155,7 @@ def _violation_dict(v: Violation) -> dict:
     }
 
 
-def _outcome_dicts(outcome) -> list[dict]:
+def _outcome_dicts(outcomes) -> list[dict]:
     return [
         {
             "request_id": o.request_id,
@@ -165,7 +165,7 @@ def _outcome_dicts(outcome) -> list[dict]:
             "grants": [_grant_dict(g) for g in o.grants],
             "refusals": [_refusal_dict(r) for r in o.refusals],
         }
-        for o in outcome.outcomes
+        for o in outcomes
     ]
 
 
@@ -255,7 +255,7 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
             "admission": {
                 "admitted_count": outcome.admitted_count,
                 "post_available": quantity_to_dict(outcome.post_available),
-                "outcomes": _outcome_dicts(outcome),
+                "outcomes": _outcome_dicts(outcome.outcomes),
             },
             "augmented_scenario": scenario_to_dict(augmented),
         }
@@ -297,7 +297,7 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
                 "exploited": quantity_to_dict(summary.exploited),
                 "violation_count": summary.violation_count,
                 "violation_total_db": format_number(summary.violation_total_db),
-                "outcomes": _outcome_dicts(summary.outcome),
+                "outcomes": _outcome_dicts(summary.outcomes),
             }
 
         report = {

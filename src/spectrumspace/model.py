@@ -31,6 +31,7 @@ __all__ = [
     "Transmitter",
     "db_to_linear",
     "linear_to_db",
+    "resolve",
     "validate_scenario",
     "validation_errors",
 ]
@@ -272,12 +273,6 @@ class Scenario:
                 return net
         return None
 
-    def active_transmitters(self, band: int, quantum: int) -> list[Transmitter]:
-        return [tx for tx in self.transmitters() if tx.active_in(band, quantum)]
-
-    def active_receivers(self, band: int, quantum: int) -> list[Receiver]:
-        return [rx for rx in self.receivers() if rx.active_in(band, quantum)]
-
     def with_network(self, network: RFNetwork) -> "Scenario":
         """A copy with one more network appended (used for admitted entrants)."""
         return replace(self, networks=self.networks + (network,))
@@ -287,6 +282,19 @@ class Scenario:
         ids.update(t.id for t in self.transmitters())
         ids.update(r.id for r in self.receivers())
         return ids
+
+
+def resolve(entity, lookup, kind: str):
+    """``entity`` itself, or what ``lookup`` finds under the id string ``entity``.
+
+    Raises ValueError("unknown <kind> <id>") when the lookup finds nothing.
+    """
+    if not isinstance(entity, str):
+        return entity
+    found = lookup(entity)
+    if found is None:
+        raise ValueError(f"unknown {kind} {entity!r}")
+    return found
 
 
 def validation_errors(scenario: Scenario) -> list[str]:

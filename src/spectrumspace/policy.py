@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import PowerBounds, Scenario, db_to_linear
+from .model import PowerBounds, Scenario, db_to_linear, resolve
 from .quantify import Cell, LinkBudget, PowerField, Slice, SpectrumQuantity, link_powers
 
 __all__ = [
@@ -207,12 +207,7 @@ def attribute_harmful_interference(rx, scenario: Scenario, quantum: int) -> dict
     Returns:
       dict mapping interferer tx id to its share in linear mW.
     """
-    if isinstance(rx, str):
-        resolved = scenario.receiver(rx)
-        if resolved is None:
-            raise ValueError(f"unknown receiver {rx!r}")
-        rx = resolved
-
+    rx = resolve(rx, scenario.receiver, "receiver")
     signal, interference, contributions = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
     noise = db_to_linear(rx.noise_floor_dbm)
     if interference <= 0.0 or signal >= db_to_linear(rx.beta_db) * (noise + interference):

@@ -23,6 +23,7 @@ from .model import (
     Transmitter,
     db_to_linear,
     linear_to_db,
+    resolve,
 )
 from .propagation import (
     PropagationConfig,
@@ -379,11 +380,7 @@ def tx_consumption(tx, scenario: Scenario, bands=None, quanta=None) -> Consumpti
     Per cell and slice, clip(received linear power, p_min, p_max) - p_min in
     mW; zero in slices where the transmitter is idle.
     """
-    if isinstance(tx, str):
-        resolved = scenario.transmitter(tx)
-        if resolved is None:
-            raise ValueError(f"unknown transmitter {tx!r}")
-        tx = resolved
+    tx = resolve(tx, scenario.transmitter, "transmitter")
     grid, bounds = scenario.grid, scenario.bounds
     band_list, quantum_list = _slice_lists(scenario.dims, bands, quanta)
 
@@ -404,22 +401,11 @@ def tx_consumption(tx, scenario: Scenario, bands=None, quanta=None) -> Consumpti
 def rx_consumption(rx, scenario: Scenario, bands=None, quanta=None) -> ConsumptionSpace:
     """Spectrum a receiver denies to entrants: p_max minus its solo opportunity.
 
-    Computed from the opportunity field with only this receiver protected, so
-    a slice where the receiver is idle costs nothing.
+    The denied consumption of this receiver alone, so a slice where the
+    receiver is idle costs nothing; the entity set is the receiver either way.
     """
-    if isinstance(rx, str):
-        resolved = scenario.receiver(rx)
-        if resolved is None:
-            raise ValueError(f"unknown receiver {rx!r}")
-        rx = resolved
-    bounds = scenario.bounds
-    band_list, quantum_list = _slice_lists(scenario.dims, bands, quanta)
-    slices: dict[Slice, np.ndarray] = {}
-    for b in band_list:
-        for t in quantum_list:
-            opp = opportunity_map(scenario, b, t, protected=[rx.id])
-            slices[(b, t)] = bounds.p_max_linear - db_to_linear(opp.values_dbm)
-    return ConsumptionSpace(frozenset({rx.id}), slices)
+    rx = resolve(rx, scenario.receiver, "receiver")
+    return ConsumptionSpace(frozenset({rx.id}), denied_consumption(scenario, [rx.id], bands, quanta).slices)
 
 
 def denied_consumption(scenario: Scenario, protected=None, bands=None, quanta=None) -> ConsumptionSpace:

@@ -89,9 +89,13 @@ def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
 def _num(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ScenarioFormatError(f"{path}: integer too large for a float") from None
+    if not math.isfinite(number):
         raise ScenarioFormatError(f"{path}: number must be finite, got {value!r}")
-    return float(value)
+    return number
 
 def _int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):

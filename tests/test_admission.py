@@ -267,7 +267,7 @@ class TestComparePolicies:
         result = compare_policies(scn, requests, margin_db=0.0, sensitivity_dbm=-30.0)
         assert result.quantified.admitted_count == 1
         assert result.quantified.violation_count == 0
-        assert result.quantified.outcome.outcomes[0].powers_dbm[0] == pytest.approx(
+        assert result.quantified.outcomes[0].powers_dbm[0] == pytest.approx(
             9.995654882259824, rel=1e-12)
         assert result.osa.admitted_count == 1
         assert result.osa.violation_count >= 1
@@ -423,6 +423,42 @@ class TestIncrementalBudget:
         assert budget.slice(0, 0).signal == fresh.signal
         assert budget.slice(0, 0).interference == fresh.interference == [0.0]
         assert budget.slice(0, 0).margin == fresh.margin
+
+
+class TestOneAdmissionWalk:
+    """The comparison runs the walks the two admissions run, and nothing more."""
+
+    # With a 25 dB guard margin and a -80 dBm threshold, both sides admit
+    # and refuse requests across these seeds.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_comparison_outcomes_equal_the_admissions(self, seed):
+        scn = random_scenario(seed, b_hat=2, t_hat=2)
+        requests = random_requests(seed + 400, scn, n=10)
+        protected = _protected_subset(scn, seed)
+        result = compare_policies(scn, requests, 25.0, -80.0, protected)
+        quantified, _ = admit_quantified(scn, requests, 25.0, protected)
+        osa, _ = admit_osa(scn, requests, -80.0)
+        assert result.quantified.outcomes == quantified.outcomes
+        assert result.osa.outcomes == osa.outcomes
+        assert result.quantified.admitted_count == quantified.admitted_count
+        assert result.osa.admitted_count == osa.admitted_count
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_osa_post_available_is_that_of_the_final_scenario(self, seed):
+        scn = random_scenario(seed, b_hat=2, t_hat=2)
+        outcome, final = admit_osa(scn, random_requests(seed + 400, scn, n=10), -80.0)
+        assert outcome.admitted_count > 0
+        assert outcome.post_available == available_spectrum(final)
+
+    def test_comparison_computes_no_available_spectrum(self, monkeypatch):
+        def refuse(budget):
+            raise AssertionError("available spectrum computed")
+
+        monkeypatch.setattr(LinkBudget, "available_spectrum", refuse)
+        scn = comparison_family()
+        result = compare_policies(scn, [_request("r1", (450.0, 250.0), desired=25.0)],
+                                  margin_db=0.0, sensitivity_dbm=-30.0)
+        assert result.quantified.admitted_count == result.osa.admitted_count == 1
 
 
 class TestAgainstStraightLoopAdmission:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from spectrumspace import available_spectrum, total_spectrum
+from spectrumspace import LinkBudget, available_spectrum, total_spectrum
 from spectrumspace.cli import run
 from spectrumspace.scenario_io import format_number, parse_document
 
@@ -79,6 +79,19 @@ class TestExitCodes:
     def test_help_exits_clean(self, capsys):
         assert run(["--help"]) == 0
         assert "spectrumspace" in capsys.readouterr().out
+
+    def test_integer_beyond_float_range_is_usage(self, tmp_path):
+        data = json.loads(json.dumps(BASE))
+        data["bounds"]["p_max_dbm"] = 10**400
+        scn = write(tmp_path, data)
+        result = subprocess.run(
+            [sys.executable, "-m", "spectrumspace", "quantify",
+             "--scenario", str(scn), "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert "error:" in result.stderr
+        assert "bounds.p_max_dbm" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_module_entry_point(self, tmp_path):
         scn = write(tmp_path, BASE)
@@ -381,6 +394,15 @@ class TestCompareCommand:
         assert osa["admitted_count"] == 1
         assert osa["violation_count"] >= 1
         assert osa["exploited"]["value"] > quantified["exploited"]["value"]
+
+    def test_computes_no_available_spectrum(self, tmp_path, monkeypatch):
+        def refuse(budget):
+            raise AssertionError("available spectrum computed")
+
+        monkeypatch.setattr(LinkBudget, "available_spectrum", refuse)
+        scn = write(tmp_path, self.scenario_with_entrants())
+        assert run(["compare-osa", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        assert load(tmp_path, "compare-osa.json")["comparison"]["quantified"]["admitted_count"] == 1
 
     def test_silent_linked_transmitter_writes_strict_json(self, tmp_path):
         # The receiver listens in a quantum its transmitter is silent in, so its

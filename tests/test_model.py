@@ -266,8 +266,6 @@ class TestScenarioAccessors:
         assert scn.receiver("b-rx").linked_tx_id == "b-tx"
         assert scn.transmitter("nope") is None
         assert scn.network("b").id == "b"
-        assert {tx.id for tx in scn.active_transmitters(0, 0)} == {"a-tx", "b-tx"}
-        assert scn.active_transmitters(0, 5) == []
 
     def test_with_network_appends(self):
         scn = _two_link_scenario()

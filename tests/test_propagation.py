@@ -12,15 +12,14 @@ from spectrumspace.propagation import (
     link_gain_db,
     link_gain_linear,
     path_loss_db,
-    received_power_dbm,
     tx_gain_db_field,
 )
 
 from helpers import PROP, make_grid, o_bearing, o_gain_db
 
 
-def _tx(pos=(0.0, 0.0), power=30.0, pattern=None):
-    return Transmitter(id="t", network_id="n", position=pos, tx_power_dbm=power,
+def _tx(pos=(0.0, 0.0), pattern=None):
+    return Transmitter(id="t", network_id="n", position=pos, tx_power_dbm=30.0,
                        band=0, quanta=frozenset({0}), pattern=pattern or AntennaPattern())
 
 
@@ -101,9 +100,6 @@ class TestLinkGain:
     def test_reciprocity_for_omni(self):
         a, b = (120.0, 45.0), (371.0, 402.0)
         assert link_gain_db(_tx(pos=a), b, PROP) == link_gain_db(_tx(pos=b), a, PROP)
-
-    def test_received_power(self):
-        assert received_power_dbm(_tx(power=30.0), (100.0, 0.0), PROP) == pytest.approx(-50.0, abs=1e-12)
 
     def test_matches_reference_loops(self):
         tx_pattern = AntennaPattern(kind="sectored", boresight_deg=45.0, beamwidth_deg=120.0,

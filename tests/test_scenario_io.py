@@ -1,7 +1,10 @@
 import json
+from functools import reduce
+from operator import getitem, mul
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spectrumspace import (
     AccessRequest,
@@ -11,6 +14,7 @@ from spectrumspace import (
 )
 from spectrumspace.scenario_io import (
     PolicyParams,
+    ScenarioDocument,
     ScenarioFormatError,
     document_to_dict,
     export_field,
@@ -66,6 +70,29 @@ FULL = {
                "price_rate": 0.5,
                "price_rates": [{"band": 0, "quantum": 0, "rate": 2.0}]},
 }
+
+
+def _paths(value, prefix=()):
+    """Every path into a JSON value, the root included, as key/index tuples."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _paths(child, prefix + (i,))
+
+
+# JSON integers have no size limit; about half the values drawn lie beyond
+# the float range (about 1.8e308), where float() overflows.
+HUGE_INTEGERS = st.builds(mul, st.sampled_from((1, -1)),
+                          st.integers(min_value=2**1024, max_value=10**400))
+JSON_VALUES = HUGE_INTEGERS | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestParseDocument:
@@ -143,6 +170,9 @@ class TestParseDocument:
         data["bounds"]["p_max_dbm"] = float("inf")
         with pytest.raises(ScenarioFormatError, match="finite"):
             parse_document(data)
+        data["bounds"]["p_max_dbm"] = 10**400
+        with pytest.raises(ScenarioFormatError, match=r"bounds\.p_max_dbm: integer too large"):
+            parse_document(data)
 
     def test_malformed_position(self):
         data = json.loads(json.dumps(FULL))
@@ -178,6 +208,21 @@ class TestParseDocument:
         text = str(err.value)
         assert "power above p_max" in text
         assert "dangling link" in text
+
+    @given(st.sampled_from(list(_paths(FULL))), JSON_VALUES)
+    def test_any_value_anywhere_parses_or_is_rejected(self, path, value):
+        # A valid document with one node swapped for an arbitrary JSON value
+        # gets past the top-level type checks into every field parser.
+        data = json.loads(json.dumps(FULL))
+        if path:
+            reduce(getitem, path[:-1], data)[path[-1]] = value
+        else:
+            data = value
+        try:
+            doc = parse_document(data)
+        except (ScenarioFormatError, ScenarioValidationError):
+            return
+        assert isinstance(doc, ScenarioDocument)
 
 
 class TestLoadDocument:
