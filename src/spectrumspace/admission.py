@@ -19,7 +19,6 @@ from .quantify import (
     ConsumptionSpace,
     LinkBudget,
     SpectrumQuantity,
-    combine_consumption,
     occupancy_at_cell,
     quantify,
     sinr_db,
@@ -40,6 +39,7 @@ __all__ = [
 ]
 
 ENTRANT_NETWORK_ID = "entrants"
+SINR_TOLERANCE_DB = 1e-6
 
 
 @dataclass(frozen=True)
@@ -314,30 +314,41 @@ def aggregate_opportunity(scenario: Scenario, position: tuple[float, float],
 
 
 def _entrant_exploitation(scenario: Scenario) -> SpectrumQuantity:
-    """Spectrum consumed by the entrant transmitters, union per cell."""
+    """Spectrum consumed by the entrant transmitters, union per cell.
+
+    Each slice sums their consumption and clips once; for non-negative terms
+    that is bit for bit combine_consumption applied pairwise.
+    """
     net = scenario.network(ENTRANT_NETWORK_ID)
     if net is None or not net.transmitters:
         return SpectrumQuantity(0.0, {})
-    combined: ConsumptionSpace | None = None
+    union = {}
     for tx in net.transmitters:
-        space = tx_consumption(tx, scenario)
-        combined = space if combined is None else combine_consumption(combined, space, scenario.bounds)
-    return quantify(combined, scenario.grid, scenario.dims)
+        for key, cells in tx_consumption(tx, scenario).slices.items():
+            if key in union:
+                union[key] += cells
+            else:
+                union[key] = cells
+    for cells in union.values():
+        cells.clip(0.0, scenario.bounds.p_cmax_linear, out=cells)
+    entrants = frozenset(tx.id for tx in net.transmitters)
+    return quantify(ConsumptionSpace(entrants, union), scenario.grid, scenario.dims)
 
 
-def _sinr_violations(original: Scenario, final: Scenario, tolerance_db: float = 1e-6) -> tuple[int, float]:
+def _sinr_violations(original: Scenario, final: Scenario) -> tuple[int, float]:
     """Brute-force recheck of every original receiver in the final scenario.
 
-    Counts (receiver, quantum) slices below beta by more than the tolerance in
-    the final scenario but not in the original one (computed only for slices
-    that fail), and totals their dB shortfall.
+    Counts (receiver, quantum) slices below beta by more than
+    SINR_TOLERANCE_DB in the final scenario but not in the original one
+    (computed only for slices that fail), and totals their dB shortfall.
     """
     count = 0
     total_short = 0.0
     for rx in original.receivers():
         for quantum in sorted(rx.quanta):
             shortfall = rx.beta_db - sinr_db(final, rx, quantum)
-            if shortfall > tolerance_db and rx.beta_db - sinr_db(original, rx, quantum) <= tolerance_db:
+            if (shortfall > SINR_TOLERANCE_DB
+                    and rx.beta_db - sinr_db(original, rx, quantum) <= SINR_TOLERANCE_DB):
                 count += 1
                 total_short += shortfall
     return count, total_short

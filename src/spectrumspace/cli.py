@@ -12,7 +12,7 @@ import sys
 
 from .admission import admit_quantified, compare_policies, rights_register
 from .model import Scenario, ScenarioValidationError
-from .policy import Grant, PriceSheet, Refusal, Violation, enforce
+from .policy import Grant, PriceSheet, Refusal, Violation, enforce, price
 from .quantify import (
     available_spectrum,
     occupancy_map,
@@ -172,18 +172,15 @@ def _outcome_dicts(outcomes) -> list[dict]:
 def _consumed_sections(scenario: Scenario, sheet: PriceSheet | None):
     consumed: dict = {"transmitters": {}, "receivers": {}}
     prices: dict = {"transmitters": {}, "receivers": {}}
-    from .policy import price as price_fn
-
-    for tx in scenario.transmitters():
-        q = quantify(tx_consumption(tx, scenario), scenario.grid, scenario.dims)
-        consumed["transmitters"][tx.id] = quantity_to_dict(q)
-        if sheet is not None:
-            prices["transmitters"][tx.id] = format_number(price_fn(q, sheet))
-    for rx in scenario.receivers():
-        q = quantify(rx_consumption(rx, scenario), scenario.grid, scenario.dims)
-        consumed["receivers"][rx.id] = quantity_to_dict(q)
-        if sheet is not None:
-            prices["receivers"][rx.id] = format_number(price_fn(q, sheet))
+    for kind, entities, consumption in (
+        ("transmitters", scenario.transmitters(), tx_consumption),
+        ("receivers", scenario.receivers(), rx_consumption),
+    ):
+        for entity in entities:
+            q = quantify(consumption(entity, scenario), scenario.grid, scenario.dims)
+            consumed[kind][entity.id] = quantity_to_dict(q)
+            if sheet is not None:
+                prices[kind][entity.id] = format_number(price(q, sheet))
     return consumed, (prices if sheet is not None else None)
 
 
@@ -216,7 +213,7 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
 
     protected = _protected_ids(scenario, args.protect)
 
-    if command == "quantify":
+    if command in ("quantify", "report"):
         report = {
             "command": command,
             "scenario": scenario_to_dict(scenario),
@@ -225,24 +222,11 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
             ),
             "available_spectrum": quantity_to_dict(available_spectrum(scenario, protected)),
         }
-        write_report(report, os.path.join(args.out, "quantify.json"))
-        return 0
-
-    if command == "report":
-        sheet = _price_sheet(doc)
-        consumed, prices = _consumed_sections(scenario, sheet)
-        report = {
-            "command": command,
-            "scenario": scenario_to_dict(scenario),
-            "total_spectrum": quantity_to_dict(
-                total_spectrum(scenario.grid, scenario.dims, scenario.bounds)
-            ),
-            "available_spectrum": quantity_to_dict(available_spectrum(scenario, protected)),
-            "consumed": consumed,
-        }
-        if prices is not None:
-            report["prices"] = prices
-        write_report(report, os.path.join(args.out, "report.json"))
+        if command == "report":
+            report["consumed"], prices = _consumed_sections(scenario, _price_sheet(doc))
+            if prices is not None:
+                report["prices"] = prices
+        write_report(report, os.path.join(args.out, f"{command}.json"))
         return 0
 
     if command == "admit":

@@ -107,8 +107,7 @@ def apply_guard_margin(opportunity: PowerField, margin_db: float, bounds: PowerB
 
 
 def define_rights(scenario: Scenario, request: RightsRequest, margin_db: float,
-                  protected=None, issued_at: int = 0, grant_id: str | None = None,
-                  budget: LinkBudget | None = None):
+                  issued_at: int = 0, budget: LinkBudget | None = None):
     """Issue a Grant for one band, or a Refusal explaining why not.
 
     The cap at the request's cell is min(desired power, guarded opportunity),
@@ -117,8 +116,9 @@ def define_rights(scenario: Scenario, request: RightsRequest, margin_db: float,
     the limiting receiver.
 
     Args:
-      budget: a LinkBudget of ``scenario`` and ``protected`` whose margins the
-        opportunity is read from; a fresh one is built when None.
+      budget: a LinkBudget of ``scenario`` whose margins the opportunity is
+        read from, and whose protected set it guards; when None, a fresh one
+        protecting every receiver.
 
     Returns:
       Grant or Refusal.
@@ -128,7 +128,7 @@ def define_rights(scenario: Scenario, request: RightsRequest, margin_db: float,
     if not request.quanta:
         raise ValueError(f"request {request.tx_id!r}: no time quanta requested")
     if budget is None:
-        budget = LinkBudget(scenario, protected)
+        budget = LinkBudget(scenario)
     bounds = scenario.bounds
     cell = scenario.grid.cell_of(request.position)
 
@@ -154,7 +154,7 @@ def define_rights(scenario: Scenario, request: RightsRequest, margin_db: float,
         )
     caps = {(request.band, q): {cell: cap} for q in sorted(request.quanta)}
     return Grant(
-        grant_id=grant_id or f"grant:{request.tx_id}:b{request.band}",
+        grant_id=f"grant:{request.tx_id}:b{request.band}",
         grantee_tx_id=request.tx_id,
         caps_dbm=caps,
         margin_db=margin_db,

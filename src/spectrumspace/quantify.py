@@ -110,6 +110,19 @@ def _check_slice(dims: SpectrumSpaceDims, band: int, quantum: int) -> None:
         raise ValueError(f"time quantum {quantum} out of range [0, {dims.t_hat})")
 
 
+def _field_linear(field: PowerField, bounds: PowerBounds) -> np.ndarray:
+    """A dBm field in linear mW, exact on the power bounds.
+
+    numpy's ** may round 10 ** (x / 10) one ulp away from the Python float **
+    of PowerBounds, so cells equal to a bound take that bound's linear value.
+    """
+    values = field.values_dbm
+    linear = db_to_linear(values)
+    linear[values == bounds.p_min_dbm] = bounds.p_min_linear
+    linear[values == bounds.p_max_dbm] = bounds.p_max_linear
+    return linear
+
+
 def occupancy_linear(scenario: Scenario, band: int, quantum: int) -> np.ndarray:
     """Aggregate man-made linear power (mW) at every cell center, unclipped.
 
@@ -327,14 +340,12 @@ class LinkBudget:
 
     def available_spectrum(self) -> SpectrumQuantity:
         """:func:`available_spectrum` of this budget's scenario and protected set."""
-        grid, bounds, dims = self.scenario.grid, self.scenario.bounds, self.scenario.dims
-        breakdown: dict[Slice, float] = {}
-        for b in range(dims.b_hat):
-            for t in range(dims.t_hat):
-                opp = self.opportunity_map(b, t)
-                above = db_to_linear(opp.values_dbm) - bounds.p_min_linear
-                breakdown[(b, t)] = float(np.sum(above)) * grid.cell_area / 1000.0
-        return SpectrumQuantity(sum(breakdown.values()), breakdown)
+        bounds, dims = self.scenario.bounds, self.scenario.dims
+        above = {
+            (b, t): _field_linear(self.opportunity_map(b, t), bounds) - bounds.p_min_linear
+            for b in range(dims.b_hat) for t in range(dims.t_hat)
+        }
+        return quantify(ConsumptionSpace(frozenset(), above), self.scenario.grid)
 
 
 def opportunity_map(scenario: Scenario, band: int, quantum: int, protected=None) -> PowerField:
@@ -364,30 +375,19 @@ def opportunity_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell,
     return LinkBudget(scenario, protected).opportunity_at_cell(band, quantum, cell)
 
 
-def _slice_lists(dims: SpectrumSpaceDims, bands, quanta) -> tuple[list[int], list[int]]:
-    band_list = list(range(dims.b_hat)) if bands is None else sorted(bands)
-    quantum_list = list(range(dims.t_hat)) if quanta is None else sorted(quanta)
-    for b in band_list:
-        _check_slice(dims, b, 0)
-    for t in quantum_list:
-        _check_slice(dims, 0, t)
-    return band_list, quantum_list
-
-
-def tx_consumption(tx, scenario: Scenario, bands=None, quanta=None) -> ConsumptionSpace:
+def tx_consumption(tx, scenario: Scenario) -> ConsumptionSpace:
     """Spectrum consumed by one transmitter: received power above the floor.
 
     Per cell and slice, clip(received linear power, p_min, p_max) - p_min in
     mW; zero in slices where the transmitter is idle.
     """
     tx = resolve(tx, scenario.transmitter, "transmitter")
-    grid, bounds = scenario.grid, scenario.bounds
-    band_list, quantum_list = _slice_lists(scenario.dims, bands, quanta)
+    grid, bounds, dims = scenario.grid, scenario.bounds, scenario.dims
 
     active_field = None
     slices: dict[Slice, np.ndarray] = {}
-    for b in band_list:
-        for t in quantum_list:
+    for b in range(dims.b_hat):
+        for t in range(dims.t_hat):
             if tx.active_in(b, t):
                 if active_field is None:
                     received = db_to_linear(tx.tx_power_dbm + tx_gain_db_field(tx, grid, scenario.propagation))
@@ -398,32 +398,35 @@ def tx_consumption(tx, scenario: Scenario, bands=None, quanta=None) -> Consumpti
     return ConsumptionSpace(frozenset({tx.id}), slices)
 
 
-def rx_consumption(rx, scenario: Scenario, bands=None, quanta=None) -> ConsumptionSpace:
+def rx_consumption(rx, scenario: Scenario) -> ConsumptionSpace:
     """Spectrum a receiver denies to entrants: p_max minus its solo opportunity.
 
     The denied consumption of this receiver alone, so a slice where the
     receiver is idle costs nothing; the entity set is the receiver either way.
     """
     rx = resolve(rx, scenario.receiver, "receiver")
-    return ConsumptionSpace(frozenset({rx.id}), denied_consumption(scenario, [rx.id], bands, quanta).slices)
+    return ConsumptionSpace(frozenset({rx.id}), denied_consumption(scenario, [rx.id]).slices)
 
 
-def denied_consumption(scenario: Scenario, protected=None, bands=None, quanta=None) -> ConsumptionSpace:
+def denied_consumption(scenario: Scenario, protected=None) -> ConsumptionSpace:
     """Power denied to entrants by a whole protected set, jointly.
 
     Joint denial is not the sum of solo denials; it comes from the combined
-    opportunity field.
+    opportunity field. A slice no protected receiver is active in denies
+    nothing.
     """
-    bounds = scenario.bounds
-    band_list, quantum_list = _slice_lists(scenario.dims, bands, quanta)
+    grid, bounds, dims = scenario.grid, scenario.bounds, scenario.dims
     budget = LinkBudget(scenario, protected)
     ids: set[str] = set()
     slices: dict[Slice, np.ndarray] = {}
-    for b in band_list:
-        for t in quantum_list:
-            ids.update(rx.id for rx in budget.slice(b, t).receivers)
-            opp = budget.opportunity_map(b, t)
-            slices[(b, t)] = bounds.p_max_linear - db_to_linear(opp.values_dbm)
+    for b in range(dims.b_hat):
+        for t in range(dims.t_hat):
+            receivers = budget.slice(b, t).receivers
+            if not receivers:
+                slices[(b, t)] = np.zeros((grid.n_y, grid.n_x))
+                continue
+            ids.update(rx.id for rx in receivers)
+            slices[(b, t)] = bounds.p_max_linear - _field_linear(budget.opportunity_map(b, t), bounds)
     return ConsumptionSpace(frozenset(ids), slices)
 
 
@@ -497,13 +500,11 @@ def harvest_metrics(estimated: PowerField, truth: PowerField, grid: Grid,
             f"shape mismatch: {estimated.values_dbm.shape} vs {truth.values_dbm.shape}"
         )
     key = (estimated.band, estimated.quantum)
-    est = db_to_linear(estimated.values_dbm) - bounds.p_min_linear
-    tru = db_to_linear(truth.values_dbm) - bounds.p_min_linear
-    scale = grid.cell_area / 1000.0
+    est = _field_linear(estimated, bounds) - bounds.p_min_linear
+    tru = _field_linear(truth, bounds) - bounds.p_min_linear
 
     def q(cells: np.ndarray) -> SpectrumQuantity:
-        v = float(np.sum(cells)) * scale
-        return SpectrumQuantity(v, {key: v})
+        return quantify(ConsumptionSpace(frozenset(), {key: cells}), grid)
 
     return HarvestMetrics(
         recovered=q(np.minimum(est, tru)),

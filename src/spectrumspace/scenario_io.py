@@ -337,6 +337,8 @@ def load_document(path) -> ScenarioDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # the interpreter's limit on integer digits
+        raise ScenarioFormatError(f"{path}: an integer literal is too long to parse") from exc
     return parse_document(data, source=str(path))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from spectrumspace import (
     AccessRequest,
     LinkBudget,
+    PropagationConfig,
     Receiver,
     RFNetwork,
     SpectrumSpaceDims,
@@ -14,11 +16,14 @@ from spectrumspace import (
     admit_quantified,
     aggregate_opportunity,
     available_spectrum,
+    combine_consumption,
     compare_policies,
     db_to_linear,
     opportunity_at_cell,
     opportunity_map,
+    quantify,
     sinr_db,
+    tx_consumption,
 )
 from spectrumspace.admission import ENTRANT_NETWORK_ID
 
@@ -459,6 +464,38 @@ class TestOneAdmissionWalk:
         result = compare_policies(scn, [_request("r1", (450.0, 250.0), desired=25.0)],
                                   margin_db=0.0, sensitivity_dbm=-30.0)
         assert result.quantified.admitted_count == result.osa.admitted_count == 1
+
+
+class TestEntrantUnion:
+    """compare_policies unions the entrants' consumption in one pass per slice."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exploited_equals_the_pairwise_union(self, seed):
+        scn = random_scenario(seed, b_hat=2, t_hat=2)
+        requests = random_requests(seed + 400, scn, n=10)
+        result = compare_policies(scn, requests, 25.0, -80.0)
+        _, quantified = admit_quantified(scn, requests, 25.0)
+        _, osa = admit_osa(scn, requests, -80.0)
+        for summary, final in [(result.quantified, quantified), (result.osa, osa)]:
+            entrants = final.network(ENTRANT_NETWORK_ID).transmitters
+            assert len(entrants) >= 2
+            union = reduce(lambda a, b: combine_consumption(a, b, final.bounds),
+                           [tx_consumption(tx, final) for tx in entrants])
+            assert summary.exploited == quantify(union, final.grid, final.dims)
+
+    def test_overlapping_entrants_clip_once(self):
+        # With no reference loss an entrant's own cell receives its full power,
+        # so two entrants at p_max in one cell overlap beyond the point scale.
+        lossless = PropagationConfig(reference_loss_db=0.0)
+        scn = make_scenario([], grid=make_grid(10, 10, 100.0), prop=lossless)
+        requests = [_request("r1", (450.0, 250.0)), _request("r2", (450.0, 250.0))]
+        result = compare_policies(scn, requests, margin_db=0.0, sensitivity_dbm=-90.0)
+        _, final = admit_quantified(scn, requests, 0.0)
+        a, b = (tx_consumption(tx, final) for tx in final.network(ENTRANT_NETWORK_ID).transmitters)
+        assert a.slices[(0, 0)][2, 4] == b.slices[(0, 0)][2, 4] == BOUNDS.p_cmax_linear
+        union = quantify(combine_consumption(a, b, BOUNDS), final.grid, final.dims)
+        assert result.quantified.exploited == union
+        assert union.value < quantify(a, final.grid).value + quantify(b, final.grid).value
 
 
 class TestAgainstStraightLoopAdmission:

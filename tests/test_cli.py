@@ -93,6 +93,22 @@ class TestExitCodes:
         assert "bounds.p_max_dbm" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_overlong_integer_literal_is_usage(self, tmp_path):
+        data = json.loads(json.dumps(BASE))
+        data["grid"]["n_x"] = "DIGITS"
+        scn = tmp_path / "overlong.json"
+        scn.write_text(json.dumps(data).replace('"DIGITS"', "1" + "0" * 5000))
+        result = subprocess.run(
+            [sys.executable, "-m", "spectrumspace", "quantify",
+             "--scenario", str(scn), "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert "error:" in result.stderr
+        assert "overlong.json" in result.stderr
+        assert "integer literal" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "set_int_max_str_digits" not in result.stderr
+
     def test_module_entry_point(self, tmp_path):
         scn = write(tmp_path, BASE)
         result = subprocess.run(

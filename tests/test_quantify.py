@@ -264,13 +264,6 @@ class TestTxConsumption:
         assert quantity.value == pytest.approx(
             o_tx_consumption_value(scn, scn.transmitter("a-tx")), rel=1e-9)
 
-    def test_slice_subset_arguments(self):
-        scn = make_scenario([make_link("a", (50.0, 50.0), (150.0, 50.0), 30.0, quanta=(0, 1))],
-                            grid=make_grid(12, 1, 100.0),
-                            dims=SpectrumSpaceDims(b_hat=1, t_hat=2))
-        space = tx_consumption("a-tx", scn, quanta=[1])
-        assert set(space.slices) == {(0, 1)}
-
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown transmitter"):
             tx_consumption("ghost", canonical_link())
