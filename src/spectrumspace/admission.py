@@ -328,7 +328,7 @@ def _entrant_exploitation(scenario: Scenario) -> SpectrumQuantity:
             if key in union:
                 union[key] += cells
             else:
-                union[key] = cells
+                union[key] = cells.copy()
     for cells in union.values():
         cells.clip(0.0, scenario.bounds.p_cmax_linear, out=cells)
     entrants = frozenset(tx.id for tx in net.transmitters)

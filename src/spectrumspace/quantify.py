@@ -9,7 +9,7 @@ consumption; all sums happen in linear milliwatts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -80,7 +80,10 @@ class PowerField:
 
 @dataclass(frozen=True, eq=False)
 class ConsumptionSpace:
-    """Linear mW consumed per cell, per (band, quantum) slice, for an entity set."""
+    """Linear mW consumed per cell, per (band, quantum) slice, for an entity set.
+
+    Slices with equal cells may share one read-only array.
+    """
 
     entity_ids: frozenset[str]
     slices: dict[Slice, np.ndarray]
@@ -108,6 +111,16 @@ def _check_slice(dims: SpectrumSpaceDims, band: int, quantum: int) -> None:
         raise ValueError(f"band index {band} out of range [0, {dims.b_hat})")
     if not 0 <= quantum < dims.t_hat:
         raise ValueError(f"time quantum {quantum} out of range [0, {dims.t_hat})")
+
+
+def _all_slices(dims: SpectrumSpaceDims) -> list[Slice]:
+    return [(b, t) for b in range(dims.b_hat) for t in range(dims.t_hat)]
+
+
+def _read_only(cells: np.ndarray) -> np.ndarray:
+    """``cells``, locked against writes: one array may stand for many slices."""
+    cells.flags.writeable = False
+    return cells
 
 
 def _field_linear(field: PowerField, bounds: PowerBounds) -> np.ndarray:
@@ -297,25 +310,42 @@ class LinkBudget:
 
     def opportunity_map(self, band: int, quantum: int) -> PowerField:
         """:func:`opportunity_map` of this budget's scenario and protected set."""
+        return next(self._opportunity_fields([(band, quantum)]))
+
+    def _opportunity_fields(self, keys: list[Slice]) -> Iterator[PowerField]:
+        """The opportunity fields of ``keys``, in that order, built receiver-major.
+
+        Each protected receiver's entrant gain field is built once and folded
+        into every listed slice it is active in; np.minimum is exact, so the
+        fold gives the same bits in any order.
+        """
         grid, bounds = self.scenario.grid, self.scenario.bounds
-        found = self.slice(band, quantum)
-        if not found.receivers:
-            return PowerField(band, quantum, np.full((grid.n_y, grid.n_x), float(bounds.p_max_dbm)))
+        budgets = {key: self.slice(*key) for key in keys}
+        allowed = {
+            key: np.full((grid.n_y, grid.n_x), np.inf) for key, found in budgets.items() if found.receivers
+        }
+        folds: dict[str, list[tuple[Slice, float]]] = {}
+        for key, found in budgets.items():
+            for rx, margin in zip(found.receivers, found.margin):
+                folds.setdefault(rx.id, []).append((key, margin))
+        for rx in self.scenario.receivers():
+            if rx.id in folds:
+                gain = entrant_gain_field_linear(rx.position, rx.pattern, grid, self.scenario.propagation)
+                for key, margin in folds[rx.id]:
+                    np.minimum(allowed[key], margin / gain, out=allowed[key])
 
-        allowed = np.full((grid.n_y, grid.n_x), np.inf)
-        zero_margin = []
-        for rx, margin in zip(found.receivers, found.margin):
-            if margin == 0.0:
-                zero_margin.append(rx.id)
-            gain = entrant_gain_field_linear(rx.position, rx.pattern, grid, self.scenario.propagation)
-            allowed = np.minimum(allowed, margin / gain)
-
-        values = np.clip(linear_to_db(allowed), bounds.p_min_dbm, bounds.p_max_dbm)
-        for rx in found.receivers:
-            if grid.contains(rx.position):
-                ix, iy = grid.cell_of(rx.position)
-                values[iy, ix] = bounds.p_min_dbm
-        return PowerField(band, quantum, values, tuple(zero_margin))
+        for key in keys:
+            if key not in allowed:
+                yield PowerField(*key, np.full((grid.n_y, grid.n_x), float(bounds.p_max_dbm)))
+                continue
+            values = np.clip(linear_to_db(allowed.pop(key)), bounds.p_min_dbm, bounds.p_max_dbm)
+            found = budgets[key]
+            for rx in found.receivers:
+                if grid.contains(rx.position):
+                    ix, iy = grid.cell_of(rx.position)
+                    values[iy, ix] = bounds.p_min_dbm
+            zero_margin = tuple(rx.id for rx, margin in zip(found.receivers, found.margin) if margin == 0.0)
+            yield PowerField(*key, values, zero_margin)
 
     def opportunity_at_cell(self, band: int, quantum: int, cell: Cell) -> tuple[float, str | None]:
         """:func:`opportunity_at_cell` of this budget's scenario and protected set."""
@@ -340,10 +370,10 @@ class LinkBudget:
 
     def available_spectrum(self) -> SpectrumQuantity:
         """:func:`available_spectrum` of this budget's scenario and protected set."""
-        bounds, dims = self.scenario.bounds, self.scenario.dims
+        bounds = self.scenario.bounds
         above = {
-            (b, t): _field_linear(self.opportunity_map(b, t), bounds) - bounds.p_min_linear
-            for b in range(dims.b_hat) for t in range(dims.t_hat)
+            (field.band, field.quantum): _field_linear(field, bounds) - bounds.p_min_linear
+            for field in self._opportunity_fields(_all_slices(self.scenario.dims))
         }
         return quantify(ConsumptionSpace(frozenset(), above), self.scenario.grid)
 
@@ -382,19 +412,11 @@ def tx_consumption(tx, scenario: Scenario) -> ConsumptionSpace:
     mW; zero in slices where the transmitter is idle.
     """
     tx = resolve(tx, scenario.transmitter, "transmitter")
-    grid, bounds, dims = scenario.grid, scenario.bounds, scenario.dims
-
-    active_field = None
-    slices: dict[Slice, np.ndarray] = {}
-    for b in range(dims.b_hat):
-        for t in range(dims.t_hat):
-            if tx.active_in(b, t):
-                if active_field is None:
-                    received = db_to_linear(tx.tx_power_dbm + tx_gain_db_field(tx, grid, scenario.propagation))
-                    active_field = np.clip(received, bounds.p_min_linear, bounds.p_max_linear) - bounds.p_min_linear
-                slices[(b, t)] = active_field.copy()
-            else:
-                slices[(b, t)] = np.zeros((grid.n_y, grid.n_x))
+    grid, bounds = scenario.grid, scenario.bounds
+    received = db_to_linear(tx.tx_power_dbm + tx_gain_db_field(tx, grid, scenario.propagation))
+    active = _read_only(np.clip(received, bounds.p_min_linear, bounds.p_max_linear) - bounds.p_min_linear)
+    idle = _read_only(np.zeros((grid.n_y, grid.n_x)))
+    slices = {key: active if tx.active_in(*key) else idle for key in _all_slices(scenario.dims)}
     return ConsumptionSpace(frozenset({tx.id}), slices)
 
 
@@ -415,19 +437,17 @@ def denied_consumption(scenario: Scenario, protected=None) -> ConsumptionSpace:
     opportunity field. A slice no protected receiver is active in denies
     nothing.
     """
-    grid, bounds, dims = scenario.grid, scenario.bounds, scenario.dims
+    grid, bounds = scenario.grid, scenario.bounds
     budget = LinkBudget(scenario, protected)
-    ids: set[str] = set()
-    slices: dict[Slice, np.ndarray] = {}
-    for b in range(dims.b_hat):
-        for t in range(dims.t_hat):
-            receivers = budget.slice(b, t).receivers
-            if not receivers:
-                slices[(b, t)] = np.zeros((grid.n_y, grid.n_x))
-                continue
-            ids.update(rx.id for rx in receivers)
-            slices[(b, t)] = bounds.p_max_linear - _field_linear(budget.opportunity_map(b, t), bounds)
-    return ConsumptionSpace(frozenset(ids), slices)
+    keys = _all_slices(scenario.dims)
+    guarded = [key for key in keys if budget.slice(*key).receivers]
+    denied = {
+        (field.band, field.quantum): bounds.p_max_linear - _field_linear(field, bounds)
+        for field in budget._opportunity_fields(guarded)
+    }
+    idle = _read_only(np.zeros((grid.n_y, grid.n_x)))
+    ids = frozenset(rx.id for key in guarded for rx in budget.slice(*key).receivers)
+    return ConsumptionSpace(ids, {key: denied.get(key, idle) for key in keys})
 
 
 def combine_consumption(a: ConsumptionSpace, b: ConsumptionSpace, bounds: PowerBounds) -> ConsumptionSpace:

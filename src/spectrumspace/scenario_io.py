@@ -14,6 +14,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .admission import AccessRequest
 from .model import (
     OMNI,
@@ -451,13 +453,16 @@ def export_field(field: PowerField, path) -> None:
     """Write a power field as a CSV raster.
 
     One header comment line, then n_y rows of n_x values at 4 decimal places;
-    row 0 is the minimum-y edge. Output is byte-stable across runs.
+    row 0 is the minimum-y edge. Output is byte-stable across runs. Each
+    value is ``%.4f``, the formatter behind ``format(v, ".4f")``, so both
+    give the same bytes, -0.0000 included; rows are written one at a time.
     """
-    lines = [f"# band={field.band} quantum={field.quantum} unit=dBm"]
-    for row in field.values_dbm:
-        lines.append(",".join(f"{v:.4f}" for v in row))
+    values = np.asarray(field.values_dbm, dtype=float)
+    row_format = ",".join(["%.4f"] * values.shape[1])
     with _replacing(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# band={field.band} quantum={field.quantum} unit=dBm\n")
+        for row in values:
+            fh.write(row_format % tuple(row.tolist()) + "\n")
 
 
 def format_number(value: float) -> float:

@@ -8,6 +8,7 @@ independent code path. Generators are seeded and deterministic.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -274,6 +275,14 @@ def o_rx_consumption_value(scn: Scenario, rx: Receiver) -> float:
     return total
 
 
+def o_field_csv(field) -> bytes:
+    """export_field's bytes, formatted one value at a time with an f-string."""
+    lines = [f"# band={field.band} quantum={field.quantum} unit=dBm"]
+    for row in field.values_dbm:
+        lines.append(",".join(f"{v:.4f}" for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # seeded generators
 
@@ -361,3 +370,40 @@ def random_requests(seed: int, scenario: Scenario, n: int = 10) -> list[AccessRe
             priority=int(rng.integers(0, 3)),
         ))
     return requests
+
+
+def sectored_scenario(seed: int) -> Scenario:
+    """random_scenario (T=2) with every antenna sectored, plus two links in band 0.
+
+    The "zero" receiver's own link is below beta (zero margin) in quantum 0;
+    the "host" receiver is healthy in both quanta. Both sit inside the grid,
+    so each hosts a cell.
+    """
+    base = random_scenario(seed, t_hat=2)
+    rng = np.random.default_rng(seed + 1000)
+
+    def sector() -> AntennaPattern:
+        return AntennaPattern(kind="sectored", boresight_deg=float(rng.uniform(0.0, 360.0)),
+                              beamwidth_deg=float(rng.uniform(30.0, 180.0)),
+                              main_gain_db=float(rng.uniform(0.0, 12.0)),
+                              back_gain_db=float(rng.uniform(-20.0, 0.0)))
+
+    networks = [
+        RFNetwork(
+            id=net.id,
+            transmitters=tuple(replace(tx, pattern=sector()) for tx in net.transmitters),
+            receivers=tuple(replace(rx, pattern=sector()) for rx in net.receivers),
+        )
+        for net in base.networks
+    ]
+    x_min, y_min, x_max, y_max = base.grid.extent
+    center = ((x_min + x_max) / 2.0, (y_min + y_max) / 2.0)
+    corner = (x_min + 0.25 * base.grid.cell_size, y_min + 0.25 * base.grid.cell_size)
+    networks.append(make_link("zero", corner, center, -60.0, rx_pattern=sector()))
+    # a narrow beam east keeps the host link from drowning the random receivers
+    beam = AntennaPattern(kind="sectored", boresight_deg=0.0, beamwidth_deg=10.0,
+                          main_gain_db=10.0, back_gain_db=-60.0)
+    facing = replace(sector(), boresight_deg=180.0)
+    networks.append(make_link("host", center, (center[0] + 30.0, center[1]), 25.0,
+                              quanta=(0, 1), tx_pattern=beam, rx_pattern=facing))
+    return make_scenario(networks, grid=base.grid, dims=base.dims)

@@ -1,12 +1,23 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from spectrumspace import LinkBudget, available_spectrum, total_spectrum
+from spectrumspace import (
+    LinkBudget,
+    available_spectrum,
+    occupancy_map,
+    opportunity_map,
+    total_spectrum,
+)
 from spectrumspace.cli import run
-from spectrumspace.scenario_io import format_number, parse_document
+from spectrumspace.scenario_io import format_number, load_scenario, parse_document, scenario_to_dict
+
+from helpers import o_field_csv, sectored_scenario
+
+CAMPUS = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "campus.json"
 
 BASE = {
     "grid": {"origin": [0.0, 0.0], "cell_size": 100.0, "n_x": 12, "n_y": 1},
@@ -169,6 +180,30 @@ class TestRasterCommands:
                         "--out", str(out)]) == 0
         for name in ("occupancy_b0_q0.csv", "opportunity_b0_q0.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+class TestRasterBytes:
+    """Every CSV the raster commands write is the oracle's text of the in-process field."""
+
+    @pytest.fixture(params=["campus", "sectored"])
+    def scenario_file(self, request, tmp_path):
+        if request.param == "campus":
+            return CAMPUS
+        return write(tmp_path, scenario_to_dict(sectored_scenario(3)))
+
+    @pytest.mark.parametrize("command, field_of", [
+        ("occupancy", occupancy_map),
+        ("opportunity", opportunity_map),
+    ])
+    def test_csv_equals_the_oracle(self, scenario_file, tmp_path, command, field_of):
+        scn = load_scenario(scenario_file)
+        out = tmp_path / "out"
+        assert run([command, "--scenario", str(scenario_file), "--out", str(out)]) == 0
+        slices = [(b, q) for b in range(scn.dims.b_hat) for q in range(scn.dims.t_hat)]
+        assert len(list(out.glob("*.csv"))) == len(slices)
+        for b, q in slices:
+            written = (out / f"{command}_b{b}_q{q}.csv").read_bytes()
+            assert written == o_field_csv(field_of(scn, b, q))
 
 
 class TestQuantifyCommand:

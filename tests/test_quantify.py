@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from spectrumspace import (
     AntennaPattern,
     ConsumptionSpace,
+    LinkBudget,
     PowerField,
     Receiver,
     RFNetwork,
@@ -44,7 +46,11 @@ from helpers import (
     o_sinr_db,
     o_tx_consumption_value,
     random_scenario,
+    sectored_scenario,
 )
+
+# the package exports a function named quantify, which hides the module
+quantify_module = importlib.import_module("spectrumspace.quantify")
 
 
 def canonical_link() -> Scenario:
@@ -268,6 +274,20 @@ class TestTxConsumption:
         with pytest.raises(ValueError, match="unknown transmitter"):
             tx_consumption("ghost", canonical_link())
 
+    def test_slices_share_two_read_only_arrays(self):
+        scn = make_scenario([make_link("a", (50.0, 50.0), (150.0, 50.0), 30.0, quanta=(0, 2))],
+                            grid=make_grid(6, 2, 100.0),
+                            dims=SpectrumSpaceDims(b_hat=2, t_hat=3))
+        slices = tx_consumption("a-tx", scn).slices
+        assert sorted(slices) == [(b, t) for b in range(2) for t in range(3)]
+        active, idle = slices[(0, 0)], slices[(0, 1)]
+        assert slices[(0, 2)] is active
+        assert all(slices[key] is idle for key in [(1, 0), (1, 1), (1, 2)])
+        np.testing.assert_array_equal(idle, 0.0)
+        for cells in (active, idle):
+            with pytest.raises(ValueError, match="read-only"):
+                cells += 1.0
+
 
 class TestRxConsumption:
     def test_denial_complements_solo_opportunity(self):
@@ -411,6 +431,63 @@ class TestTotalsAndAvailability:
         deltas = [abs(b - a) / a for a, b in zip(values, values[1:])]
         assert deltas[1] < deltas[0]
         assert deltas[2] < deltas[1]
+
+
+class TestReceiverMajorFields:
+    """Every slice's opportunity field from one receiver walk equals its one-slice field."""
+
+    @staticmethod
+    def slices(scn):
+        return [(b, t) for b in range(scn.dims.b_hat) for t in range(scn.dims.t_hat)]
+
+    @pytest.mark.parametrize("protect", ["all", "half"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_all_slices_at_once_equal_one_at_a_time(self, seed, protect):
+        scn = sectored_scenario(seed)
+        protected = None if protect == "all" else [rx.id for rx in scn.receivers()][::2]
+        keys = self.slices(scn)[::-1]
+        together = list(LinkBudget(scn, protected)._opportunity_fields(keys))
+        assert [(f.band, f.quantum) for f in together] == keys
+        for key, field in zip(keys, together):
+            alone = opportunity_map(scn, *key, protected=protected)
+            assert (alone.band, alone.quantum) == key
+            assert field.zero_margin_rx_ids == alone.zero_margin_rx_ids
+            assert np.array_equal(field.values_dbm, alone.values_dbm)
+
+    def test_scenario_covers_zero_margin_and_host_cells(self):
+        scn = sectored_scenario(0)
+        assert opportunity_map(scn, 0, 0).zero_margin_rx_ids == ("zero-rx",)
+        host = opportunity_map(scn, 0, 1)
+        assert host.zero_margin_rx_ids == ()
+        ix, iy = scn.grid.cell_of(scn.receiver("host-rx").position)
+        assert host.values_dbm[iy, ix] == BOUNDS.p_min_dbm
+        assert np.any(host.values_dbm > BOUNDS.p_min_dbm)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        positions = []
+        real = quantify_module.entrant_gain_field_linear
+
+        def counting(position, *args):
+            positions.append(position)
+            return real(position, *args)
+
+        monkeypatch.setattr(quantify_module, "entrant_gain_field_linear", counting)
+        return positions
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_available_spectrum_builds_each_receiver_field_once(self, seed, built):
+        scn = sectored_scenario(seed)
+        available_spectrum(scn)
+        assert built == [rx.position for rx in scn.receivers()]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rx_consumption_builds_its_field_once(self, seed, built):
+        scn = sectored_scenario(seed)
+        for rx in scn.receivers():
+            built.clear()
+            rx_consumption(rx, scn)
+            assert built == [rx.position]
 
 
 class TestHarvest:

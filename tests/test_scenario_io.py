@@ -4,7 +4,7 @@ from operator import getitem, mul
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spectrumspace import (
     AccessRequest,
@@ -26,6 +26,8 @@ from spectrumspace.scenario_io import (
     scenario_to_dict,
     write_report,
 )
+
+from helpers import BOUNDS, o_field_csv
 
 MINIMAL = {
     "grid": {"origin": [0.0, 0.0], "cell_size": 100.0, "n_x": 12, "n_y": 1},
@@ -268,6 +270,36 @@ class TestExportField:
         export_field(PowerField(0, 0, values), first)
         export_field(PowerField(0, 0, values), second)
         assert first.read_bytes() == second.read_bytes()
+
+
+# Values where a 4-decimal formatter could go wrong: half-unit ties, values
+# that round to -0.0000, the power bounds, and extreme magnitudes.
+CSV_VALUES = st.one_of(
+    st.integers(-2_000_000, 2_000_000).map(lambda k: k * 1e-4 + 5e-5),
+    st.sampled_from([0.0, -0.0, -1e-9, 1e-9, -4.99999e-5, 4.99999e-5, -5e-5, 5e-5,
+                     BOUNDS.p_min_dbm, BOUNDS.p_max_dbm]),
+    st.sampled_from([1e300, -1e300, 1.7976931348623157e308, 5e-324, -5e-324, 1e-300]),
+    st.floats(),
+)
+
+
+@st.composite
+def csv_fields(draw):
+    n_y, n_x = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    cells = draw(st.lists(CSV_VALUES, min_size=n_y * n_x, max_size=n_y * n_x))
+    return PowerField(draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+                      np.array(cells, dtype=float).reshape(n_y, n_x))
+
+
+class TestExportFieldBytes:
+    @given(csv_fields())
+    @example(PowerField(0, 0, np.array([[-0.0, -1e-9, -4.99999e-5, 0.00015, 0.00025]])))
+    @example(PowerField(0, 0, np.array([[BOUNDS.p_min_dbm], [BOUNDS.p_max_dbm], [1e300]])))
+    @example(PowerField(2, 1, np.array([[5e-324]])))
+    def test_writes_exactly_the_oracle_bytes(self, tmp_path_factory, field):
+        path = tmp_path_factory.mktemp("csv") / "field.csv"
+        export_field(field, path)
+        assert path.read_bytes() == o_field_csv(field)
 
 
 class TestReportHelpers:
