@@ -15,7 +15,6 @@ from .admission import (
     RequestOutcome,
     admit_osa,
     admit_quantified,
-    aggregate_opportunity,
     compare_policies,
     rights_register,
 )
@@ -52,7 +51,6 @@ from .propagation import (
     LOG_DISTANCE,
     PropagationConfig,
     link_gain_db,
-    link_gain_linear,
     path_loss_db,
 )
 from .quantify import (
@@ -61,6 +59,7 @@ from .quantify import (
     LinkBudget,
     PowerField,
     SpectrumQuantity,
+    aggregate_opportunity,
     available_spectrum,
     combine_consumption,
     denied_consumption,

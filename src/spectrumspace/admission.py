@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .model import RFNetwork, Scenario, Transmitter, db_to_linear
+from .model import RFNetwork, Scenario, Transmitter
 from .policy import Grant, Refusal, RightsRequest, define_rights
 from .quantify import (
     ConsumptionSpace,
@@ -33,7 +33,6 @@ __all__ = [
     "RequestOutcome",
     "admit_osa",
     "admit_quantified",
-    "aggregate_opportunity",
     "compare_policies",
     "rights_register",
 ]
@@ -284,33 +283,6 @@ def admit_osa(scenario: Scenario, requests, sensitivity_dbm: float) -> tuple[Adm
     budget = LinkBudget(scenario)
     outcomes, admitted = _admit_in_order(budget, requests, partial(_sensing_offer, sensitivity_dbm))
     return AdmissionOutcome(outcomes, admitted, budget.available_spectrum()), budget.scenario
-
-
-def aggregate_opportunity(scenario: Scenario, position: tuple[float, float],
-                          quanta=None, protected=None):
-    """Opportunity at one location across every band, best slices first.
-
-    Returns:
-      (entries, quantity): entries are (band, quantum, dBm) tuples sorted by
-      value descending, and the quantity integrates their linear power above
-      the floor over the cell area.
-    """
-    grid, bounds, dims = scenario.grid, scenario.bounds, scenario.dims
-    cell = grid.cell_of(position)
-    quantum_list = list(range(dims.t_hat)) if quanta is None else sorted(quanta)
-    budget = LinkBudget(scenario, protected)
-    entries: list[tuple[int, int, float]] = []
-    breakdown: dict[tuple[int, int], float] = {}
-    for band in range(dims.b_hat):
-        for q in quantum_list:
-            value, _ = budget.opportunity_at_cell(band, q, cell)
-            entries.append((band, q, value))
-            breakdown[(band, q)] = (
-                (db_to_linear(value) - bounds.p_min_linear) * grid.cell_area / 1000.0
-            )
-    entries.sort(key=lambda e: (-e[2], e[0], e[1]))
-    quantity = SpectrumQuantity(sum(breakdown[k] for k in sorted(breakdown)), breakdown)
-    return entries, quantity
 
 
 def _entrant_exploitation(scenario: Scenario) -> SpectrumQuantity:

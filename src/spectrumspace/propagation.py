@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OMNI, OMNI_KIND, AntennaPattern, Grid, db_to_linear
+from .model import OMNI, OMNI_KIND, SECTORED_KIND, AntennaPattern, Grid, db_to_linear
 
 __all__ = [
     "FREE_SPACE",
@@ -20,8 +20,8 @@ __all__ = [
     "PropagationConfig",
     "entrant_gain_field_linear",
     "gain_db",
+    "gains_db",
     "link_gain_db",
-    "link_gain_linear",
     "path_loss_db",
     "tx_gain_db_field",
 ]
@@ -97,10 +97,22 @@ def link_gain_db(tx, rx_point: tuple[float, float], config: PropagationConfig,
     return float(gain_db(tx.position, tx.pattern, rx_point, rx_pattern, config))
 
 
-def link_gain_linear(tx, rx_point: tuple[float, float], config: PropagationConfig,
-                     rx_pattern: AntennaPattern = OMNI) -> float:
-    """Linear power gain of a link; multiply by linear tx power to get rx power."""
-    return db_to_linear(link_gain_db(tx, rx_point, config, rx_pattern))
+def gains_db(src: tuple[float, float], src_pattern: AntennaPattern, others,
+             config: PropagationConfig) -> np.ndarray:
+    """Gain in dB from a point to each of many transmitters or receivers, in one gain_db call.
+
+    ``others`` is a sequence of objects with ``position`` and ``pattern``; their
+    patterns go in as one AntennaPattern of per-entry arrays, an omni entry as
+    a 0 dB full circle. gain_db is reciprocal bit for bit, so entry i is also
+    that entity's gain toward the point.
+    """
+    xs, ys = np.array([o.position for o in others], dtype=float).reshape(-1, 2).T
+    patterns = [OMNI if o.pattern.kind == OMNI_KIND else o.pattern for o in others]
+    pattern = OMNI
+    if any(p.kind != OMNI_KIND for p in patterns):
+        pattern = AntennaPattern(SECTORED_KIND, *np.array(
+            [(p.boresight_deg, p.beamwidth_deg, p.main_gain_db, p.back_gain_db) for p in patterns]).T)
+    return gain_db(src, src_pattern, (xs, ys), pattern, config)
 
 
 def tx_gain_db_field(tx, grid: Grid, config: PropagationConfig) -> np.ndarray:

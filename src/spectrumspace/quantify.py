@@ -8,7 +8,7 @@ consumption; all sums happen in linear milliwatts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -25,13 +25,7 @@ from .model import (
     linear_to_db,
     resolve,
 )
-from .propagation import (
-    PropagationConfig,
-    entrant_gain_field_linear,
-    gain_db,
-    link_gain_linear,
-    tx_gain_db_field,
-)
+from .propagation import PropagationConfig, entrant_gain_field_linear, gains_db, tx_gain_db_field
 
 __all__ = [
     "ConsumptionSpace",
@@ -40,6 +34,7 @@ __all__ = [
     "PowerField",
     "SliceBudget",
     "SpectrumQuantity",
+    "aggregate_opportunity",
     "available_spectrum",
     "combine_consumption",
     "denied_consumption",
@@ -52,7 +47,6 @@ __all__ = [
     "opportunity_map",
     "quantify",
     "receiver_margin_linear",
-    "received_linear",
     "rx_consumption",
     "sinr_db",
     "total_spectrum",
@@ -136,6 +130,22 @@ def _field_linear(field: PowerField, bounds: PowerBounds) -> np.ndarray:
     return linear
 
 
+def _clipped_dbm(linear, bounds: PowerBounds) -> np.ndarray:
+    """Linear mW in dBm by numpy's log10, clipped to the power bounds: one rule for field and cell."""
+    return np.clip(linear_to_db(np.asarray(linear)), bounds.p_min_dbm, bounds.p_max_dbm)
+
+
+def _entrant_caps(margin, gain):
+    """margin / gain: the most (mW) an entrant may radiate before a receiver hits its threshold.
+
+    A zero gain gives inf, or NaN when the margin is 0 too. Both callers fold
+    the caps into inf with np.fmin, which skips NaN, so a receiver that no
+    entrant power reaches sets no cap.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(margin, gain)
+
+
 def occupancy_linear(scenario: Scenario, band: int, quantum: int) -> np.ndarray:
     """Aggregate man-made linear power (mW) at every cell center, unclipped.
 
@@ -161,30 +171,24 @@ def occupancy_map(scenario: Scenario, band: int, quantum: int) -> PowerField:
     Cells reached by no transmission report p_min. Noise is not part of
     occupancy; only transmitted power counts.
     """
-    bounds = scenario.bounds
-    values = np.clip(
-        linear_to_db(occupancy_linear(scenario, band, quantum)),
-        bounds.p_min_dbm,
-        bounds.p_max_dbm,
-    )
-    return PowerField(band, quantum, values)
+    return PowerField(band, quantum, _clipped_dbm(occupancy_linear(scenario, band, quantum), scenario.bounds))
 
 
 def occupancy_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell) -> float:
-    """Clipped occupancy (dBm) at a single cell, without building the full field."""
+    """Clipped occupancy (dBm) at a single cell, bit for bit its occupancy_map cell: one gain
+    call, then occupancy_linear's sums per network and across networks."""
     _check_slice(scenario.dims, band, quantum)
-    grid, bounds = scenario.grid, scenario.bounds
-    center = grid.cell_center(*cell)
+    active = [tx for tx in scenario.transmitters() if tx.active_in(band, quantum)]
+    gains = gains_db(scenario.grid.cell_center(*cell), OMNI, active, scenario.propagation)
+    received = iter(db_to_linear(np.array([tx.tx_power_dbm for tx in active]) + gains).tolist())
     total = 0.0
-    for tx in scenario.transmitters():
-        if tx.active_in(band, quantum):
-            total += db_to_linear(tx.tx_power_dbm) * link_gain_linear(tx, center, scenario.propagation)
-    return min(max(linear_to_db(total), bounds.p_min_dbm), bounds.p_max_dbm)
-
-
-def received_linear(tx: Transmitter, rx: Receiver, config: PropagationConfig) -> float:
-    """Power (linear mW) a receiver's antenna picks up from one transmitter."""
-    return db_to_linear(tx.tx_power_dbm) * link_gain_linear(tx, rx.position, config, rx.pattern)
+    for net in scenario.networks:
+        net_sum = 0.0
+        for tx in net.transmitters:
+            if tx.active_in(band, quantum):
+                net_sum += next(received)
+        total += net_sum
+    return float(_clipped_dbm(total, scenario.bounds))
 
 
 def link_powers(rx: Receiver, quantum: int, transmitters: Iterable[Transmitter],
@@ -197,12 +201,11 @@ def link_powers(rx: Receiver, quantum: int, transmitters: Iterable[Transmitter],
     order given and their total accumulated with += in that order (sum()
     compensates float sums from Python 3.12, which would change the bits).
     """
+    active = [tx for tx in transmitters if tx.active_in(rx.band, quantum)]
     signal = interference = 0.0
     interferers: dict[str, float] = {}
-    for tx in transmitters:
-        if not tx.active_in(rx.band, quantum):
-            continue
-        power = received_linear(tx, rx, config)
+    for tx, gain in zip(active, gains_db(rx.position, rx.pattern, active, config).tolist()):
+        power = db_to_linear(tx.tx_power_dbm) * db_to_linear(gain)
         if tx.id == rx.linked_tx_id:
             signal = power
         else:
@@ -300,8 +303,9 @@ class LinkBudget:
             if not appended:
                 del self._slices[(tx.band, quantum)]
                 continue
-            for i, rx in enumerate(found.receivers):
-                power = received_linear(tx, rx, scenario.propagation)
+            gains = gains_db(tx.position, tx.pattern, found.receivers, scenario.propagation).tolist()
+            for i, (rx, gain) in enumerate(zip(found.receivers, gains)):
+                power = db_to_linear(tx.tx_power_dbm) * db_to_linear(gain)
                 if tx.id == rx.linked_tx_id:
                     found.signal[i] = power
                 else:
@@ -316,7 +320,7 @@ class LinkBudget:
         """The opportunity fields of ``keys``, in that order, built receiver-major.
 
         Each protected receiver's entrant gain field is built once and folded
-        into every listed slice it is active in; np.minimum is exact, so the
+        into every listed slice it is active in; np.fmin is exact, so the
         fold gives the same bits in any order.
         """
         grid, bounds = self.scenario.grid, self.scenario.bounds
@@ -332,13 +336,13 @@ class LinkBudget:
             if rx.id in folds:
                 gain = entrant_gain_field_linear(rx.position, rx.pattern, grid, self.scenario.propagation)
                 for key, margin in folds[rx.id]:
-                    np.minimum(allowed[key], margin / gain, out=allowed[key])
+                    np.fmin(allowed[key], _entrant_caps(margin, gain), out=allowed[key])
 
         for key in keys:
             if key not in allowed:
                 yield PowerField(*key, np.full((grid.n_y, grid.n_x), float(bounds.p_max_dbm)))
                 continue
-            values = np.clip(linear_to_db(allowed.pop(key)), bounds.p_min_dbm, bounds.p_max_dbm)
+            values = _clipped_dbm(allowed.pop(key), bounds)
             found = budgets[key]
             for rx in found.receivers:
                 if grid.contains(rx.position):
@@ -357,16 +361,10 @@ class LinkBudget:
             if grid.contains(rx.position) and grid.cell_of(rx.position) == cell:
                 return float(bounds.p_min_dbm), rx.id
 
-        center = grid.cell_center(*cell)
-        best = np.inf
-        limiting = None
-        for rx, margin in zip(found.receivers, found.margin):
-            gain = db_to_linear(float(gain_db(rx.position, rx.pattern, center, OMNI, self.scenario.propagation)))
-            entrant_cap = margin / gain
-            if entrant_cap < best:
-                best, limiting = entrant_cap, rx.id
-        value = min(max(linear_to_db(best), bounds.p_min_dbm), bounds.p_max_dbm)
-        return value, limiting
+        gains = gains_db(grid.cell_center(*cell), OMNI, found.receivers, self.scenario.propagation)
+        caps = np.fmin(np.inf, _entrant_caps(np.array(found.margin), db_to_linear(gains)))
+        i = int(np.argmin(caps))
+        return float(_clipped_dbm(caps[i], bounds)), found.receivers[i].id if caps[i] < np.inf else None
 
     def available_spectrum(self) -> SpectrumQuantity:
         """:func:`available_spectrum` of this budget's scenario and protected set."""
@@ -385,7 +383,9 @@ def opportunity_map(scenario: Scenario, band: int, quantum: int, protected=None)
     threshold. Cells hosting a protected receiver report p_min; with no
     protected receivers the whole field is p_max. Receivers whose link is
     already below threshold contribute a zero margin (opportunity collapses
-    to p_min wherever they are reachable) and are flagged on the result.
+    to p_min wherever they are reachable) and are flagged on the result. A
+    receiver no entrant power reaches, its gain underflowing to 0 mW, imposes
+    no cap.
 
     Args:
       scenario: validated world.
@@ -399,10 +399,35 @@ def opportunity_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell,
                         protected=None) -> tuple[float, str | None]:
     """Opportunity at one cell plus the receiver that limits it.
 
-    Returns (dBm value, limiting receiver id). The id is None when no
-    protected receiver constrains the slice.
+    Returns (dBm value, limiting receiver id): the opportunity_map cell, bit
+    for bit, and the first receiver with the lowest entrant cap. The id is
+    None when no protected receiver constrains the cell.
     """
     return LinkBudget(scenario, protected).opportunity_at_cell(band, quantum, cell)
+
+
+def aggregate_opportunity(scenario: Scenario, position: tuple[float, float],
+                          quanta=None, protected=None):
+    """Opportunity at one location across every band, best slices first.
+
+    Returns:
+      (entries, quantity): entries are (band, quantum, dBm) tuples sorted by
+      value descending, and the quantity integrates their linear power above
+      the floor over the cell, converted and integrated as available_spectrum
+      does a one-cell grid.
+    """
+    grid, bounds, dims = scenario.grid, scenario.bounds, scenario.dims
+    cell = grid.cell_of(position)
+    quantum_list = list(range(dims.t_hat)) if quanta is None else sorted(quanta)
+    budget = LinkBudget(scenario, protected)
+    entries = [(band, q, budget.opportunity_at_cell(band, q, cell)[0])
+               for band in range(dims.b_hat) for q in quantum_list]
+    above = {
+        (band, q): _field_linear(PowerField(band, q, np.array([[value]])), bounds) - bounds.p_min_linear
+        for band, q, value in entries
+    }
+    entries.sort(key=lambda e: (-e[2], e[0], e[1]))
+    return entries, quantify(ConsumptionSpace(frozenset(), above), replace(grid, n_x=1, n_y=1))
 
 
 def tx_consumption(tx, scenario: Scenario) -> ConsumptionSpace:

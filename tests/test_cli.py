@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spectrumspace import (
@@ -485,3 +486,47 @@ class TestCompareCommand:
         report = load(strict_dir, "compare-osa.json")
         assert report["sensitivity_dbm"] == -120.0
         assert report["comparison"]["osa"]["admitted_count"] == 0
+
+
+class TestUnreachableReceivers:
+    """campus.json with a path loss so steep that every gain underflows to 0 mW."""
+
+    COMMANDS = ("occupancy", "opportunity", "quantify", "report", "admit", "enforce", "compare-osa")
+
+    def scenario_file(self, tmp_path):
+        data = json.loads(CAMPUS.read_text())
+        data["propagation"]["reference_loss_db"] = 4000.0
+        return write(tmp_path, data)
+
+    def test_every_command_writes_finite_strict_artifacts(self, tmp_path):
+        scn = self.scenario_file(tmp_path)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        for command in self.COMMANDS:
+            out = tmp_path / command
+            assert run([command, "--scenario", str(scn), "--out", str(out)]) == 0, command
+            for path in out.iterdir():
+                text = path.read_text()
+                assert "nan" not in text.lower(), path.name
+                if path.suffix == ".json":
+                    json.loads(text, parse_constant=reject)
+
+    def test_no_receiver_caps_an_entrant(self, tmp_path):
+        # Every receiver's margin is 0, but no entrant power reaches it either:
+        # opportunity is p_max everywhere except the cells hosting a receiver.
+        scenario = load_scenario(self.scenario_file(tmp_path))
+        grid, bounds = scenario.grid, scenario.bounds
+        budget = LinkBudget(scenario)
+        for band in range(scenario.dims.b_hat):
+            for quantum in range(scenario.dims.t_hat):
+                hosts: dict = {}
+                for rx in budget.slice(band, quantum).receivers:
+                    hosts.setdefault(grid.cell_of(rx.position), rx.id)
+                field = opportunity_map(scenario, band, quantum).values_dbm
+                for iy, ix in np.ndindex(field.shape):
+                    host = hosts.get((ix, iy))
+                    expected = (bounds.p_max_dbm, None) if host is None else (bounds.p_min_dbm, host)
+                    assert field[iy, ix] == expected[0]
+                    assert budget.opportunity_at_cell(band, quantum, (ix, iy)) == expected

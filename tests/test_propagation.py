@@ -9,8 +9,8 @@ from spectrumspace.propagation import (
     FREE_SPACE,
     entrant_gain_field_linear,
     gain_db,
+    gains_db,
     link_gain_db,
-    link_gain_linear,
     path_loss_db,
     tx_gain_db_field,
 )
@@ -37,6 +37,7 @@ def _random_sector(rng):
 POINTS = st.tuples(st.floats(-500.0, 1500.0), st.floats(-500.0, 1500.0))
 SECTORS = st.builds(_sector, st.floats(-360.0, 360.0), st.floats(1.0, 360.0),
                     st.floats(-10.0, 15.0), st.floats(-40.0, 0.0))
+PATTERNS = st.one_of(st.just(AntennaPattern()), SECTORS)
 
 
 def _near_edge(pattern, bearing):
@@ -81,13 +82,13 @@ class TestLinkGain:
     def test_omni_link_at_100m(self):
         g = link_gain_db(_tx(), (100.0, 0.0), PROP)
         assert g == pytest.approx(-80.0, abs=1e-12)
-        assert link_gain_linear(_tx(), (100.0, 0.0), PROP) == pytest.approx(1e-8, rel=1e-12)
+        assert db_to_linear(g) == pytest.approx(1e-8, rel=1e-12)
 
     def test_main_lobe_gain_folds_in(self):
         # 6 dB toward the receiver on an 80 dB path: net -74 dB
         sector = AntennaPattern(kind="sectored", boresight_deg=0.0, beamwidth_deg=60.0,
                                 main_gain_db=6.0, back_gain_db=-20.0)
-        g = link_gain_linear(_tx(pattern=sector), (100.0, 0.0), PROP)
+        g = db_to_linear(link_gain_db(_tx(pattern=sector), (100.0, 0.0), PROP))
         assert g == pytest.approx(3.981071705534969e-08, rel=1e-12)
 
     def test_rx_pattern_applies_on_arrival_bearing(self):
@@ -152,6 +153,16 @@ class TestGainKernel:
             expected = o_gain_db(src, src_pattern, point, dst_pattern, PROP)
             assert field[k] == pytest.approx(expected, abs=1e-9)
             assert float(gain_db(src, src_pattern, point, dst_pattern, PROP)) == field[k]
+
+    @given(src=POINTS, src_pattern=PATTERNS, others=st.lists(st.tuples(POINTS, PATTERNS), max_size=8))
+    def test_gains_db_is_reciprocal(self, src, src_pattern, others):
+        # Omni and sectored entries share one call; each entry is bit for bit
+        # the scalar kernel run the other way, from the entity to the point.
+        entities = [_tx(pos=pos, pattern=pattern) for pos, pattern in others]
+        gains = gains_db(src, src_pattern, entities, PROP)
+        assert gains.shape == (len(entities),)
+        for k, entity in enumerate(entities):
+            assert gains[k] == float(gain_db(entity.position, entity.pattern, src, src_pattern, PROP))
 
 
 class TestFieldHelpers:

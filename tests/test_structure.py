@@ -1,0 +1,61 @@
+"""Structural rules of the package source, read from its syntax trees.
+
+- ``gain_db``, the one gain formula, is called only inside ``propagation``.
+  Every other module reads gains through propagation's field and point
+  helpers, so a scalar twin of a vectorized routine cannot come back unseen.
+- No module imports another module's private (underscore) name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spectrumspace"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _nodes(path: Path):
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+
+
+def _gain_db_uses(path: Path) -> list[int]:
+    """Lines that call anything named gain_db, or import it under any name."""
+    lines = []
+    for node in _nodes(path):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "gain_db":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "gain_db" for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def _private_imports(path: Path) -> list[str]:
+    """Underscore names imported from the package's own modules."""
+    found = []
+    for node in _nodes(path):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 or (node.module or "").startswith("spectrumspace"):
+                found += [f"{node.lineno}: {a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name.startswith("spectrumspace")
+                      and any(part.startswith("_") for part in a.name.split("."))]
+    return found
+
+
+def test_the_package_is_found():
+    assert {"propagation.py", "quantify.py"} <= {path.name for path in MODULES}
+    assert _gain_db_uses(PACKAGE / "propagation.py")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "propagation.py"], ids=lambda p: p.name)
+def test_gain_db_is_called_only_in_propagation(path):
+    assert _gain_db_uses(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_is_imported_across_modules(path):
+    assert _private_imports(path) == []
