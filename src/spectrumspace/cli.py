@@ -12,7 +12,7 @@ import sys
 
 from .admission import admit_quantified, compare_policies, rights_register
 from .model import Scenario, ScenarioValidationError
-from .policy import Grant, PriceSheet, Refusal, Violation, enforce, price
+from .policy import PriceSheet, enforce, price
 from .quantify import (
     available_spectrum,
     occupancy_map,
@@ -29,6 +29,7 @@ from .scenario_io import (
     format_number,
     load_document,
     quantity_to_dict,
+    record_to_dict,
     scenario_to_dict,
     write_report,
 )
@@ -115,60 +116,6 @@ def _slices(scenario: Scenario, band, quantum):
     return [(b, q) for b in bands for q in quanta]
 
 
-def _grant_dict(grant: Grant) -> dict:
-    return {
-        "grant_id": grant.grant_id,
-        "grantee_tx_id": grant.grantee_tx_id,
-        "margin_db": format_number(grant.margin_db),
-        "issued_at": grant.issued_at,
-        "caps": [
-            {"band": b, "quantum": q, "cell": list(cell), "cap_dbm": format_number(cap)}
-            for (b, q), cells in sorted(grant.caps_dbm.items())
-            for cell, cap in sorted(cells.items())
-        ],
-    }
-
-
-def _refusal_dict(refusal: Refusal) -> dict:
-    return {
-        "tx_id": refusal.tx_id,
-        "band": refusal.band,
-        "reason": refusal.reason,
-        "limiting_rx_id": refusal.limiting_rx_id,
-        "guarded_opportunity_dbm": (
-            None if refusal.guarded_opportunity_dbm is None
-            else format_number(refusal.guarded_opportunity_dbm)
-        ),
-    }
-
-
-def _violation_dict(v: Violation) -> dict:
-    return {
-        "grant_id": v.grant_id,
-        "tx_id": v.tx_id,
-        "cell": None if v.cell is None else list(v.cell),
-        "band": v.band,
-        "quantum": v.quantum,
-        "granted_dbm": format_number(v.granted_dbm),
-        "observed_dbm": format_number(v.observed_dbm),
-        "excess_db": format_number(v.excess_db),
-    }
-
-
-def _outcome_dicts(outcomes) -> list[dict]:
-    return [
-        {
-            "request_id": o.request_id,
-            "admitted": o.admitted,
-            "bands": list(o.bands),
-            "powers_dbm": [format_number(p) for p in o.powers_dbm],
-            "grants": [_grant_dict(g) for g in o.grants],
-            "refusals": [_refusal_dict(r) for r in o.refusals],
-        }
-        for o in outcomes
-    ]
-
-
 def _consumed_sections(scenario: Scenario, sheet: PriceSheet | None):
     consumed: dict = {"transmitters": {}, "receivers": {}}
     prices: dict = {"transmitters": {}, "receivers": {}}
@@ -236,11 +183,7 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
             "command": command,
             "margin_db": format_number(margin),
             "scenario": scenario_to_dict(scenario),
-            "admission": {
-                "admitted_count": outcome.admitted_count,
-                "post_available": quantity_to_dict(outcome.post_available),
-                "outcomes": _outcome_dicts(outcome.outcomes),
-            },
+            "admission": record_to_dict(outcome),
             "augmented_scenario": scenario_to_dict(augmented),
         }
         write_report(report, os.path.join(args.out, "admit.json"))
@@ -261,9 +204,9 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
             "margin_db": format_number(margin),
             "tolerance_db": format_number(doc.policy.tolerance_db),
             "scenario": scenario_to_dict(scenario),
-            "grants": [_grant_dict(g) for g in grants],
-            "refusals": [_refusal_dict(r) for r in refusals],
-            "violations": [_violation_dict(v) for v in violations],
+            "grants": [record_to_dict(g) for g in grants],
+            "refusals": [record_to_dict(r) for r in refusals],
+            "violations": [record_to_dict(v) for v in violations],
         }
         write_report(report, os.path.join(args.out, "enforce.json"))
         return 0
@@ -272,24 +215,13 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
         margin = doc.policy.margin_db if args.margin_db is None else args.margin_db
         sensitivity = (doc.policy.sensitivity_dbm if args.sensitivity_dbm is None
                        else args.sensitivity_dbm)
-        cmp = compare_policies(scenario, doc.requests, margin, sensitivity, protected)
-
-        def side(summary) -> dict:
-            return {
-                "policy": summary.policy,
-                "admitted_count": summary.admitted_count,
-                "exploited": quantity_to_dict(summary.exploited),
-                "violation_count": summary.violation_count,
-                "violation_total_db": format_number(summary.violation_total_db),
-                "outcomes": _outcome_dicts(summary.outcomes),
-            }
-
         report = {
             "command": command,
             "margin_db": format_number(margin),
             "sensitivity_dbm": format_number(sensitivity),
             "scenario": scenario_to_dict(scenario),
-            "comparison": {"quantified": side(cmp.quantified), "osa": side(cmp.osa)},
+            "comparison": record_to_dict(
+                compare_policies(scenario, doc.requests, margin, sensitivity, protected)),
         }
         write_report(report, os.path.join(args.out, "compare-osa.json"))
         return 0

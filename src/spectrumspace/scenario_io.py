@@ -1,9 +1,11 @@
 """Scenario documents, raster exports, and report serialization.
 
-The scenario file is strict JSON: every field is checked, unknown keys are
-rejected with their path, and a document re-serialized from a parsed scenario
-round-trips to an identical object. Reports carry units on every quantity and
-fix numeric output at 12 significant digits.
+The scenario file is strict JSON: every field is checked, unknown and
+duplicate keys are rejected with their path, and a document re-serialized
+from a parsed scenario round-trips to an identical object. Each document
+object is one table of (key, model attribute, reader, writer) rows, which
+both parsing and dumping walk. Reports carry units on every quantity and fix
+numeric output at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .admission import AccessRequest
 from .model import (
-    OMNI,
     OMNI_KIND,
     SECTORED_KIND,
     AntennaPattern,
@@ -31,11 +33,13 @@ from .model import (
     Transmitter,
     validate_scenario,
 )
+from .policy import Grant
 from .propagation import FREE_SPACE, LOG_DISTANCE, PropagationConfig
 from .quantify import PowerField, SpectrumQuantity
 
 __all__ = [
     "PolicyParams",
+    "PriceRate",
     "ScenarioDocument",
     "ScenarioFormatError",
     "document_to_dict",
@@ -45,6 +49,7 @@ __all__ = [
     "load_scenario",
     "parse_document",
     "quantity_to_dict",
+    "record_to_dict",
     "scenario_to_dict",
     "write_report",
 ]
@@ -56,6 +61,14 @@ class ScenarioFormatError(ValueError):
     """Malformed or out-of-schema scenario document."""
 
 
+class PriceRate(NamedTuple):
+    """The price of one (band, quantum) slice."""
+
+    band: int
+    quantum: int
+    rate: float
+
+
 @dataclass(frozen=True)
 class PolicyParams:
     """Policy knobs a document may carry; flags override these at the CLI."""
@@ -64,7 +77,7 @@ class PolicyParams:
     sensitivity_dbm: float = -90.0
     tolerance_db: float = 0.5
     price_rate: float = 0.0
-    price_rates: tuple[tuple[int, int, float], ...] = ()
+    price_rates: tuple[PriceRate, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -74,21 +87,20 @@ class ScenarioDocument:
     policy: PolicyParams = PolicyParams()
 
 
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
+def _reject_unknown(obj: dict, allowed, path: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ScenarioFormatError(f"{path}: unknown field(s) {', '.join(repr(u) for u in unknown)}")
 
 
-def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
-    if key in obj:
-        return obj[key]
-    if required:
-        raise ScenarioFormatError(f"{path}: missing required field {key!r}")
-    return default
+def _missing(path: str, key: str) -> ScenarioFormatError:
+    return ScenarioFormatError(f"{path}: missing required field {key!r}")
 
 
-def _num(value, path: str) -> float:
+# Readers take a document value, its path and the attributes of the enclosing
+# record read so far; only list readers use the last.
+
+def _num(value, path: str, parent=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{path}: expected a number, got {value!r}")
     try:
@@ -99,25 +111,25 @@ def _num(value, path: str) -> float:
         raise ScenarioFormatError(f"{path}: number must be finite, got {value!r}")
     return number
 
-def _int(value, path: str) -> int:
+def _int(value, path: str, parent=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioFormatError(f"{path}: expected an integer, got {value!r}")
     return value
 
-def _str(value, path: str) -> str:
+def _str(value, path: str, parent=None) -> str:
     if not isinstance(value, str) or not value:
         raise ScenarioFormatError(f"{path}: expected a non-empty string, got {value!r}")
     return value
 
-def _position(value, path: str) -> tuple[float, float]:
+def _position(value, path: str, parent=None) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise ScenarioFormatError(f"{path}: expected [x, y], got {value!r}")
     return (_num(value[0], f"{path}[0]"), _num(value[1], f"{path}[1]"))
 
-def _int_list(value, path: str) -> list[int]:
+def _indices(value, path: str, parent=None) -> frozenset[int]:
     if not isinstance(value, list) or not value:
         raise ScenarioFormatError(f"{path}: expected a non-empty list of integers")
-    return [_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return frozenset(_int(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 def _dict(value, path: str) -> dict:
     if not isinstance(value, dict):
@@ -129,214 +141,238 @@ def _list(value, path: str) -> list:
         raise ScenarioFormatError(f"{path}: expected a list, got {type(value).__name__}")
     return value
 
-
-def _parse_pattern(obj, path: str) -> AntennaPattern:
-    if obj is None:
-        return OMNI
-    obj = _dict(obj, path)
-    kind = _str(_get(obj, "kind", path), f"{path}.kind")
-    if kind == OMNI_KIND:
-        _reject_unknown(obj, {"kind"}, path)
-        return OMNI
-    if kind != SECTORED_KIND:
-        raise ScenarioFormatError(f"{path}.kind: expected {OMNI_KIND!r} or {SECTORED_KIND!r}, got {kind!r}")
-    _reject_unknown(obj, {"kind", "boresight_deg", "beamwidth_deg", "main_gain_db", "back_gain_db"}, path)
-    return AntennaPattern(
-        kind=SECTORED_KIND,
-        boresight_deg=_num(_get(obj, "boresight_deg", path), f"{path}.boresight_deg"),
-        beamwidth_deg=_num(_get(obj, "beamwidth_deg", path), f"{path}.beamwidth_deg"),
-        main_gain_db=_num(_get(obj, "main_gain_db", path), f"{path}.main_gain_db"),
-        back_gain_db=_num(_get(obj, "back_gain_db", path), f"{path}.back_gain_db"),
-    )
+def _as_is(value):
+    return value
 
 
-def _parse_transmitter(obj, net_id: str, path: str) -> Transmitter:
-    obj = _dict(obj, path)
-    _reject_unknown(obj, {"id", "position", "tx_power_dbm", "band", "quanta", "pattern"}, path)
-    return Transmitter(
-        id=_str(_get(obj, "id", path), f"{path}.id"),
-        network_id=net_id,
-        position=_position(_get(obj, "position", path), f"{path}.position"),
-        tx_power_dbm=_num(_get(obj, "tx_power_dbm", path), f"{path}.tx_power_dbm"),
-        band=_int(_get(obj, "band", path), f"{path}.band"),
-        quanta=frozenset(_int_list(_get(obj, "quanta", path), f"{path}.quanta")),
-        pattern=_parse_pattern(obj.get("pattern"), f"{path}.pattern"),
-    )
+def _model_defaults(cls) -> dict:
+    """Each attribute's default in a dataclass or named tuple; MISSING where it has none."""
+    if is_dataclass(cls):
+        return {f.name: f.default for f in fields(cls)}
+    return {name: cls._field_defaults.get(name, MISSING) for name in cls._fields}
 
 
-def _parse_receiver(obj, net_id: str, path: str) -> Receiver:
-    obj = _dict(obj, path)
-    _reject_unknown(
-        obj,
-        {"id", "position", "band", "quanta", "beta_db", "noise_floor_dbm", "linked_tx", "pattern"},
-        path,
-    )
-    return Receiver(
-        id=_str(_get(obj, "id", path), f"{path}.id"),
-        network_id=net_id,
-        position=_position(_get(obj, "position", path), f"{path}.position"),
-        band=_int(_get(obj, "band", path), f"{path}.band"),
-        quanta=frozenset(_int_list(_get(obj, "quanta", path), f"{path}.quanta")),
-        beta_db=_num(_get(obj, "beta_db", path), f"{path}.beta_db"),
-        noise_floor_dbm=_num(_get(obj, "noise_floor_dbm", path), f"{path}.noise_floor_dbm"),
-        linked_tx_id=_str(_get(obj, "linked_tx", path), f"{path}.linked_tx"),
-        pattern=_parse_pattern(obj.get("pattern"), f"{path}.pattern"),
-    )
+class _Record:
+    """A model class as a document object, one (key, attribute, reader, writer) row per key.
+
+    A key is optional exactly when the model supplies its value: the class
+    gives the attribute a default, or the value is an object whose own keys
+    are all optional. ``all_required`` makes every key required instead. An
+    optional object may be null, which means absent. Rows are read in order,
+    so a document's first bad key in table order is the one reported.
+    """
+
+    def __init__(self, cls, rows, all_required=False):
+        self.cls, self.rows = cls, rows
+        self.keys = frozenset(key for key, _, _, _ in rows)
+        own = _model_defaults(cls)
+        if all_required:
+            own = dict.fromkeys(own, MISSING)
+        self.defaults = {}
+        for _, attr, read, _ in rows:
+            default = getattr(read, "empty", MISSING) if own[attr] is MISSING else own[attr]
+            if default is not MISSING:
+                self.defaults[attr] = default
+        self.nullable = frozenset(attr for _, attr, read, _ in rows
+                                  if attr in self.defaults and isinstance(read, (_Record, _Choice)))
+        # the object an absent key stands for, when the class defaults every attribute
+        self.empty = MISSING if MISSING in own.values() else cls()
+
+    def __call__(self, value, path: str, parent=None, **given):
+        obj = _dict(value, path)
+        _reject_unknown(obj, self.keys, path)
+        return self.build(obj, path, given)
+
+    def build(self, obj: dict, path: str, values: dict):
+        """The model object from ``obj``'s keys plus the attributes already in ``values``."""
+        for key, attr, read, _ in self.rows:
+            raw = obj.get(key, MISSING)
+            if raw is MISSING or (raw is None and attr in self.nullable):
+                if attr not in self.defaults:
+                    raise _missing(path, key)
+                values[attr] = self.defaults[attr]
+            else:
+                values[attr] = read(raw, f"{path}.{key}", values)
+        return self.cls(**values)
+
+    def write(self, record) -> dict:
+        return {key: write(getattr(record, attr)) for key, attr, _, write in self.rows}
 
 
-def _parse_propagation(obj, path: str) -> PropagationConfig:
-    if obj is None:
-        return PropagationConfig()
-    obj = _dict(obj, path)
-    model = _str(_get(obj, "model", path, required=False, default=LOG_DISTANCE), f"{path}.model")
-    if model not in (FREE_SPACE, LOG_DISTANCE):
-        raise ScenarioFormatError(f"{path}.model: expected {FREE_SPACE!r} or {LOG_DISTANCE!r}, got {model!r}")
-    allowed = {"model", "reference_distance_m", "reference_loss_db", "min_distance_clamp_m"}
-    if model == LOG_DISTANCE:
-        allowed.add("path_loss_exponent")
-    _reject_unknown(obj, allowed, path)
-    kwargs = dict(
-        model=model,
-        reference_distance_m=_num(_get(obj, "reference_distance_m", path, False, 1.0), f"{path}.reference_distance_m"),
-        reference_loss_db=_num(_get(obj, "reference_loss_db", path, False, 40.0), f"{path}.reference_loss_db"),
-        min_distance_clamp_m=_num(_get(obj, "min_distance_clamp_m", path, False, 1.0), f"{path}.min_distance_clamp_m"),
-    )
-    if model == LOG_DISTANCE:
-        kwargs["path_loss_exponent"] = _num(
-            _get(obj, "path_loss_exponent", path, False, 2.0), f"{path}.path_loss_exponent"
-        )
-    return PropagationConfig(**kwargs)
+class _Choice:
+    """An object whose first key picks the record that reads and writes it."""
+
+    def __init__(self, records: dict):
+        self.records = records
+        first = next(iter(records.values()))
+        self.key, self.attr, self.read_choice, _ = first.rows[0]
+        self.default = first.defaults.get(self.attr, MISSING)
+        self.empty = MISSING if self.default is MISSING else records[self.default].empty
+        self.expected = " or ".join(map(repr, records))
+
+    def __call__(self, value, path: str, parent=None):
+        obj = _dict(value, path)
+        if self.key in obj:
+            choice = self.read_choice(obj[self.key], f"{path}.{self.key}")
+        elif self.default is not MISSING:
+            choice = self.default
+        else:
+            raise _missing(path, self.key)
+        record = self.records.get(choice)
+        if record is None:
+            raise ScenarioFormatError(f"{path}.{self.key}: expected {self.expected}, got {choice!r}")
+        return record(obj, path)
+
+    def write(self, value) -> dict:
+        return self.records[getattr(value, self.attr)].write(value)
 
 
-def _parse_request(obj, path: str) -> AccessRequest:
-    obj = _dict(obj, path)
-    _reject_unknown(
-        obj,
-        {"id", "position", "desired_dbm", "min_useful_dbm", "required_bands",
-         "acceptable_bands", "quanta", "priority"},
-        path,
-    )
-    return AccessRequest(
-        request_id=_str(_get(obj, "id", path), f"{path}.id"),
-        position=_position(_get(obj, "position", path), f"{path}.position"),
-        desired_dbm=_num(_get(obj, "desired_dbm", path), f"{path}.desired_dbm"),
-        min_useful_dbm=_num(_get(obj, "min_useful_dbm", path), f"{path}.min_useful_dbm"),
-        required_bands=_int(_get(obj, "required_bands", path), f"{path}.required_bands"),
-        acceptable_bands=frozenset(_int_list(_get(obj, "acceptable_bands", path), f"{path}.acceptable_bands")),
-        quanta=frozenset(_int_list(_get(obj, "quanta", path), f"{path}.quanta")),
-        priority=_int(_get(obj, "priority", path, False, 0), f"{path}.priority"),
-    )
+def _each(record: _Record, **inherit):
+    """Reader and writer of a list of ``record`` objects.
+
+    ``inherit`` maps an attribute of each item to the enclosing record's
+    attribute it takes its value from.
+    """
+    def read(value, path: str, parent) -> tuple:
+        given = {attr: parent[outer] for attr, outer in inherit.items()}
+        return tuple(record(item, f"{path}[{i}]", **given) for i, item in enumerate(_list(value, path)))
+
+    def write(items) -> list:
+        return [record.write(item) for item in items]
+
+    return read, write
 
 
-def _parse_policy(obj, path: str) -> PolicyParams:
-    if obj is None:
-        return PolicyParams()
-    obj = _dict(obj, path)
-    _reject_unknown(
-        obj, {"margin_db", "sensitivity_dbm", "tolerance_db", "price_rate", "price_rates"}, path
-    )
-    rates: list[tuple[int, int, float]] = []
-    for i, entry in enumerate(_list(obj.get("price_rates", []), f"{path}.price_rates")):
-        entry_path = f"{path}.price_rates[{i}]"
-        entry = _dict(entry, entry_path)
-        _reject_unknown(entry, {"band", "quantum", "rate"}, entry_path)
-        rates.append((
-            _int(_get(entry, "band", entry_path), f"{entry_path}.band"),
-            _int(_get(entry, "quantum", entry_path), f"{entry_path}.quantum"),
-            _num(_get(entry, "rate", entry_path), f"{entry_path}.rate"),
-        ))
-    defaults = PolicyParams()
-    return PolicyParams(
-        margin_db=_num(_get(obj, "margin_db", path, False, defaults.margin_db), f"{path}.margin_db"),
-        sensitivity_dbm=_num(_get(obj, "sensitivity_dbm", path, False, defaults.sensitivity_dbm), f"{path}.sensitivity_dbm"),
-        tolerance_db=_num(_get(obj, "tolerance_db", path, False, defaults.tolerance_db), f"{path}.tolerance_db"),
-        price_rate=_num(_get(obj, "price_rate", path, False, defaults.price_rate), f"{path}.price_rate"),
-        price_rates=tuple(rates),
-    )
+def _object(record):
+    return record, record.write
+
+
+_KIND = ("kind", "kind", _str, _as_is)
+_PATTERN = _Choice({
+    OMNI_KIND: _Record(AntennaPattern, (_KIND,), all_required=True),
+    SECTORED_KIND: _Record(AntennaPattern, (
+        _KIND,
+        ("boresight_deg", "boresight_deg", _num, _as_is),
+        ("beamwidth_deg", "beamwidth_deg", _num, _as_is),
+        ("main_gain_db", "main_gain_db", _num, _as_is),
+        ("back_gain_db", "back_gain_db", _num, _as_is),
+    ), all_required=True),
+})
+
+_TRANSMITTER = _Record(Transmitter, (
+    ("id", "id", _str, _as_is),
+    ("position", "position", _position, list),
+    ("tx_power_dbm", "tx_power_dbm", _num, _as_is),
+    ("band", "band", _int, _as_is),
+    ("quanta", "quanta", _indices, sorted),
+    ("pattern", "pattern", *_object(_PATTERN)),
+))
+
+_RECEIVER = _Record(Receiver, (
+    ("id", "id", _str, _as_is),
+    ("position", "position", _position, list),
+    ("band", "band", _int, _as_is),
+    ("quanta", "quanta", _indices, sorted),
+    ("beta_db", "beta_db", _num, _as_is),
+    ("noise_floor_dbm", "noise_floor_dbm", _num, _as_is),
+    ("linked_tx", "linked_tx_id", _str, _as_is),
+    ("pattern", "pattern", *_object(_PATTERN)),
+))
+
+_NETWORK = _Record(RFNetwork, (
+    ("id", "id", _str, _as_is),
+    ("transmitters", "transmitters", *_each(_TRANSMITTER, network_id="id")),
+    ("receivers", "receivers", *_each(_RECEIVER, network_id="id")),
+))
+
+_CURVE = (
+    ("model", "model", _str, _as_is),
+    ("reference_distance_m", "reference_distance_m", _num, _as_is),
+    ("reference_loss_db", "reference_loss_db", _num, _as_is),
+    ("min_distance_clamp_m", "min_distance_clamp_m", _num, _as_is),
+)
+_PROPAGATION = _Choice({
+    FREE_SPACE: _Record(PropagationConfig, _CURVE),
+    LOG_DISTANCE: _Record(PropagationConfig,
+                          _CURVE + (("path_loss_exponent", "path_loss_exponent", _num, _as_is),)),
+})
+
+_SCENARIO = _Record(Scenario, (
+    ("grid", "grid", *_object(_Record(Grid, (
+        ("origin", "origin", _position, list),
+        ("cell_size", "cell_size", _num, _as_is),
+        ("n_x", "n_x", _int, _as_is),
+        ("n_y", "n_y", _int, _as_is),
+    )))),
+    ("bounds", "bounds", *_object(_Record(PowerBounds, (
+        ("p_max_dbm", "p_max_dbm", _num, _as_is),
+        ("p_min_dbm", "p_min_dbm", _num, _as_is),
+    )))),
+    ("dims", "dims", *_object(_Record(SpectrumSpaceDims, (
+        ("bands", "b_hat", _int, _as_is),
+        ("quanta", "t_hat", _int, _as_is),
+        ("band_width_hz", "band_width_hz", _num, _as_is),
+        ("quantum_duration_s", "quantum_duration_s", _num, _as_is),
+    )))),
+    ("networks", "networks", *_each(_NETWORK)),
+    ("propagation", "propagation", *_object(_PROPAGATION)),
+))
+
+_DOCUMENT = _Record(ScenarioDocument, (
+    ("requests", "requests", *_each(_Record(AccessRequest, (
+        ("id", "request_id", _str, _as_is),
+        ("position", "position", _position, list),
+        ("desired_dbm", "desired_dbm", _num, _as_is),
+        ("min_useful_dbm", "min_useful_dbm", _num, _as_is),
+        ("required_bands", "required_bands", _int, _as_is),
+        ("acceptable_bands", "acceptable_bands", _indices, sorted),
+        ("quanta", "quanta", _indices, sorted),
+        ("priority", "priority", _int, _as_is),
+    )))),
+    ("policy", "policy", *_object(_Record(PolicyParams, (
+        ("price_rates", "price_rates", *_each(_Record(PriceRate, (
+            ("band", "band", _int, _as_is),
+            ("quantum", "quantum", _int, _as_is),
+            ("rate", "rate", _num, _as_is),
+        )))),
+        ("margin_db", "margin_db", _num, _as_is),
+        ("sensitivity_dbm", "sensitivity_dbm", _num, _as_is),
+        ("tolerance_db", "tolerance_db", _num, _as_is),
+        ("price_rate", "price_rate", _num, _as_is),
+    )))),
+))
 
 
 def parse_document(data, source: str = "document") -> ScenarioDocument:
     """Build a validated ScenarioDocument from parsed JSON data.
 
     Raises ScenarioFormatError with a field path on schema problems, and
-    ScenarioValidationError listing every model violation afterwards.
+    ScenarioValidationError listing every model violation afterwards; the
+    scenario is validated before the requests and policy are read.
     """
     data = _dict(data, source)
-    _reject_unknown(
-        data, {"grid", "bounds", "dims", "propagation", "networks", "requests", "policy"}, source
-    )
-
-    grid_obj = _dict(_get(data, "grid", source), f"{source}.grid")
-    _reject_unknown(grid_obj, {"origin", "cell_size", "n_x", "n_y"}, f"{source}.grid")
-    grid = Grid(
-        origin=_position(_get(grid_obj, "origin", f"{source}.grid"), f"{source}.grid.origin"),
-        cell_size=_num(_get(grid_obj, "cell_size", f"{source}.grid"), f"{source}.grid.cell_size"),
-        n_x=_int(_get(grid_obj, "n_x", f"{source}.grid"), f"{source}.grid.n_x"),
-        n_y=_int(_get(grid_obj, "n_y", f"{source}.grid"), f"{source}.grid.n_y"),
-    )
-
-    bounds_obj = _dict(_get(data, "bounds", source), f"{source}.bounds")
-    _reject_unknown(bounds_obj, {"p_max_dbm", "p_min_dbm"}, f"{source}.bounds")
-    bounds = PowerBounds(
-        p_max_dbm=_num(_get(bounds_obj, "p_max_dbm", f"{source}.bounds"), f"{source}.bounds.p_max_dbm"),
-        p_min_dbm=_num(_get(bounds_obj, "p_min_dbm", f"{source}.bounds"), f"{source}.bounds.p_min_dbm"),
-    )
-
-    dims_obj = data.get("dims")
-    if dims_obj is None:
-        dims = SpectrumSpaceDims()
-    else:
-        dims_obj = _dict(dims_obj, f"{source}.dims")
-        _reject_unknown(dims_obj, {"bands", "quanta", "band_width_hz", "quantum_duration_s"}, f"{source}.dims")
-        dims = SpectrumSpaceDims(
-            b_hat=_int(_get(dims_obj, "bands", f"{source}.dims", False, 1), f"{source}.dims.bands"),
-            t_hat=_int(_get(dims_obj, "quanta", f"{source}.dims", False, 1), f"{source}.dims.quanta"),
-            band_width_hz=_num(_get(dims_obj, "band_width_hz", f"{source}.dims", False, 1.0), f"{source}.dims.band_width_hz"),
-            quantum_duration_s=_num(_get(dims_obj, "quantum_duration_s", f"{source}.dims", False, 1.0), f"{source}.dims.quantum_duration_s"),
-        )
-
-    networks = []
-    for i, net_obj in enumerate(_list(data.get("networks", []), f"{source}.networks")):
-        net_path = f"{source}.networks[{i}]"
-        net_obj = _dict(net_obj, net_path)
-        _reject_unknown(net_obj, {"id", "transmitters", "receivers"}, net_path)
-        net_id = _str(_get(net_obj, "id", net_path), f"{net_path}.id")
-        networks.append(RFNetwork(
-            id=net_id,
-            transmitters=tuple(
-                _parse_transmitter(t, net_id, f"{net_path}.transmitters[{j}]")
-                for j, t in enumerate(_list(net_obj.get("transmitters", []), f"{net_path}.transmitters"))
-            ),
-            receivers=tuple(
-                _parse_receiver(r, net_id, f"{net_path}.receivers[{j}]")
-                for j, r in enumerate(_list(net_obj.get("receivers", []), f"{net_path}.receivers"))
-            ),
-        ))
-
-    scenario = validate_scenario(Scenario(
-        grid=grid,
-        dims=dims,
-        bounds=bounds,
-        propagation=_parse_propagation(data.get("propagation"), f"{source}.propagation"),
-        networks=tuple(networks),
-    ))
-    requests = tuple(
-        _parse_request(r, f"{source}.requests[{i}]")
-        for i, r in enumerate(_list(data.get("requests", []), f"{source}.requests"))
-    )
-    return ScenarioDocument(
-        scenario=scenario,
-        requests=requests,
-        policy=_parse_policy(data.get("policy"), f"{source}.policy"),
-    )
+    _reject_unknown(data, _SCENARIO.keys | _DOCUMENT.keys, source)
+    scenario = validate_scenario(_SCENARIO.build(data, source, {}))
+    return _DOCUMENT.build(data, source, {"scenario": scenario})
 
 
 def load_document(path) -> ScenarioDocument:
     """Parse and validate a scenario file. I/O errors propagate as OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise ScenarioFormatError(f"{path}: duplicate key {key!r}")
+        return obj
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
+    except ScenarioFormatError:
+        raise
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # the interpreter's limit on integer digits
@@ -348,105 +384,13 @@ def load_scenario(path) -> Scenario:
     return load_document(path).scenario
 
 
-def _pattern_to_dict(pattern: AntennaPattern) -> dict:
-    if pattern.kind == OMNI_KIND:
-        return {"kind": OMNI_KIND}
-    return {
-        "kind": pattern.kind,
-        "boresight_deg": pattern.boresight_deg,
-        "beamwidth_deg": pattern.beamwidth_deg,
-        "main_gain_db": pattern.main_gain_db,
-        "back_gain_db": pattern.back_gain_db,
-    }
-
-
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical document form of a scenario; parses back to an equal object."""
-    prop = scenario.propagation
-    prop_dict = {
-        "model": prop.model,
-        "reference_distance_m": prop.reference_distance_m,
-        "reference_loss_db": prop.reference_loss_db,
-        "min_distance_clamp_m": prop.min_distance_clamp_m,
-    }
-    if prop.model == LOG_DISTANCE:
-        prop_dict["path_loss_exponent"] = prop.path_loss_exponent
-    return {
-        "grid": {
-            "origin": list(scenario.grid.origin),
-            "cell_size": scenario.grid.cell_size,
-            "n_x": scenario.grid.n_x,
-            "n_y": scenario.grid.n_y,
-        },
-        "bounds": {
-            "p_max_dbm": scenario.bounds.p_max_dbm,
-            "p_min_dbm": scenario.bounds.p_min_dbm,
-        },
-        "dims": {
-            "bands": scenario.dims.b_hat,
-            "quanta": scenario.dims.t_hat,
-            "band_width_hz": scenario.dims.band_width_hz,
-            "quantum_duration_s": scenario.dims.quantum_duration_s,
-        },
-        "propagation": prop_dict,
-        "networks": [
-            {
-                "id": net.id,
-                "transmitters": [
-                    {
-                        "id": tx.id,
-                        "position": list(tx.position),
-                        "tx_power_dbm": tx.tx_power_dbm,
-                        "band": tx.band,
-                        "quanta": sorted(tx.quanta),
-                        "pattern": _pattern_to_dict(tx.pattern),
-                    }
-                    for tx in net.transmitters
-                ],
-                "receivers": [
-                    {
-                        "id": rx.id,
-                        "position": list(rx.position),
-                        "band": rx.band,
-                        "quanta": sorted(rx.quanta),
-                        "beta_db": rx.beta_db,
-                        "noise_floor_dbm": rx.noise_floor_dbm,
-                        "linked_tx": rx.linked_tx_id,
-                        "pattern": _pattern_to_dict(rx.pattern),
-                    }
-                    for rx in net.receivers
-                ],
-            }
-            for net in scenario.networks
-        ],
-    }
+    return _SCENARIO.write(scenario)
 
 
 def document_to_dict(doc: ScenarioDocument) -> dict:
-    data = scenario_to_dict(doc.scenario)
-    data["requests"] = [
-        {
-            "id": req.request_id,
-            "position": list(req.position),
-            "desired_dbm": req.desired_dbm,
-            "min_useful_dbm": req.min_useful_dbm,
-            "required_bands": req.required_bands,
-            "acceptable_bands": sorted(req.acceptable_bands),
-            "quanta": sorted(req.quanta),
-            "priority": req.priority,
-        }
-        for req in doc.requests
-    ]
-    data["policy"] = {
-        "margin_db": doc.policy.margin_db,
-        "sensitivity_dbm": doc.policy.sensitivity_dbm,
-        "tolerance_db": doc.policy.tolerance_db,
-        "price_rate": doc.policy.price_rate,
-        "price_rates": [
-            {"band": b, "quantum": q, "rate": r} for b, q, r in doc.policy.price_rates
-        ],
-    }
-    return data
+    return {**_SCENARIO.write(doc.scenario), **_DOCUMENT.write(doc)}
 
 
 def export_field(field: PowerField, path) -> None:
@@ -478,6 +422,39 @@ def quantity_to_dict(quantity: SpectrumQuantity) -> dict:
             for (b, q), v in sorted(quantity.breakdown.items())
         ]
     return out
+
+
+def record_to_dict(record) -> dict:
+    """A result record as its fields by name, for a report.
+
+    Floats are fixed at 12 significant digits; tuples, lists, dicts and
+    nested records are written item by item; ints, bools, strings and None
+    are kept. A SpectrumQuantity is written by ``quantity_to_dict``, and a
+    Grant's caps as one {band, quantum, cell, cap_dbm} entry per cell under
+    ``caps``.
+    """
+    if isinstance(record, SpectrumQuantity):
+        return quantity_to_dict(record)
+    out = {name: getattr(record, name) for name in record.__dataclass_fields__}
+    if isinstance(record, Grant):
+        out["caps"] = [
+            {"band": b, "quantum": q, "cell": cell, "cap_dbm": cap}
+            for (b, q), cells in sorted(out.pop("caps_dbm").items())
+            for cell, cap in sorted(cells.items())
+        ]
+    return {name: _report_value(value) for name, value in out.items()}
+
+
+def _report_value(value):
+    if isinstance(value, float):
+        return format_number(value)
+    if isinstance(value, (tuple, list)):
+        return [_report_value(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _report_value(item) for key, item in value.items()}
+    if hasattr(value, "__dataclass_fields__"):
+        return record_to_dict(value)
+    return value
 
 
 def write_report(report: dict, path) -> None:

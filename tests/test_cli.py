@@ -121,6 +121,22 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
         assert "set_int_max_str_digits" not in result.stderr
 
+    def test_duplicate_key_is_usage(self, tmp_path):
+        # json.loads alone keeps the last value, and 29 dBm passes validation
+        scn = tmp_path / "duplicated.json"
+        scn.write_text(CAMPUS.read_text().replace(
+            '"tx_power_dbm": 24.0,', '"tx_power_dbm": 24.0, "tx_power_dbm": 29.0,', 1))
+        result = subprocess.run(
+            [sys.executable, "-m", "spectrumspace", "quantify",
+             "--scenario", str(scn), "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert "error:" in result.stderr
+        assert "duplicated.json" in result.stderr
+        assert "'tx_power_dbm'" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "quantify.json").exists()
+
     def test_module_entry_point(self, tmp_path):
         scn = write(tmp_path, BASE)
         result = subprocess.run(

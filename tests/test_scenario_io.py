@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from functools import reduce
 from operator import getitem, mul
 
@@ -7,13 +8,21 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from spectrumspace import (
+    FREE_SPACE,
     AccessRequest,
+    Grant,
+    PolicySummary,
     PowerField,
+    PropagationConfig,
+    Refusal,
+    RequestOutcome,
     ScenarioValidationError,
     SpectrumQuantity,
+    Violation,
 )
 from spectrumspace.scenario_io import (
     PolicyParams,
+    PriceRate,
     ScenarioDocument,
     ScenarioFormatError,
     document_to_dict,
@@ -23,11 +32,12 @@ from spectrumspace.scenario_io import (
     load_scenario,
     parse_document,
     quantity_to_dict,
+    record_to_dict,
     scenario_to_dict,
     write_report,
 )
 
-from helpers import BOUNDS, o_field_csv
+from helpers import BOUNDS, o_field_csv, random_requests, random_scenario, sectored_scenario
 
 MINIMAL = {
     "grid": {"origin": [0.0, 0.0], "cell_size": 100.0, "n_x": 12, "n_y": 1},
@@ -224,7 +234,123 @@ class TestParseDocument:
             doc = parse_document(data)
         except (ScenarioFormatError, ScenarioValidationError):
             return
-        assert isinstance(doc, ScenarioDocument)
+        assert parse_document(json.loads(json.dumps(document_to_dict(doc)))) == doc
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("world", [random_scenario, sectored_scenario],
+                             ids=lambda world: world.__name__)
+    def test_generated_documents_round_trip_through_json(self, world, seed):
+        scenario = world(seed)
+        propagation = (PropagationConfig(model=FREE_SPACE, reference_loss_db=30.0) if seed % 2
+                       else PropagationConfig(path_loss_exponent=2.7, min_distance_clamp_m=2.0))
+        scenario = replace(scenario, propagation=propagation)
+        dims = scenario.dims
+        rates = tuple(PriceRate(b, q, 0.25 + b + q / 3.0)
+                      for b in range(dims.b_hat) for q in range(dims.t_hat))
+        doc = ScenarioDocument(
+            scenario=scenario,
+            requests=tuple(random_requests(seed, scenario)),
+            policy=PolicyParams(margin_db=1.5, price_rate=0.5, price_rates=rates),
+        )
+        assert parse_document(json.loads(json.dumps(document_to_dict(doc)))) == doc
+
+    def test_null_objects_are_absent_and_null_lists_are_errors(self):
+        def with_null(path):
+            data = json.loads(json.dumps(FULL))
+            reduce(getitem, path[:-1], data)[path[-1]] = None
+            return data
+
+        def without(path):
+            data = json.loads(json.dumps(FULL))
+            del reduce(getitem, path[:-1], data)[path[-1]]
+            return data
+
+        for path in [("propagation",), ("policy",), ("networks", 0, "transmitters", 0, "pattern")]:
+            assert parse_document(with_null(path)) == parse_document(without(path))
+        with pytest.raises(ScenarioValidationError) as absent:
+            parse_document(without(("dims",)))
+        with pytest.raises(ScenarioValidationError) as null:
+            parse_document(with_null(("dims",)))
+        assert str(null.value) == str(absent.value)
+        for path in [("networks",), ("requests",), ("networks", 0, "transmitters"),
+                     ("networks", 0, "receivers"), ("policy", "price_rates")]:
+            with pytest.raises(ScenarioFormatError, match="expected a list, got NoneType"):
+                parse_document(with_null(path))
+        with pytest.raises(ScenarioFormatError, match=r"grid: expected an object, got NoneType"):
+            parse_document(with_null(("grid",)))
+
+
+def _dotted(path) -> str:
+    return ".".join(map(str, path))
+
+
+def _error_path(path) -> str:
+    """The field path a parse error names for a key path into a document."""
+    return "document" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
+# Every key of FULL that a document may leave out, with the value its absence
+# stands for. Each of the other 42 keys is required.
+OPTIONAL = {
+    "dims": {"bands": 1, "quanta": 1, "band_width_hz": 1.0, "quantum_duration_s": 1.0},
+    "dims.bands": 1,
+    "dims.quanta": 1,
+    "dims.band_width_hz": 1.0,
+    "dims.quantum_duration_s": 1.0,
+    "propagation": {"model": "log-distance", "path_loss_exponent": 2.0,
+                    "reference_distance_m": 1.0, "reference_loss_db": 40.0,
+                    "min_distance_clamp_m": 1.0},
+    "propagation.model": "log-distance",
+    "propagation.path_loss_exponent": 2.0,
+    "propagation.reference_distance_m": 1.0,
+    "propagation.reference_loss_db": 40.0,
+    "propagation.min_distance_clamp_m": 1.0,
+    "networks": [],
+    "networks.0.transmitters": [],
+    "networks.0.transmitters.0.pattern": {"kind": "omni"},
+    "networks.0.receivers": [],
+    "networks.1.transmitters": [],
+    "requests": [],
+    "requests.0.priority": 0,
+    "policy": {"margin_db": 0.0, "sensitivity_dbm": -90.0, "tolerance_db": 0.5,
+               "price_rate": 0.0, "price_rates": []},
+    "policy.margin_db": 0.0,
+    "policy.sensitivity_dbm": -90.0,
+    "policy.tolerance_db": 0.5,
+    "policy.price_rate": 0.0,
+    "policy.price_rates": [],
+}
+KEYS = [path for path in _paths(FULL) if path and isinstance(path[-1], str)]
+
+
+class TestRequiredness:
+    def test_every_key_of_full_is_classified(self):
+        assert set(OPTIONAL) <= {_dotted(path) for path in KEYS}
+        assert (len(KEYS) - len(OPTIONAL), len(OPTIONAL)) == (42, 24)
+
+    @pytest.mark.parametrize("path", [p for p in KEYS if _dotted(p) not in OPTIONAL], ids=_dotted)
+    def test_a_required_key_cannot_be_left_out(self, path):
+        data = json.loads(json.dumps(FULL))
+        del reduce(getitem, path[:-1], data)[path[-1]]
+        with pytest.raises(ScenarioFormatError) as err:
+            parse_document(data)
+        assert str(err.value) == f"{_error_path(path[:-1])}: missing required field {path[-1]!r}"
+
+    @pytest.mark.parametrize("path", [p for p in KEYS if _dotted(p) in OPTIONAL], ids=_dotted)
+    def test_an_optional_key_stands_for_its_default(self, path):
+        absent = json.loads(json.dumps(FULL))
+        del reduce(getitem, path[:-1], absent)[path[-1]]
+        explicit = json.loads(json.dumps(FULL))
+        reduce(getitem, path[:-1], explicit)[path[-1]] = OPTIONAL[_dotted(path)]
+        try:
+            expected = parse_document(explicit)
+        except ScenarioValidationError as err:
+            # the default itself breaks the scenario, as one band does for FULL
+            with pytest.raises(ScenarioValidationError) as absent_err:
+                parse_document(absent)
+            assert str(absent_err.value) == str(err)
+        else:
+            assert parse_document(absent) == expected
 
 
 class TestLoadDocument:
@@ -242,6 +368,20 @@ class TestLoadDocument:
         path = tmp_path / "broken.json"
         path.write_text('{"grid": }')
         with pytest.raises(ScenarioFormatError, match="line 1 column 10"):
+            load_document(path)
+
+    def test_duplicate_keys_are_rejected_with_file_and_key(self, tmp_path):
+        # a second bounds block would otherwise replace the first one unseen
+        path = tmp_path / "twice.json"
+        text = json.dumps(MINIMAL)
+        path.write_text(text[:-1] + ', "bounds": {"p_max_dbm": -200.0, "p_min_dbm": 0.0}}')
+        with pytest.raises(ScenarioFormatError, match=r"twice\.json: duplicate key 'bounds'"):
+            load_document(path)
+        data = json.loads(json.dumps(FULL))
+        data["requests"][0]["priority"] = "DUPLICATE"
+        path.write_text(json.dumps(data).replace('"priority": "DUPLICATE"',
+                                                 '"priority": 1, "priority": 2'))
+        with pytest.raises(ScenarioFormatError, match=r"twice\.json: duplicate key 'priority'"):
             load_document(path)
 
 
@@ -365,3 +505,76 @@ class TestReportHelpers:
     def test_scenario_to_dict_parses_back(self):
         scn = parse_document(FULL).scenario
         assert parse_document(scenario_to_dict(scn)).scenario == scn
+
+
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+REFUSAL = Refusal(tx_id="e", band=1, reason="no room")
+REFUSAL_DICT = {"tx_id": "e", "band": 1, "reason": "no room", "limiting_rx_id": None,
+                "guarded_opportunity_dbm": None}
+GRANT = Grant(grant_id="grant:e:b1", grantee_tx_id="e",
+              caps_dbm={(1, 1): {(3, 2): np.float64(2.0 / 3.0)}, (1, 0): {(3, 2): 2.0 / 3.0}},
+              margin_db=1.0 / 3.0, issued_at=4)
+GRANT_DICT = {
+    "grant_id": "grant:e:b1", "grantee_tx_id": "e", "margin_db": 0.333333333333, "issued_at": 4,
+    "caps": [{"band": 1, "quantum": 0, "cell": [3, 2], "cap_dbm": 0.666666666667},
+             {"band": 1, "quantum": 1, "cell": [3, 2], "cap_dbm": 0.666666666667}],
+}
+OUTCOME = RequestOutcome(request_id="r", admitted=True, bands=(1, 0), powers_dbm=(2.0 / 3.0, -5.0),
+                         grants=(GRANT,), refusals=(REFUSAL,))
+OUTCOME_DICT = {"request_id": "r", "admitted": True, "bands": [1, 0],
+                "powers_dbm": [0.666666666667, -5.0], "grants": [GRANT_DICT],
+                "refusals": [REFUSAL_DICT]}
+
+
+class TestRecordToDict:
+    """Report records against the literal dicts of the report builders it replaced.
+
+    The JSON texts are compared, so 4 and 4.0, or true and 1, differ.
+    """
+
+    def test_refusal_without_a_limiting_receiver(self):
+        assert _json(record_to_dict(REFUSAL)) == _json(REFUSAL_DICT)
+
+    def test_refusal_with_a_limiting_receiver(self):
+        refusal = replace(REFUSAL, limiting_rx_id="rx", guarded_opportunity_dbm=-1.0 / 3.0)
+        assert _json(record_to_dict(refusal)) == _json(
+            {**REFUSAL_DICT, "limiting_rx_id": "rx", "guarded_opportunity_dbm": -0.333333333333})
+
+    def test_violation_outside_the_grid(self):
+        violation = Violation(grant_id=None, tx_id="x", cell=None, band=0, quantum=1,
+                              granted_dbm=-125.0, observed_dbm=1.0 / 3.0,
+                              excess_db=125.0 + 1.0 / 3.0)
+        assert _json(record_to_dict(violation)) == _json({
+            "grant_id": None, "tx_id": "x", "cell": None, "band": 0, "quantum": 1,
+            "granted_dbm": -125.0, "observed_dbm": 0.333333333333, "excess_db": 125.333333333})
+
+    def test_two_quantum_grant(self):
+        assert _json(record_to_dict(GRANT)) == _json(GRANT_DICT)
+
+    def test_outcome_with_grants_and_refusals(self):
+        assert _json(record_to_dict(OUTCOME)) == _json(OUTCOME_DICT)
+
+    def test_policy_summary(self):
+        summary = PolicySummary(policy="osa", admitted_count=1,
+                                exploited=SpectrumQuantity(1.0 / 3.0, {(0, 0): 1.0 / 3.0}),
+                                violation_count=2, violation_total_db=7.0 / 3.0,
+                                outcomes=(OUTCOME,))
+        assert _json(record_to_dict(summary)) == _json({
+            "policy": "osa", "admitted_count": 1,
+            "exploited": {"unit": "W*m^2", "value": 0.333333333333,
+                          "breakdown": [{"band": 0, "quantum": 0, "value": 0.333333333333}]},
+            "violation_count": 2, "violation_total_db": 2.33333333333,
+            "outcomes": [OUTCOME_DICT]})
+
+    def test_flags_counts_and_indices_stay_unformatted(self):
+        out = record_to_dict(OUTCOME)
+        assert out["admitted"] is True
+        assert [type(b) for b in out["bands"]] == [int, int]
+        grant = out["grants"][0]
+        assert type(grant["issued_at"]) is int
+        assert [type(v) for cap in grant["caps"] for v in (cap["band"], cap["quantum"], *cap["cell"])] \
+            == [int] * 8
+        assert type(grant["caps"][1]["cap_dbm"]) is float

@@ -4,6 +4,8 @@
   Every other module reads gains through propagation's field and point
   helpers, so a scalar twin of a vectorized routine cannot come back unseen.
 - No module imports another module's private (underscore) name.
+- Only ``scenario_io`` imports ``json``: documents and reports are read and
+  written there, so no other module builds or dumps JSON by hand.
 """
 
 import ast
@@ -59,3 +61,23 @@ def test_gain_db_is_called_only_in_propagation(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_name_is_imported_across_modules(path):
     assert _private_imports(path) == []
+
+
+def _json_imports(path: Path) -> list[int]:
+    """Lines that import the json module or anything from it."""
+    lines = []
+    for node in _nodes(path):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scenario_io_serializes():
+    assert _json_imports(PACKAGE / "scenario_io.py")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scenario_io.py"], ids=lambda p: p.name)
+def test_only_scenario_io_imports_json(path):
+    assert _json_imports(path) == []
