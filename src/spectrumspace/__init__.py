@@ -70,6 +70,7 @@ from .quantify import (
     opportunity_at_cell,
     opportunity_map,
     quantify,
+    receiver_accounting,
     receiver_margin_linear,
     rx_consumption,
     sinr_db,

@@ -18,7 +18,7 @@ from .quantify import (
     occupancy_map,
     opportunity_map,
     quantify,
-    rx_consumption,
+    receiver_accounting,
     total_spectrum,
     tx_consumption,
 )
@@ -116,18 +116,17 @@ def _slices(scenario: Scenario, band, quantum):
     return [(b, q) for b in bands for q in quanta]
 
 
-def _consumed_sections(scenario: Scenario, sheet: PriceSheet | None):
+def _consumed_sections(scenario: Scenario, sheet: PriceSheet | None, rx_charges: dict):
+    """Each transmitter's quantified tx_consumption and the receivers' precomputed charges."""
     consumed: dict = {"transmitters": {}, "receivers": {}}
     prices: dict = {"transmitters": {}, "receivers": {}}
-    for kind, entities, consumption in (
-        ("transmitters", scenario.transmitters(), tx_consumption),
-        ("receivers", scenario.receivers(), rx_consumption),
-    ):
-        for entity in entities:
-            q = quantify(consumption(entity, scenario), scenario.grid, scenario.dims)
-            consumed[kind][entity.id] = quantity_to_dict(q)
+    tx_charges = ((tx.id, quantify(tx_consumption(tx, scenario), scenario.grid, scenario.dims))
+                  for tx in scenario.transmitters())
+    for kind, charges in (("transmitters", tx_charges), ("receivers", rx_charges.items())):
+        for entity_id, q in charges:
+            consumed[kind][entity_id] = quantity_to_dict(q)
             if sheet is not None:
-                prices[kind][entity.id] = format_number(price(q, sheet))
+                prices[kind][entity_id] = format_number(price(q, sheet))
     return consumed, (prices if sheet is not None else None)
 
 
@@ -161,16 +160,21 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
     protected = _protected_ids(scenario, args.protect)
 
     if command in ("quantify", "report"):
+        # report charges every receiver from the walk that gives available spectrum
+        if command == "report":
+            available, rx_charges = receiver_accounting(scenario, protected)
+        else:
+            available = available_spectrum(scenario, protected)
         report = {
             "command": command,
             "scenario": scenario_to_dict(scenario),
             "total_spectrum": quantity_to_dict(
                 total_spectrum(scenario.grid, scenario.dims, scenario.bounds)
             ),
-            "available_spectrum": quantity_to_dict(available_spectrum(scenario, protected)),
+            "available_spectrum": quantity_to_dict(available),
         }
         if command == "report":
-            report["consumed"], prices = _consumed_sections(scenario, _price_sheet(doc))
+            report["consumed"], prices = _consumed_sections(scenario, _price_sheet(doc), rx_charges)
             if prices is not None:
                 report["prices"] = prices
         write_report(report, os.path.join(args.out, f"{command}.json"))

@@ -30,6 +30,7 @@ __all__ = [
     "SpectrumSpaceDims",
     "Transmitter",
     "db_to_linear",
+    "db_to_linear_in_place",
     "linear_to_db",
     "resolve",
     "validate_scenario",
@@ -38,8 +39,21 @@ __all__ = [
 
 
 def db_to_linear(db):
-    """10^(db/10): dBm to milliwatts, or a dB figure to a linear ratio."""
+    """10^(db/10): dBm to milliwatts, or a dB figure to a linear ratio.
+
+    A scalar goes through Python's float ``**``, which numpy's ``**`` may
+    miss by an ulp; an array comes back as a new float array, by
+    db_to_linear_in_place on a copy.
+    """
+    if isinstance(db, np.ndarray) and db.ndim:
+        return db_to_linear_in_place(np.array(db, dtype=float))
     return 10.0 ** (db / 10.0)
+
+
+def db_to_linear_in_place(db: np.ndarray) -> np.ndarray:
+    """db_to_linear of a float array the caller owns, written over it and returned."""
+    np.divide(db, 10.0, out=db)
+    return np.power(10.0, db, out=db)
 
 
 def linear_to_db(value):
@@ -132,12 +146,12 @@ class Grid:
         x0, y0 = self.origin
         return (x0 + (ix + 0.5) * self.cell_size, y0 + (iy + 0.5) * self.cell_size)
 
-    def center_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell-center coordinates as two (n_y, n_x) arrays."""
+    def center_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell-center x and y coordinates, shaped (1, n_x) and (n_y, 1) to broadcast to the grid."""
         x0, y0 = self.origin
         xs = x0 + (np.arange(self.n_x) + 0.5) * self.cell_size
         ys = y0 + (np.arange(self.n_y) + 0.5) * self.cell_size
-        return np.meshgrid(xs, ys)
+        return xs[np.newaxis, :], ys[:, np.newaxis]
 
 
 def _axis_index(coord: float, origin: float, cell_size: float, n: int) -> int | None:

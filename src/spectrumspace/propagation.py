@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OMNI, OMNI_KIND, SECTORED_KIND, AntennaPattern, Grid, db_to_linear
+from .model import OMNI, OMNI_KIND, SECTORED_KIND, AntennaPattern, Grid, db_to_linear_in_place
 
 __all__ = [
     "FREE_SPACE",
@@ -54,11 +54,22 @@ def path_loss_db(distance_m, config: PropagationConfig):
 
     Distances under the clamp are treated as the clamp distance.
     """
-    d = np.maximum(np.asarray(distance_m, dtype=float), config.min_distance_clamp_m)
-    loss = config.reference_loss_db + 10.0 * config.exponent * np.log10(
-        d / config.reference_distance_m
-    )
-    return float(loss) if np.ndim(distance_m) == 0 else loss
+    loss = _path_loss_in_place(np.array(distance_m, dtype=float), config)
+    return float(loss) if loss.ndim == 0 else loss
+
+
+def _path_loss_in_place(d: np.ndarray, config: PropagationConfig) -> np.ndarray:
+    """The one path-loss formula, computed over the distances ``d`` the caller owns.
+
+    reference_loss_db + 10.0 * exponent * log10(max(d, clamp) / d0), each
+    step the ufunc numpy's operators would call, scalars first where they
+    stand first.
+    """
+    np.maximum(d, config.min_distance_clamp_m, out=d)
+    np.divide(d, config.reference_distance_m, out=d)
+    np.log10(d, out=d)
+    np.multiply(10.0 * config.exponent, d, out=d)
+    return np.add(config.reference_loss_db, d, out=d)
 
 
 def gain_db(src: tuple[float, float], src_pattern: AntennaPattern, dst, dst_pattern: AntennaPattern,
@@ -68,16 +79,19 @@ def gain_db(src: tuple[float, float], src_pattern: AntennaPattern, dst, dst_patt
     ``dst`` is (x, y) with numbers or arrays, broadcast together. Returns the
     source pattern toward each destination, plus the destination pattern back
     toward the source, minus path loss; an omni pattern's 0 dB is not computed.
+    Path loss and the difference are computed over hypot's new array, which
+    is returned (a float for scalar points); ``dst`` is never written.
     """
     x, y = src
     px, py = dst
-    dist = np.hypot(px - x, py - y)
+    dist = np.asarray(np.hypot(px - x, py - y))
     gain = 0.0
     if src_pattern.kind != OMNI_KIND:
         gain = src_pattern.gain_db(np.degrees(np.arctan2(py - y, px - x)))
     if dst_pattern.kind != OMNI_KIND:
         gain = gain + dst_pattern.gain_db(np.degrees(np.arctan2(y - py, x - px)))
-    return gain - path_loss_db(dist, config)
+    db = np.subtract(gain, _path_loss_in_place(dist, config), out=dist)
+    return float(db) if db.ndim == 0 else db
 
 
 def link_gain_db(tx, rx_point: tuple[float, float], config: PropagationConfig,
@@ -118,9 +132,9 @@ def gains_db(src: tuple[float, float], src_pattern: AntennaPattern, others,
 def tx_gain_db_field(tx, grid: Grid, config: PropagationConfig) -> np.ndarray:
     """Gain in dB from a transmitter to every cell center, omni probe at the cell.
 
-    Returns an (n_y, n_x) array aligned with the grid.
+    Returns a new (n_y, n_x) array aligned with the grid.
     """
-    return gain_db(tx.position, tx.pattern, grid.center_arrays(), OMNI, config)
+    return gain_db(tx.position, tx.pattern, grid.center_axes(), OMNI, config)
 
 
 def entrant_gain_field_linear(rx_position: tuple[float, float], rx_pattern: AntennaPattern,
@@ -128,6 +142,6 @@ def entrant_gain_field_linear(rx_position: tuple[float, float], rx_pattern: Ante
     """Linear gain from an omni entrant at each cell center to one receiver.
 
     The receiver's own pattern weights each arrival direction, so a sectored
-    receiver is harder to disturb from behind.
+    receiver is harder to disturb from behind. Returns a new (n_y, n_x) array.
     """
-    return db_to_linear(gain_db(rx_position, rx_pattern, grid.center_arrays(), OMNI, config))
+    return db_to_linear_in_place(gain_db(rx_position, rx_pattern, grid.center_axes(), OMNI, config))

@@ -9,7 +9,7 @@ consumption; all sums happen in linear milliwatts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .model import (
     SpectrumSpaceDims,
     Transmitter,
     db_to_linear,
+    db_to_linear_in_place,
     linear_to_db,
     resolve,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "opportunity_at_cell",
     "opportunity_map",
     "quantify",
+    "receiver_accounting",
     "receiver_margin_linear",
     "rx_consumption",
     "sinr_db",
@@ -146,22 +148,34 @@ def _entrant_caps(margin, gain):
         return np.divide(margin, gain)
 
 
+def _received_field(tx: Transmitter, scenario: Scenario) -> np.ndarray:
+    """Linear mW a transmitter puts on every cell center, unclipped: a new array, converted in place."""
+    field = tx_gain_db_field(tx, scenario.grid, scenario.propagation)
+    return db_to_linear_in_place(np.add(tx.tx_power_dbm, field, out=field))
+
+
 def occupancy_linear(scenario: Scenario, band: int, quantum: int) -> np.ndarray:
     """Aggregate man-made linear power (mW) at every cell center, unclipped.
 
     Contributions accumulate per network and then across networks, so the
     field of a scenario decomposes exactly into the sum of its per-network
-    fields.
+    fields. A network's sum starts at its first active transmitter's field
+    and a network idle in the slice adds nothing: every term is >= +0.0, so
+    both give the bits a sum started at zeros would.
     """
     _check_slice(scenario.dims, band, quantum)
-    grid = scenario.grid
-    total = np.zeros((grid.n_y, grid.n_x))
+    total = np.zeros((scenario.grid.n_y, scenario.grid.n_x))
     for net in scenario.networks:
-        net_sum = np.zeros_like(total)
+        net_sum = None
         for tx in net.transmitters:
             if tx.active_in(band, quantum):
-                net_sum += db_to_linear(tx.tx_power_dbm + tx_gain_db_field(tx, grid, scenario.propagation))
-        total += net_sum
+                received = _received_field(tx, scenario)
+                if net_sum is None:
+                    net_sum = received
+                else:
+                    net_sum += received
+        if net_sum is not None:
+            total += net_sum
     return total
 
 
@@ -314,16 +328,23 @@ class LinkBudget:
 
     def opportunity_map(self, band: int, quantum: int) -> PowerField:
         """:func:`opportunity_map` of this budget's scenario and protected set."""
-        return next(self._opportunity_fields([(band, quantum)]))
+        return next(self._opportunity_fields([(band, quantum)], (), None))
 
-    def _opportunity_fields(self, keys: list[Slice]) -> Iterator[PowerField]:
-        """The opportunity fields of ``keys``, in that order, built receiver-major.
+    def _opportunity_fields(self, keys: list[Slice], charged: Collection[str],
+                            charge: Callable[[Receiver, ConsumptionSpace], None] | None) -> Iterator[PowerField]:
+        """The opportunity fields of ``keys``, in that order, from one walk over the receivers.
 
-        Each protected receiver's entrant gain field is built once and folded
-        into every listed slice it is active in; np.fmin is exact, so the
-        fold gives the same bits in any order.
+        The walk takes the scenario's receivers in declaration order and builds
+        a receiver's entrant gain field once: when it is protected and active
+        in a listed slice, or when its id is in ``charged``. A protected
+        receiver folds margin / gain into every listed slice it is active in;
+        np.fmin is exact, so the fold gives the same bits in any order. A
+        charged receiver, protected or not, goes to ``charge`` with its
+        rx_consumption before the next field is built. The walk runs in this
+        call; each field is finished as it is read.
         """
-        grid, bounds = self.scenario.grid, self.scenario.bounds
+        scenario = self.scenario
+        grid = scenario.grid
         budgets = {key: self.slice(*key) for key in keys}
         allowed = {
             key: np.full((grid.n_y, grid.n_x), np.inf) for key, found in budgets.items() if found.receivers
@@ -332,24 +353,44 @@ class LinkBudget:
         for key, found in budgets.items():
             for rx, margin in zip(found.receivers, found.margin):
                 folds.setdefault(rx.id, []).append((key, margin))
-        for rx in self.scenario.receivers():
-            if rx.id in folds:
-                gain = entrant_gain_field_linear(rx.position, rx.pattern, grid, self.scenario.propagation)
-                for key, margin in folds[rx.id]:
-                    np.fmin(allowed[key], _entrant_caps(margin, gain), out=allowed[key])
-
-        for key in keys:
-            if key not in allowed:
-                yield PowerField(*key, np.full((grid.n_y, grid.n_x), float(bounds.p_max_dbm)))
+        for rx in scenario.receivers():
+            if rx.id not in folds and rx.id not in charged:
                 continue
-            values = _clipped_dbm(allowed.pop(key), bounds)
-            found = budgets[key]
-            for rx in found.receivers:
-                if grid.contains(rx.position):
-                    ix, iy = grid.cell_of(rx.position)
-                    values[iy, ix] = bounds.p_min_dbm
-            zero_margin = tuple(rx.id for rx, margin in zip(found.receivers, found.margin) if margin == 0.0)
-            yield PowerField(*key, values, zero_margin)
+            gain = entrant_gain_field_linear(rx.position, rx.pattern, grid, scenario.propagation)
+            for key, margin in folds.get(rx.id, ()):
+                np.fmin(allowed[key], _entrant_caps(margin, gain), out=allowed[key])
+            if rx.id in charged:
+                charge(rx, self._solo_denial(rx, gain, dict(folds.get(rx.id, ()))))
+        return (self._opportunity_field(key, allowed.pop(key, None)) for key in keys)
+
+    def _opportunity_field(self, key: Slice, allowed: np.ndarray | None) -> PowerField:
+        """One slice's field from its folded entrant caps; None when no protected receiver is active."""
+        grid, bounds = self.scenario.grid, self.scenario.bounds
+        if allowed is None:
+            return PowerField(*key, np.full((grid.n_y, grid.n_x), float(bounds.p_max_dbm)))
+        found = self.slice(*key)
+        return _capped_field(key, allowed, found.receivers, found.margin, grid, bounds)
+
+    def _solo_denial(self, rx: Receiver, gain: np.ndarray, margins: dict[Slice, float]) -> ConsumptionSpace:
+        """rx_consumption of ``rx`` from its entrant gain field, given the margins the walk already holds.
+
+        Per slice the receiver is active in: its caps folded alone, finished
+        as a one-receiver opportunity field, and denied as denied_consumption
+        denies, so the bits are those of the joint walk protecting ``rx`` alone.
+        """
+        scenario = self.scenario
+        grid, bounds = scenario.grid, scenario.bounds
+        idle = _read_only(np.zeros((grid.n_y, grid.n_x)))
+        slices: dict[Slice, np.ndarray] = {}
+        for key in _all_slices(scenario.dims):
+            if not rx.active_in(*key):
+                slices[key] = idle
+                continue
+            margin = margins[key] if key in margins else receiver_margin_linear(scenario, rx, key[1])
+            caps = _entrant_caps(margin, gain)
+            np.fmin(np.inf, caps, out=caps)
+            slices[key] = _denied_linear(_capped_field(key, caps, [rx], [margin], grid, bounds), bounds)
+        return ConsumptionSpace(frozenset({rx.id}), slices)
 
     def opportunity_at_cell(self, band: int, quantum: int, cell: Cell) -> tuple[float, str | None]:
         """:func:`opportunity_at_cell` of this budget's scenario and protected set."""
@@ -368,12 +409,36 @@ class LinkBudget:
 
     def available_spectrum(self) -> SpectrumQuantity:
         """:func:`available_spectrum` of this budget's scenario and protected set."""
-        bounds = self.scenario.bounds
-        above = {
-            (field.band, field.quantum): _field_linear(field, bounds) - bounds.p_min_linear
-            for field in self._opportunity_fields(_all_slices(self.scenario.dims))
-        }
-        return quantify(ConsumptionSpace(frozenset(), above), self.scenario.grid)
+        return _available(self._opportunity_fields(_all_slices(self.scenario.dims), (), None), self.scenario)
+
+
+def _capped_field(key: Slice, allowed: np.ndarray, receivers: list[Receiver], margins: list[float],
+                  grid: Grid, bounds: PowerBounds) -> PowerField:
+    """An opportunity field from the folded entrant caps of ``receivers``: clipped dBm, p_min on
+    every cell hosting one of them, and the ids of those with zero margin."""
+    values = _clipped_dbm(allowed, bounds)
+    for rx in receivers:
+        if grid.contains(rx.position):
+            ix, iy = grid.cell_of(rx.position)
+            values[iy, ix] = bounds.p_min_dbm
+    zero_margin = tuple(rx.id for rx, margin in zip(receivers, margins) if margin == 0.0)
+    return PowerField(*key, values, zero_margin)
+
+
+def _denied_linear(field: PowerField, bounds: PowerBounds) -> np.ndarray:
+    """p_max minus an opportunity field, in mW: what it denies to entrants per cell."""
+    linear = _field_linear(field, bounds)
+    return np.subtract(bounds.p_max_linear, linear, out=linear)
+
+
+def _available(fields: Iterable[PowerField], scenario: Scenario) -> SpectrumQuantity:
+    """Opportunity fields integrated above the floor, read one at a time."""
+    bounds = scenario.bounds
+    above = {}
+    for field in fields:
+        linear = _field_linear(field, bounds)
+        above[(field.band, field.quantum)] = np.subtract(linear, bounds.p_min_linear, out=linear)
+    return quantify(ConsumptionSpace(frozenset(), above), scenario.grid)
 
 
 def opportunity_map(scenario: Scenario, band: int, quantum: int, protected=None) -> PowerField:
@@ -438,8 +503,9 @@ def tx_consumption(tx, scenario: Scenario) -> ConsumptionSpace:
     """
     tx = resolve(tx, scenario.transmitter, "transmitter")
     grid, bounds = scenario.grid, scenario.bounds
-    received = db_to_linear(tx.tx_power_dbm + tx_gain_db_field(tx, grid, scenario.propagation))
-    active = _read_only(np.clip(received, bounds.p_min_linear, bounds.p_max_linear) - bounds.p_min_linear)
+    received = _received_field(tx, scenario)
+    np.clip(received, bounds.p_min_linear, bounds.p_max_linear, out=received)
+    active = _read_only(np.subtract(received, bounds.p_min_linear, out=received))
     idle = _read_only(np.zeros((grid.n_y, grid.n_x)))
     slices = {key: active if tx.active_in(*key) else idle for key in _all_slices(scenario.dims)}
     return ConsumptionSpace(frozenset({tx.id}), slices)
@@ -452,7 +518,9 @@ def rx_consumption(rx, scenario: Scenario) -> ConsumptionSpace:
     receiver is idle costs nothing; the entity set is the receiver either way.
     """
     rx = resolve(rx, scenario.receiver, "receiver")
-    return ConsumptionSpace(frozenset({rx.id}), denied_consumption(scenario, [rx.id]).slices)
+    spaces = []
+    LinkBudget(scenario, ())._opportunity_fields([], {rx.id}, lambda _, space: spaces.append(space))
+    return spaces[0]
 
 
 def denied_consumption(scenario: Scenario, protected=None) -> ConsumptionSpace:
@@ -467,8 +535,8 @@ def denied_consumption(scenario: Scenario, protected=None) -> ConsumptionSpace:
     keys = _all_slices(scenario.dims)
     guarded = [key for key in keys if budget.slice(*key).receivers]
     denied = {
-        (field.band, field.quantum): bounds.p_max_linear - _field_linear(field, bounds)
-        for field in budget._opportunity_fields(guarded)
+        (field.band, field.quantum): _denied_linear(field, bounds)
+        for field in budget._opportunity_fields(guarded, (), None)
     }
     idle = _read_only(np.zeros((grid.n_y, grid.n_x)))
     ids = frozenset(rx.id for key in guarded for rx in budget.slice(*key).receivers)
@@ -525,6 +593,25 @@ def available_spectrum(scenario: Scenario, protected=None) -> SpectrumQuantity:
     this equals total_spectrum.
     """
     return LinkBudget(scenario, protected).available_spectrum()
+
+
+def receiver_accounting(scenario: Scenario, protected) -> tuple[SpectrumQuantity, dict[str, SpectrumQuantity]]:
+    """available_spectrum and every receiver's quantified rx_consumption, from one receiver walk.
+
+    Returns (available_spectrum(scenario, protected), {rx id: quantify(
+    rx_consumption(rx, scenario), grid, dims)}) with the receivers in
+    declaration order. Every receiver is charged, protected or not, and each
+    receiver's entrant gain field is built once for both.
+    """
+    charges: dict[str, SpectrumQuantity] = {}
+
+    def charge(rx: Receiver, space: ConsumptionSpace) -> None:
+        charges[rx.id] = quantify(space, scenario.grid, scenario.dims)
+
+    budget = LinkBudget(scenario, protected)
+    ids = {rx.id for rx in scenario.receivers()}
+    available = _available(budget._opportunity_fields(_all_slices(scenario.dims), ids, charge), scenario)
+    return available, charges
 
 
 def harvest_metrics(estimated: PowerField, truth: PowerField, grid: Grid,

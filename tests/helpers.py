@@ -275,6 +275,59 @@ def o_rx_consumption_value(scn: Scenario, rx: Receiver) -> float:
     return total
 
 
+# ---------------------------------------------------------------------------
+# whole-grid field oracles: the fields' numpy expressions before the kernel
+# computed in place, on full (n_y, n_x) coordinate arrays, one new array per step
+
+
+def o_center_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    x0, y0 = grid.origin
+    xs = x0 + (np.arange(grid.n_x) + 0.5) * grid.cell_size
+    ys = y0 + (np.arange(grid.n_y) + 0.5) * grid.cell_size
+    return np.meshgrid(xs, ys)
+
+
+def o_gain_field_db(src, src_pattern: AntennaPattern, grid: Grid, cfg: PropagationConfig) -> np.ndarray:
+    """Gain in dB from a point to every cell center, omni at the cell."""
+    x, y = src
+    px, py = o_center_arrays(grid)
+    dist = np.hypot(px - x, py - y)
+    gain = 0.0
+    if src_pattern.kind != "omni":
+        gain = src_pattern.gain_db(np.degrees(np.arctan2(py - y, px - x)))
+    n = 2.0 if cfg.model == "free-space" else cfg.path_loss_exponent
+    d = np.maximum(np.asarray(dist, dtype=float), cfg.min_distance_clamp_m)
+    loss = cfg.reference_loss_db + 10.0 * n * np.log10(d / cfg.reference_distance_m)
+    return gain - loss
+
+
+def o_entrant_field(rx_pos, rx_pattern: AntennaPattern, grid: Grid, cfg: PropagationConfig) -> np.ndarray:
+    """entrant_gain_field_linear's cells."""
+    return 10.0 ** (o_gain_field_db(rx_pos, rx_pattern, grid, cfg) / 10.0)
+
+
+def o_tx_field(tx: Transmitter, grid: Grid, cfg: PropagationConfig) -> np.ndarray:
+    """tx_gain_db_field's cells."""
+    return o_gain_field_db(tx.position, tx.pattern, grid, cfg)
+
+
+def o_occupancy_linear(scn: Scenario, band: int, quantum: int) -> np.ndarray:
+    """occupancy_linear's cells: a zero sum per network, idle or not, added to a zero total."""
+    total = np.zeros((scn.grid.n_y, scn.grid.n_x))
+    for net in scn.networks:
+        net_sum = np.zeros_like(total)
+        for tx in net.transmitters:
+            if tx.band == band and quantum in tx.quanta:
+                net_sum += 10.0 ** ((tx.tx_power_dbm + o_tx_field(tx, scn.grid, scn.propagation)) / 10.0)
+        total += net_sum
+    return total
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal float64 bits, so -0.0 differs from +0.0 and NaN equals itself."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def o_field_csv(field) -> bytes:
     """export_field's bytes, formatted one value at a time with an f-string."""
     lines = [f"# band={field.band} quantum={field.quantum} unit=dBm"]

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -11,12 +12,23 @@ from spectrumspace import (
     available_spectrum,
     occupancy_map,
     opportunity_map,
+    quantify,
+    receiver_accounting,
+    rx_consumption,
     total_spectrum,
 )
 from spectrumspace.cli import run
-from spectrumspace.scenario_io import format_number, load_scenario, parse_document, scenario_to_dict
+from spectrumspace.scenario_io import (
+    format_number,
+    load_scenario,
+    parse_document,
+    quantity_to_dict,
+    scenario_to_dict,
+)
 
-from helpers import o_field_csv, sectored_scenario
+from helpers import o_available, o_field_csv, o_rx_consumption_value, random_scenario, sectored_scenario
+
+quantify_module = importlib.import_module("spectrumspace.quantify")
 
 CAMPUS = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "campus.json"
 
@@ -280,6 +292,67 @@ class TestReportCommand:
             for entity_id, price in report["prices"][kind].items():
                 quantity = report["consumed"][kind][entity_id]["value"]
                 assert price == format_number(2.0 * quantity)
+
+
+class TestReportWalk:
+    """report charges every receiver from the walk that gives available spectrum: each
+    receiver's entrant gain field and each transmitter's gain field is built once."""
+
+    SCENARIOS = [(make, seed) for make in (random_scenario, sectored_scenario) for seed in range(5)]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = {"entrant": [], "tx": []}
+        entrant, tx_field = quantify_module.entrant_gain_field_linear, quantify_module.tx_gain_db_field
+
+        def counting_entrant(position, *args):
+            built["entrant"].append(position)
+            return entrant(position, *args)
+
+        def counting_tx(tx, *args):
+            built["tx"].append(tx.id)
+            return tx_field(tx, *args)
+
+        monkeypatch.setattr(quantify_module, "entrant_gain_field_linear", counting_entrant)
+        monkeypatch.setattr(quantify_module, "tx_gain_db_field", counting_tx)
+        return built
+
+    @staticmethod
+    def protect(scn, which):
+        if which == "all":
+            return "all", None
+        net = next((net for net in scn.networks if net.receivers), scn.networks[0])
+        return net.id, [rx.id for rx in net.receivers]
+
+    @pytest.mark.parametrize("which", ["all", "one network"])
+    @pytest.mark.parametrize("make, seed", SCENARIOS, ids=lambda v: getattr(v, "__name__", v))
+    def test_each_field_is_built_once(self, tmp_path, built, make, seed, which):
+        path = write(tmp_path, scenario_to_dict(make(seed)))
+        scn = load_scenario(path)
+        flag, _ = self.protect(scn, which)
+        assert run(["report", "--scenario", str(path), "--out", str(tmp_path), "--protect", flag]) == 0
+        assert built["entrant"] == [rx.position for rx in scn.receivers()]
+        assert sorted(built["tx"]) == sorted(tx.id for tx in scn.transmitters())
+
+    @pytest.mark.parametrize("which", ["all", "one network"])
+    @pytest.mark.parametrize("make, seed", SCENARIOS, ids=lambda v: getattr(v, "__name__", v))
+    def test_charges_equal_rx_consumption_and_the_oracle(self, tmp_path, make, seed, which):
+        path = write(tmp_path, scenario_to_dict(make(seed)))
+        scn = load_scenario(path)
+        flag, protected = self.protect(scn, which)
+        assert run(["report", "--scenario", str(path), "--out", str(tmp_path), "--protect", flag]) == 0
+        report = load(tmp_path, "report.json")
+        available, charges = receiver_accounting(scn, protected)
+        assert available == available_spectrum(scn, protected)
+        assert report["available_spectrum"] == quantity_to_dict(available)
+        assert available.value == pytest.approx(o_available(scn, protected), rel=1e-9)
+        assert list(charges) == [rx.id for rx in scn.receivers()]
+        assert set(report["consumed"]["receivers"]) == set(charges)
+        for rx in scn.receivers():
+            alone = quantify(rx_consumption(rx, scn), scn.grid, scn.dims)
+            assert charges[rx.id] == alone
+            assert report["consumed"]["receivers"][rx.id] == quantity_to_dict(alone)
+            assert alone.value == pytest.approx(o_rx_consumption_value(scn, rx), rel=1e-9)
 
 
 class TestAdmitCommand:

@@ -89,11 +89,11 @@ class TestGrid:
 
     def test_center_arrays_align_with_cell_center(self):
         grid = make_grid(4, 3, 50.0, origin=(10.0, -20.0))
-        cx, cy = grid.center_arrays()
-        assert cx.shape == (3, 4)
+        cx, cy = grid.center_axes()
+        assert cx.shape == (1, 4) and cy.shape == (3, 1)
         for iy in range(3):
             for ix in range(4):
-                assert (cx[iy, ix], cy[iy, ix]) == grid.cell_center(ix, iy)
+                assert (cx[0, ix], cy[iy, 0]) == grid.cell_center(ix, iy)
 
 
 class TestAntennaPattern:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spectrumspace import AntennaPattern, PropagationConfig, Transmitter, db_to_linear
+from spectrumspace import AntennaPattern, Grid, PropagationConfig, Transmitter, db_to_linear
 from spectrumspace.propagation import (
     FREE_SPACE,
+    LOG_DISTANCE,
     entrant_gain_field_linear,
     gain_db,
     gains_db,
@@ -15,7 +16,7 @@ from spectrumspace.propagation import (
     tx_gain_db_field,
 )
 
-from helpers import PROP, make_grid, o_bearing, o_gain_db
+from helpers import PROP, make_grid, o_bearing, o_entrant_field, o_gain_db, o_tx_field, same_bits
 
 
 def _tx(pos=(0.0, 0.0), pattern=None):
@@ -194,3 +195,100 @@ class TestFieldHelpers:
                                    for ix in range(grid.n_x)] for iy in range(grid.n_y)])
             # One dB-to-linear conversion on both sides: equal fields mean equal dB gains.
             assert np.count_nonzero(field != db_to_linear(scalar_db)) == 0
+
+
+# Small grids anywhere, and curves where the clamp may equal d0 and the reference loss may be 0,
+# so a path loss of exactly +0.0 can occur.
+GRIDS = st.builds(Grid, origin=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+                  cell_size=st.floats(0.01, 1000.0), n_x=st.integers(1, 6), n_y=st.integers(1, 6))
+
+
+@st.composite
+def _configs(draw):
+    clamp = draw(st.floats(0.01, 100.0))
+    return PropagationConfig(
+        model=draw(st.sampled_from([LOG_DISTANCE, FREE_SPACE])),
+        path_loss_exponent=draw(st.floats(1.0, 6.0)),
+        reference_distance_m=draw(st.one_of(st.just(clamp), st.floats(0.01, 100.0))),
+        reference_loss_db=draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0))),
+        min_distance_clamp_m=clamp,
+    )
+
+
+def _source(data, grid):
+    """A point inside the grid, outside it, or on a cell center (distance 0, where the clamp applies)."""
+    x_min, y_min, x_max, y_max = grid.extent
+    kind = data.draw(st.sampled_from(["inside", "outside", "center"]))
+    if kind == "center":
+        return grid.cell_center(data.draw(st.integers(0, grid.n_x - 1)), data.draw(st.integers(0, grid.n_y - 1)))
+    u, v = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))
+    if kind == "outside":
+        u, v = u + data.draw(st.floats(1.01, 10.0)), v - data.draw(st.floats(-1.0, 10.0))
+    return (x_min + u * (x_max - x_min), y_min + v * (y_max - y_min))
+
+
+class TestFieldKernelExactness:
+    """The fields computed in place on broadcast cell-center axes have the bits of the
+    expressions they replaced: full coordinate arrays and one new array per step."""
+
+    @given(data=st.data(), grid=GRIDS, pattern=PATTERNS, cfg=_configs())
+    def test_entrant_field_has_the_oracle_bits(self, data, grid, pattern, cfg):
+        src = _source(data, grid)
+        assert same_bits(entrant_gain_field_linear(src, pattern, grid, cfg), o_entrant_field(src, pattern, grid, cfg))
+
+    @given(data=st.data(), grid=GRIDS, pattern=PATTERNS, cfg=_configs())
+    def test_tx_field_has_the_oracle_bits(self, data, grid, pattern, cfg):
+        tx = _tx(pos=_source(data, grid), pattern=pattern)
+        assert same_bits(tx_gain_db_field(tx, grid, cfg), o_tx_field(tx, grid, cfg))
+
+    def test_zero_path_loss_keeps_a_positive_zero(self):
+        # Source on the center of the one cell, clamp = d0 = 1 m, no reference loss: the
+        # path loss is +0.0, so the gain is 0.0 - 0.0 = +0.0; negating the loss would give -0.0.
+        grid = make_grid(1, 1, 2.0)
+        cfg = PropagationConfig(reference_loss_db=0.0)
+        field = tx_gain_db_field(_tx(pos=grid.cell_center(0, 0)), grid, cfg)
+        assert same_bits(field, np.zeros((1, 1)))
+        assert same_bits(field, o_tx_field(_tx(pos=grid.cell_center(0, 0)), grid, cfg))
+        assert entrant_gain_field_linear(grid.cell_center(0, 0), AntennaPattern(), grid, cfg)[0, 0] == 1.0
+
+
+class TestKernelLeavesItsInputs:
+    """The kernel computes over arrays it made; the arrays a caller passes stay as they were."""
+
+    def test_path_loss_db(self):
+        distances = np.array([0.0, 0.5, 1.0, 250.0, 1e4])
+        before = distances.copy()
+        path_loss_db(distances, PROP)
+        assert same_bits(distances, before)
+
+    @pytest.mark.parametrize("dst_pattern", [AntennaPattern(), _sector(200.0, 60.0, 8.0, -25.0)])
+    @pytest.mark.parametrize("src_pattern", [AntennaPattern(), _sector(30.0, 120.0, 4.0, -12.0)])
+    def test_gain_db(self, src_pattern, dst_pattern):
+        xs, ys = np.array([[37.0, 0.0], [-80.0, 37.0]]), np.array([[91.0, 250.0], [91.0, -5.0]])
+        before = xs.copy(), ys.copy()
+        gain_db((37.0, 91.0), src_pattern, (xs, ys), dst_pattern, PROP)
+        assert same_bits(xs, before[0]) and same_bits(ys, before[1])
+        axes = make_grid(3, 2, 50.0).center_axes()
+        copies = tuple(a.copy() for a in axes)
+        gain_db((37.0, 91.0), src_pattern, axes, dst_pattern, PROP)
+        assert all(same_bits(a, c) for a, c in zip(axes, copies))
+
+    def test_gains_db(self):
+        # Per-entry pattern arrays, as gains_db builds them, go in as the destination pattern.
+        boresights, beamwidths = np.array([10.0, 200.0]), np.array([90.0, 30.0])
+        mains, backs = np.array([6.0, 3.0]), np.array([-20.0, -5.0])
+        pattern = AntennaPattern("sectored", boresights, beamwidths, mains, backs)
+        xs, ys = np.array([100.0, -40.0]), np.array([0.0, 60.0])
+        before = [a.copy() for a in (boresights, beamwidths, mains, backs, xs, ys)]
+        gain_db((0.0, 0.0), AntennaPattern(), (xs, ys), pattern, PROP)
+        entities = [_tx(pos=(100.0, 0.0), pattern=_sector(10.0, 90.0, 6.0, -20.0)), _tx(pos=(-40.0, 60.0))]
+        gains_db((0.0, 0.0), _sector(45.0, 90.0), entities, PROP)
+        assert entities == [_tx(pos=(100.0, 0.0), pattern=_sector(10.0, 90.0, 6.0, -20.0)), _tx(pos=(-40.0, 60.0))]
+        for a, b in zip((boresights, beamwidths, mains, backs, xs, ys), before):
+            assert same_bits(a, b)
+
+    def test_db_to_linear(self):
+        db = np.array([-125.0, -0.0, 0.0, 30.0])
+        before = db.copy()
+        assert same_bits(db_to_linear(db), 10.0 ** (before / 10.0))
+        assert same_bits(db, before)

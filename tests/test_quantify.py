@@ -42,11 +42,14 @@ from helpers import (
     make_scenario,
     o_available,
     o_occupancy_cell,
+    o_occupancy_linear,
     o_opportunity_cell,
     o_rx_consumption_value,
     o_sinr_db,
     o_tx_consumption_value,
+    o_tx_field,
     random_scenario,
+    same_bits,
     sectored_scenario,
 )
 
@@ -130,6 +133,21 @@ class TestOccupancy:
         field = occupancy_map(scn, 0, 0).values_dbm
         assert np.all(field >= BOUNDS.p_min_dbm)
         assert np.all(field <= BOUNDS.p_max_dbm)
+
+
+    @pytest.mark.parametrize("make", [random_scenario, sectored_scenario])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fields_have_the_oracle_bits(self, make, seed):
+        # The oracle starts every network's sum at zeros, idle in the slice or not.
+        scn = make(seed)
+        for b in range(scn.dims.b_hat):
+            for q in range(scn.dims.t_hat):
+                assert same_bits(occupancy_linear(scn, b, q), o_occupancy_linear(scn, b, q))
+
+    def test_oracle_scenarios_have_idle_networks(self):
+        scn = sectored_scenario(0)
+        assert any(not tx.active_in(0, 1) for tx in scn.network("zero").transmitters)
+        assert scn.network("host").transmitters[0].active_in(0, 1)
 
 
 class TestSinrAndMargin:
@@ -276,6 +294,14 @@ class TestTxConsumption:
         assert quantity.value == pytest.approx(
             o_tx_consumption_value(scn, scn.transmitter("a-tx")), rel=1e-9)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_active_cells_have_the_oracle_bits(self, seed):
+        scn = sectored_scenario(seed)
+        for tx in scn.transmitters():
+            received = 10.0 ** ((tx.tx_power_dbm + o_tx_field(tx, scn.grid, scn.propagation)) / 10.0)
+            expected = np.clip(received, BOUNDS.p_min_linear, BOUNDS.p_max_linear) - BOUNDS.p_min_linear
+            assert same_bits(tx_consumption(tx, scn).slices[(tx.band, min(tx.quanta))], expected)
+
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown transmitter"):
             tx_consumption("ghost", canonical_link())
@@ -315,6 +341,18 @@ class TestRxConsumption:
         scn = zero_margin_link()
         cells = rx_consumption("z-rx", scn).slices[(0, 0)]
         np.testing.assert_array_equal(cells, BOUNDS.p_cmax_linear)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_joint_denial_of_the_receiver_alone(self, seed):
+        # Zero-margin and host-cell receivers included: the solo charge has the bits of
+        # denied_consumption protecting that receiver alone, in every slice.
+        scn = sectored_scenario(seed)
+        for rx in scn.receivers():
+            solo, joint = rx_consumption(rx, scn), denied_consumption(scn, [rx.id])
+            assert solo.entity_ids == frozenset({rx.id})
+            assert sorted(solo.slices) == sorted(joint.slices)
+            for key, cells in joint.slices.items():
+                assert same_bits(solo.slices[key], cells)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown receiver"):
@@ -452,7 +490,7 @@ class TestReceiverMajorFields:
         scn = sectored_scenario(seed)
         protected = None if protect == "all" else [rx.id for rx in scn.receivers()][::2]
         keys = self.slices(scn)[::-1]
-        together = list(LinkBudget(scn, protected)._opportunity_fields(keys))
+        together = list(LinkBudget(scn, protected)._opportunity_fields(keys, (), None))
         assert [(f.band, f.quantum) for f in together] == keys
         for key, field in zip(keys, together):
             alone = opportunity_map(scn, *key, protected=protected)

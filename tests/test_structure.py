@@ -3,6 +3,9 @@
 - ``gain_db``, the one gain formula, is called only inside ``propagation``.
   Every other module reads gains through propagation's field and point
   helpers, so a scalar twin of a vectorized routine cannot come back unseen.
+- ``quantify`` calls each whole-grid gain field, ``tx_gain_db_field`` and
+  ``entrant_gain_field_linear``, from exactly one place, so a second walk
+  over transmitters or receivers cannot come back unseen.
 - No module imports another module's private (underscore) name.
 - Only ``scenario_io`` imports ``json``: documents and reports are read and
   written there, so no other module builds or dumps JSON by hand.
@@ -21,18 +24,22 @@ def _nodes(path: Path):
     return ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
 
 
-def _gain_db_uses(path: Path) -> list[int]:
-    """Lines that call anything named gain_db, or import it under any name."""
+def _calls(path: Path, name: str) -> list[int]:
+    """Lines that call anything named ``name``."""
     lines = []
     for node in _nodes(path):
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "gain_db":
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
                 lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and any(a.name == "gain_db" for a in node.names):
-            lines.append(node.lineno)
     return lines
+
+
+def _gain_db_uses(path: Path) -> list[int]:
+    """Lines that call anything named gain_db, or import it under any name."""
+    imports = [node.lineno for node in _nodes(path)
+               if isinstance(node, ast.ImportFrom) and any(a.name == "gain_db" for a in node.names)]
+    return sorted(_calls(path, "gain_db") + imports)
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -56,6 +63,11 @@ def test_the_package_is_found():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "propagation.py"], ids=lambda p: p.name)
 def test_gain_db_is_called_only_in_propagation(path):
     assert _gain_db_uses(path) == []
+
+
+@pytest.mark.parametrize("field", ["tx_gain_db_field", "entrant_gain_field_linear"])
+def test_quantify_builds_each_gain_field_in_one_place(field):
+    assert len(_calls(PACKAGE / "quantify.py", field)) == 1
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
