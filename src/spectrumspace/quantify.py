@@ -360,37 +360,8 @@ class LinkBudget:
             for key, margin in folds.get(rx.id, ()):
                 np.fmin(allowed[key], _entrant_caps(margin, gain), out=allowed[key])
             if rx.id in charged:
-                charge(rx, self._solo_denial(rx, gain, dict(folds.get(rx.id, ()))))
-        return (self._opportunity_field(key, allowed.pop(key, None)) for key in keys)
-
-    def _opportunity_field(self, key: Slice, allowed: np.ndarray | None) -> PowerField:
-        """One slice's field from its folded entrant caps; None when no protected receiver is active."""
-        grid, bounds = self.scenario.grid, self.scenario.bounds
-        if allowed is None:
-            return PowerField(*key, np.full((grid.n_y, grid.n_x), float(bounds.p_max_dbm)))
-        found = self.slice(*key)
-        return _capped_field(key, allowed, found.receivers, found.margin, grid, bounds)
-
-    def _solo_denial(self, rx: Receiver, gain: np.ndarray, margins: dict[Slice, float]) -> ConsumptionSpace:
-        """rx_consumption of ``rx`` from its entrant gain field, given the margins the walk already holds.
-
-        Per slice the receiver is active in: its caps folded alone, finished
-        as a one-receiver opportunity field, and denied as denied_consumption
-        denies, so the bits are those of the joint walk protecting ``rx`` alone.
-        """
-        scenario = self.scenario
-        grid, bounds = scenario.grid, scenario.bounds
-        idle = _read_only(np.zeros((grid.n_y, grid.n_x)))
-        slices: dict[Slice, np.ndarray] = {}
-        for key in _all_slices(scenario.dims):
-            if not rx.active_in(*key):
-                slices[key] = idle
-                continue
-            margin = margins[key] if key in margins else receiver_margin_linear(scenario, rx, key[1])
-            caps = _entrant_caps(margin, gain)
-            np.fmin(np.inf, caps, out=caps)
-            slices[key] = _denied_linear(_capped_field(key, caps, [rx], [margin], grid, bounds), bounds)
-        return ConsumptionSpace(frozenset({rx.id}), slices)
+                charge(rx, _solo_denial(scenario, rx, gain))
+        return (_capped_field(key, allowed.pop(key, None), budgets[key], scenario) for key in keys)
 
     def opportunity_at_cell(self, band: int, quantum: int, cell: Cell) -> tuple[float, str | None]:
         """:func:`opportunity_at_cell` of this budget's scenario and protected set."""
@@ -412,17 +383,42 @@ class LinkBudget:
         return _available(self._opportunity_fields(_all_slices(self.scenario.dims), (), None), self.scenario)
 
 
-def _capped_field(key: Slice, allowed: np.ndarray, receivers: list[Receiver], margins: list[float],
-                  grid: Grid, bounds: PowerBounds) -> PowerField:
-    """An opportunity field from the folded entrant caps of ``receivers``: clipped dBm, p_min on
-    every cell hosting one of them, and the ids of those with zero margin."""
+def _capped_field(key: Slice, allowed: np.ndarray | None, found: SliceBudget, scenario: Scenario) -> PowerField:
+    """An opportunity field from the entrant caps of ``found``'s receivers folded into ``allowed``
+    (None when there are none): clipped dBm, p_min on every cell hosting one of them, and the ids of
+    those with zero margin."""
+    grid, bounds = scenario.grid, scenario.bounds
+    if allowed is None:
+        return PowerField(*key, np.full((grid.n_y, grid.n_x), float(bounds.p_max_dbm)))
     values = _clipped_dbm(allowed, bounds)
-    for rx in receivers:
+    for rx in found.receivers:
         if grid.contains(rx.position):
             ix, iy = grid.cell_of(rx.position)
             values[iy, ix] = bounds.p_min_dbm
-    zero_margin = tuple(rx.id for rx, margin in zip(receivers, margins) if margin == 0.0)
+    zero_margin = tuple(rx.id for rx, margin in zip(found.receivers, found.margin) if margin == 0.0)
     return PowerField(*key, values, zero_margin)
+
+
+def _solo_denial(scenario: Scenario, rx: Receiver, gain: np.ndarray) -> ConsumptionSpace:
+    """rx_consumption of ``rx``, given its entrant gain field.
+
+    Each slice is finished and denied from the budget protecting ``rx``
+    alone, as the joint walk would, so the bits are those of
+    denied_consumption(scenario, [rx.id]).
+    """
+    grid = scenario.grid
+    alone = LinkBudget(scenario, [rx.id])
+    idle = _read_only(np.zeros((grid.n_y, grid.n_x)))
+    slices: dict[Slice, np.ndarray] = {}
+    for key in _all_slices(scenario.dims):
+        found = alone.slice(*key)
+        if not found.receivers:
+            slices[key] = idle
+            continue
+        caps = _entrant_caps(found.margin[0], gain)
+        np.fmin(np.inf, caps, out=caps)
+        slices[key] = _denied_linear(_capped_field(key, caps, found, scenario), scenario.bounds)
+    return ConsumptionSpace(frozenset({rx.id}), slices)
 
 
 def _denied_linear(field: PowerField, bounds: PowerBounds) -> np.ndarray:
