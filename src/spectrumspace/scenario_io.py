@@ -11,6 +11,7 @@ numeric output at 12 significant digits.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -393,20 +394,105 @@ def document_to_dict(doc: ScenarioDocument) -> dict:
     return {**_SCENARIO.write(doc.scenario), **_DOCUMENT.write(doc)}
 
 
+# export_field formats and writes about this many cells at a time, so it holds
+# one block's buffers, never a second copy of the raster. A smaller raster
+# goes through %.4f: in a fresh process the block writer's first use (its
+# tables and ~0.3 MB of numpy code read in) costs more than it saves there.
+_BLOCK_CELLS = 4096
+
+
 def export_field(field: PowerField, path) -> None:
     """Write a power field as a CSV raster.
 
     One header comment line, then n_y rows of n_x values at 4 decimal places;
     row 0 is the minimum-y edge. Output is byte-stable across runs. Each
-    value is ``%.4f``, the formatter behind ``format(v, ".4f")``, so both
-    give the same bytes, -0.0000 included; rows are written one at a time.
+    value has the bytes of ``%.4f``, the formatter behind ``format(v, ".4f")``,
+    -0.0000 included. A raster of at least ``_BLOCK_CELLS`` cells is
+    formatted and written a block at a time: a row whose cells
+    ``_ten_thousandths`` can round is laid out in numpy by ``_fixed_rows``,
+    any other row goes through ``%.4f`` itself, as every row of a smaller
+    raster does.
     """
     values = np.asarray(field.values_dbm, dtype=float)
     row_format = ",".join(["%.4f"] * values.shape[1])
+
+    def formatted(rows):
+        return (row_format % tuple(row.tolist()) + "\n" for row in rows)
+
     with _replacing(path) as fh:
         fh.write(f"# band={field.band} quantum={field.quantum} unit=dBm\n")
-        for row in values:
-            fh.write(row_format % tuple(row.tolist()) + "\n")
+        if values.size < _BLOCK_CELLS:
+            fh.writelines(formatted(values))
+            return
+        step = max(1, _BLOCK_CELLS // values.shape[1])
+        for start in range(0, len(values), step):
+            block = values[start:start + step]
+            units, rows_placed = _ten_thousandths(block)
+            # rows left to %.4f split the block into runs; each run is written one way
+            edges = [0, *(np.flatnonzero(np.diff(rows_placed)) + 1).tolist(), len(block)]
+            for lo, hi in zip(edges, edges[1:]):
+                if rows_placed[lo]:
+                    fh.write(_fixed_rows(units[lo:hi], block[lo:hi]))
+                else:
+                    fh.writelines(formatted(block[lo:hi]))
+
+
+def _ten_thousandths(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's ``rint(|v| * 1e4)``, and the rows where ``%.4f`` rounds the same.
+
+    ``%.4f`` rounds the exact ``|v| * 10**4`` half to even. The float
+    product is within half a spacing of it, and floats below 2**23 are at
+    most 2**-30 apart, so a product below 2**23 and more than 2**-30 from a
+    .5 tie rounds alike. One comparison per row checks both: the larger of a
+    cell's distance from its rounding and its rounding times 2**-24 (exact)
+    must stay below 0.5 - 2**-30. That places |v| up to about 838.86; a row
+    with NaN, an infinity, a larger value, or an exact or near tie such as
+    -100.03125 is left to ``%.4f``.
+    """
+    with np.errstate(all="ignore"):
+        scaled = np.abs(block) * 1e4
+        units = np.rint(scaled)
+        worst = np.maximum(np.abs(scaled - units), units * 2.0**-24).max(axis=1)
+    return units, worst < 0.5 - 2.0**-30
+
+
+# One cell's 16 bytes: sign, integer digits and point right-aligned in eight,
+# then the four fraction digits, then a comma or newline; zero bytes are padding.
+_CELL = np.dtype([("whole", "u8"), ("fraction", "u4"), ("end", "u4")])
+
+
+@functools.cache
+def _cell_words() -> tuple[np.ndarray, ...]:
+    """``_CELL``'s field values, built on first use.
+
+    The ``whole`` words of 0-999 without and with a minus sign, the
+    ``fraction`` words of 0-9999, and the comma and newline ``end`` words.
+    """
+    digits = np.stack(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1), axis=1) + ord("0")
+    whole = np.zeros((2, 1000, 8), np.uint8)
+    whole[:, :, 4:7] = digits[:1000, 1:]
+    whole[:, :, 7] = ord(".")
+    for width, (lo, hi) in enumerate([(0, 10), (10, 100), (100, 1000)], 1):
+        whole[:, lo:hi, 4:7 - width] = 0
+        whole[1, lo:hi, 6 - width] = ord("-")
+    plus, minus = whole.view(np.uint64)[..., 0]
+    return plus, minus, digits.view(np.uint32)[:, 0], np.frombuffer(b",\0\0\0\n\0\0\0", np.uint32)
+
+
+def _fixed_rows(units: np.ndarray, block: np.ndarray) -> str:
+    """The CSV text of rows that ``_ten_thousandths`` placed.
+
+    The sign is the sign bit of the value, so -0.0 and values that round to
+    zero from below read -0.0000.
+    """
+    plus, minus, fraction_words, (comma, newline) = _cell_words()
+    whole, fraction = np.divmod(units.astype(np.int32), 10_000)
+    cells = np.empty(units.shape, _CELL)
+    cells["whole"] = np.where(np.signbit(block), minus[whole], plus[whole])
+    cells["fraction"] = fraction_words[fraction]
+    cells["end"] = comma
+    cells["end"][:, -1] = newline
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def format_number(value: float) -> float:

@@ -2,6 +2,7 @@ import importlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from spectrumspace import (
     rx_consumption,
     total_spectrum,
 )
+from spectrumspace import scenario_io
 from spectrumspace.cli import run
 from spectrumspace.scenario_io import (
     format_number,
@@ -214,11 +216,19 @@ class TestRasterCommands:
 class TestRasterBytes:
     """Every CSV the raster commands write is the oracle's text of the in-process field."""
 
-    @pytest.fixture(params=["campus", "sectored"])
+    @pytest.fixture(params=["campus", "sectored", "tall"])
     def scenario_file(self, request, tmp_path):
         if request.param == "campus":
             return CAMPUS
-        return write(tmp_path, scenario_to_dict(sectored_scenario(3)))
+        if request.param == "sectored":
+            return write(tmp_path, scenario_to_dict(sectored_scenario(3)))
+        # random_scenario(5) on a grid of the same extent with 8x8 cells per cell:
+        # 120 x 136 cells, more rows than two of export_field's blocks
+        scenario = random_scenario(5)
+        grid = scenario.grid
+        fine = replace(grid, cell_size=grid.cell_size / 8, n_x=grid.n_x * 8, n_y=grid.n_y * 8)
+        assert fine.n_y > 2 * max(1, scenario_io._BLOCK_CELLS // fine.n_x)
+        return write(tmp_path, scenario_to_dict(replace(scenario, grid=fine)))
 
     @pytest.mark.parametrize("command, field_of", [
         ("occupancy", occupancy_map),

@@ -1,4 +1,7 @@
 import json
+import math
+import subprocess
+import sys
 from dataclasses import replace
 from functools import reduce
 from operator import getitem, mul
@@ -20,6 +23,7 @@ from spectrumspace import (
     SpectrumQuantity,
     Violation,
 )
+from spectrumspace import scenario_io
 from spectrumspace.scenario_io import (
     PolicyParams,
     PriceRate,
@@ -440,6 +444,85 @@ class TestExportFieldBytes:
         path = tmp_path_factory.mktemp("csv") / "field.csv"
         export_field(field, path)
         assert path.read_bytes() == o_field_csv(field)
+
+
+# In a raster of at least one block, export_field lays a row out in numpy
+# only when every cell is finite, below about 838.86 in magnitude and not at
+# or near a .5 tie in ten-thousandths; any other row goes through %.4f.
+# These are the largest magnitude the vector rule takes and the next float
+# above it.
+LARGEST_VECTOR = 838.8607499999998
+ABOVE_VECTOR = float(np.nextafter(LARGEST_VECTOR, np.inf))
+# one value each that sends its row to %.4f
+FALLBACK_VALUES = [math.nan, math.inf, -math.inf, 1e300, -100.03125, ABOVE_VECTOR, 838.8608]
+# values on the vector path that a digit layout could get wrong
+VECTOR_EDGES = [0.0, -0.0, -1e-9, -4.99999e-5, 0.99996, -799.99996, 5e-324,
+                LARGEST_VECTOR, -LARGEST_VECTOR]
+
+
+def _block_rows(n_x: int) -> int:
+    return max(1, scenario_io._BLOCK_CELLS // n_x)
+
+
+def tall_field(value: float, n_x: int = 7) -> PowerField:
+    """A field over three writer blocks tall, ``value`` in a row of the second block."""
+    rows = _block_rows(n_x)
+    values = np.random.default_rng(0).uniform(-130.0, 40.0, (3 * rows + 2, n_x))
+    values[rows + 1, n_x // 2] = value
+    return PowerField(1, 0, values)
+
+
+@st.composite
+def tall_fields(draw):
+    """Fields over three writer blocks tall: dBm values, decimal half-unit ties and
+    ``VECTOR_EDGES``, with a ``FALLBACK_VALUES`` cell in a row off the first and last block."""
+    n_x = draw(st.integers(8, 300))  # narrower rows only make the oracle slower
+    rows = _block_rows(n_x)
+    n_y = draw(st.integers(3 * rows + 1, 4 * rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-130.0, 40.0, (n_y, n_x))
+    ties = rng.random(values.shape) < 0.3
+    values[ties] = rng.integers(-1_300_000, 400_000, ties.sum()) * 1e-4 + 5e-5
+    edges = rng.random(values.shape) < 0.02
+    values[edges] = rng.choice(VECTOR_EDGES, edges.sum())
+    row, column = draw(st.integers(rows, n_y - rows - 1)), draw(st.integers(0, n_x - 1))
+    values[row, column] = draw(st.sampled_from(FALLBACK_VALUES))
+    return PowerField(draw(st.integers(0, 3)), draw(st.integers(0, 3)), values)
+
+
+class TestExportFieldBlocks:
+    @given(tall_fields())
+    @example(tall_field(9999.99995)).via("carry across the four-digit split, by %.4f")
+    @example(tall_field(0.99995)).via("carry into the integer digits, by %.4f")
+    @example(tall_field(0.99996)).via("carry into the integer digits, in numpy")
+    @example(tall_field(-4.99999e-5)).via("just below zero, rounds to -0.0000")
+    @example(tall_field(-5e-5)).via("just below zero, a tie that rounds to -0.0001")
+    @example(tall_field(LARGEST_VECTOR)).via("largest magnitude in numpy")
+    @example(tall_field(-ABOVE_VECTOR, n_x=300)).via("next float above it")
+    def test_writes_exactly_the_oracle_bytes(self, tmp_path_factory, field):
+        path = tmp_path_factory.mktemp("csv") / "field.csv"
+        export_field(field, path)
+        assert path.read_bytes() == o_field_csv(field)
+
+    @pytest.mark.parametrize("value", VECTOR_EDGES + [30.0, -125.0, -100.0312])
+    def test_vector_rule_takes(self, value):
+        assert scenario_io._ten_thousandths(np.array([[value, -125.0], [1.0, 2.0]]))[1].all()
+
+    @pytest.mark.parametrize("value", FALLBACK_VALUES + [-5e-5, 0.99995, 9999.99995, 2.5e-4])
+    def test_vector_rule_leaves_to_format(self, value):
+        _, placed = scenario_io._ten_thousandths(np.array([[1.0, 2.0], [value, -125.0], [3.0, 4.0]]))
+        assert placed.tolist() == [True, False, True]
+
+    def test_digit_tables_wait_for_a_raster_of_one_block(self, tmp_path):
+        code = f"""
+import numpy as np, spectrumspace.cli, spectrumspace.scenario_io as io
+print(io._cell_words.cache_info().currsize)
+for n in (12, 63, 64):
+    io.export_field(io.PowerField(0, 0, np.full((n, n), -125.0)), {str(tmp_path / "f.csv")!r})
+    print(io._cell_words.cache_info().currsize)
+"""
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["0", "0", "0", "1"]
 
 
 class TestReportHelpers:
