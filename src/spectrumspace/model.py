@@ -2,7 +2,8 @@
 
 Positions are 2-D coordinates in meters. Powers cross every interface in dBm
 and are aggregated internally in linear milliwatts; ``db_to_linear`` /
-``linear_to_db`` are the only conversions in the package. All types are
+``linear_to_db``, their in-place array halves, and quantify's bound-exact
+field conversion are the only conversions in the package. All types are
 immutable after validation, so scenarios can be shared freely across
 concurrent evaluation workers.
 """
@@ -21,6 +22,8 @@ if TYPE_CHECKING:
 __all__ = [
     "AntennaPattern",
     "Grid",
+    "MAX_CELLS",
+    "MAX_SLICES",
     "OMNI",
     "PowerBounds",
     "Receiver",
@@ -32,6 +35,7 @@ __all__ = [
     "db_to_linear",
     "db_to_linear_in_place",
     "linear_to_db",
+    "linear_to_db_in_place",
     "resolve",
     "validate_scenario",
     "validation_errors",
@@ -66,6 +70,27 @@ def linear_to_db(value):
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(value)
     return 10.0 * math.log10(value) if value > 0.0 else float("-inf")
+
+
+def linear_to_db_in_place(linear: np.ndarray, bounds: PowerBounds) -> np.ndarray:
+    """linear_to_db of a float array the caller owns, clipped to the power bounds, written over it and returned.
+
+    Bit for bit np.clip(linear_to_db(linear), bounds.p_min_dbm, bounds.p_max_dbm).
+    """
+    with np.errstate(divide="ignore"):
+        np.log10(linear, out=linear)
+    np.multiply(10.0, linear, out=linear)
+    return np.clip(linear, bounds.p_min_dbm, bounds.p_max_dbm, out=linear)
+
+
+# A float64 field is 8 bytes per cell, and the walks that integrate every
+# slice (available spectrum, denied consumption, a report's receiver charges)
+# hold one field per slice plus about four more: a gain field, a scratch
+# array, a receiver's solo slices and conversion masks. At both limits that is
+# 8 B * 2**20 cells * (508 + 4) fields = 4 GiB, so no valid scenario asks for
+# more; a field alone is at most 8 MiB.
+MAX_CELLS = 2**20
+MAX_SLICES = 508
 
 
 class ScenarioValidationError(ValueError):
@@ -334,6 +359,14 @@ def validation_errors(scenario: Scenario) -> list[str]:
         errors.append(f"dims: band count must be >= 1 (got {dims.b_hat})")
     if dims.t_hat < 1:
         errors.append(f"dims: time-quantum count must be >= 1 (got {dims.t_hat})")
+    if min(grid.n_x, grid.n_y) >= 1 and grid.n_x * grid.n_y > MAX_CELLS:
+        errors.append(
+            f"grid: n_x * n_y = {grid.n_x} * {grid.n_y} cells per slice exceeds the limit of {MAX_CELLS}"
+        )
+    if min(dims.b_hat, dims.t_hat) >= 1 and dims.b_hat * dims.t_hat > MAX_SLICES:
+        errors.append(
+            f"dims: bands * quanta = {dims.b_hat} * {dims.t_hat} slices exceeds the limit of {MAX_SLICES}"
+        )
     if not bounds.p_max_dbm > bounds.p_min_dbm:
         errors.append(
             f"bounds: p_max ({bounds.p_max_dbm} dBm) must exceed p_min ({bounds.p_min_dbm} dBm)"

@@ -4,6 +4,13 @@ Everything here reduces to one accounting rule: a point consumes the linear
 power interval it denies to others, and the grid integrates that over area,
 bands, and time quanta into watt square meters. Maps carry dBm for human
 consumption; all sums happen in linear milliwatts.
+
+Each integrated field is finished in the array its linear caps were folded
+into: clipped to dBm in place (model.linear_to_db_in_place), then back to mW
+in place, with 10 ** (x / 10) computed only on cells off the power bounds and
+the bounds' own linear values copied into the rest. The floats are those of
+converting on copies. A slice an entity is idle in is a read-only,
+zero-stride view of 0.0, and quantify() sums each distinct array once.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .model import (
     db_to_linear,
     db_to_linear_in_place,
     linear_to_db,
+    linear_to_db_in_place,
     resolve,
 )
 from .propagation import PropagationConfig, entrant_gain_field_linear, gains_db, tx_gain_db_field
@@ -113,39 +121,51 @@ def _all_slices(dims: SpectrumSpaceDims) -> list[Slice]:
     return [(b, t) for b in range(dims.b_hat) for t in range(dims.t_hat)]
 
 
-def _read_only(cells: np.ndarray) -> np.ndarray:
-    """``cells``, locked against writes: one array may stand for many slices."""
-    cells.flags.writeable = False
-    return cells
+def _idle(grid: Grid) -> np.ndarray:
+    """The cells of a slice that consumes nothing: a read-only, zero-stride view of 0.0."""
+    return np.broadcast_to(0.0, (grid.n_y, grid.n_x))
+
+
+def _linear_in_place(values: np.ndarray, bounds: PowerBounds) -> np.ndarray:
+    """A float dBm field the caller owns, in linear mW over itself, exact on the power bounds.
+
+    numpy's ** may round 10 ** (x / 10) one ulp away from the Python float **
+    of PowerBounds, so ** skips the cells equal to a bound and they take that
+    bound's linear value. Every other cell gets numpy's 10 ** (x / 10), bit
+    for bit db_to_linear.
+    """
+    at_min = values == bounds.p_min_dbm
+    at_max = values == bounds.p_max_dbm
+    free = np.logical_or(at_min, at_max)
+    np.logical_not(free, out=free)
+    np.divide(values, 10.0, out=values)
+    np.power(10.0, values, out=values, where=free)
+    np.copyto(values, bounds.p_min_linear, where=at_min)
+    np.copyto(values, bounds.p_max_linear, where=at_max)
+    return values
 
 
 def _field_linear(field: PowerField, bounds: PowerBounds) -> np.ndarray:
-    """A dBm field in linear mW, exact on the power bounds.
-
-    numpy's ** may round 10 ** (x / 10) one ulp away from the Python float **
-    of PowerBounds, so cells equal to a bound take that bound's linear value.
-    """
-    values = field.values_dbm
-    linear = db_to_linear(values)
-    linear[values == bounds.p_min_dbm] = bounds.p_min_linear
-    linear[values == bounds.p_max_dbm] = bounds.p_max_linear
-    return linear
+    """A dBm field in linear mW, exact on the power bounds: _linear_in_place on a copy."""
+    return _linear_in_place(np.array(field.values_dbm, dtype=float), bounds)
 
 
 def _clipped_dbm(linear, bounds: PowerBounds) -> np.ndarray:
-    """Linear mW in dBm by numpy's log10, clipped to the power bounds: one rule for field and cell."""
-    return np.clip(linear_to_db(np.asarray(linear)), bounds.p_min_dbm, bounds.p_max_dbm)
+    """Linear mW in dBm, clipped to the power bounds: linear_to_db_in_place on a copy, so a cell
+    follows a field's rule."""
+    return linear_to_db_in_place(np.array(linear, dtype=float), bounds)
 
 
-def _entrant_caps(margin, gain):
-    """margin / gain: the most (mW) an entrant may radiate before a receiver hits its threshold.
+def _entrant_caps(margin, gain, out=None):
+    """margin / gain, into ``out`` when given: the most (mW) an entrant may radiate before a
+    receiver hits its threshold.
 
     A zero gain gives inf, or NaN when the margin is 0 too. Both callers fold
     the caps into inf with np.fmin, which skips NaN, so a receiver that no
     entrant power reaches sets no cap.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(margin, gain)
+        return np.divide(margin, gain, out=out)
 
 
 def _received_field(tx: Transmitter, scenario: Scenario) -> np.ndarray:
@@ -185,7 +205,7 @@ def occupancy_map(scenario: Scenario, band: int, quantum: int) -> PowerField:
     Cells reached by no transmission report p_min. Noise is not part of
     occupancy; only transmitted power counts.
     """
-    return PowerField(band, quantum, _clipped_dbm(occupancy_linear(scenario, band, quantum), scenario.bounds))
+    return PowerField(band, quantum, linear_to_db_in_place(occupancy_linear(scenario, band, quantum), scenario.bounds))
 
 
 def occupancy_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell) -> float:
@@ -340,8 +360,9 @@ class LinkBudget:
         receiver folds margin / gain into every listed slice it is active in;
         np.fmin is exact, so the fold gives the same bits in any order. A
         charged receiver, protected or not, goes to ``charge`` with its
-        rx_consumption before the next field is built. The walk runs in this
-        call; each field is finished as it is read.
+        rx_consumption before the next field is built. Every receiver's caps
+        are divided into one scratch array. The walk runs in this call; each
+        field is finished as it is read, in the array its caps were folded into.
         """
         scenario = self.scenario
         grid = scenario.grid
@@ -349,6 +370,7 @@ class LinkBudget:
         allowed = {
             key: np.full((grid.n_y, grid.n_x), np.inf) for key, found in budgets.items() if found.receivers
         }
+        scratch = np.empty((grid.n_y, grid.n_x)) if allowed else None
         folds: dict[str, list[tuple[Slice, float]]] = {}
         for key, found in budgets.items():
             for rx, margin in zip(found.receivers, found.margin):
@@ -358,7 +380,7 @@ class LinkBudget:
                 continue
             gain = entrant_gain_field_linear(rx.position, rx.pattern, grid, scenario.propagation)
             for key, margin in folds.get(rx.id, ()):
-                np.fmin(allowed[key], _entrant_caps(margin, gain), out=allowed[key])
+                np.fmin(allowed[key], _entrant_caps(margin, gain, scratch), out=allowed[key])
             if rx.id in charged:
                 charge(rx, _solo_denial(scenario, rx, gain))
         return (_capped_field(key, allowed.pop(key, None), budgets[key], scenario) for key in keys)
@@ -385,12 +407,12 @@ class LinkBudget:
 
 def _capped_field(key: Slice, allowed: np.ndarray | None, found: SliceBudget, scenario: Scenario) -> PowerField:
     """An opportunity field from the entrant caps of ``found``'s receivers folded into ``allowed``
-    (None when there are none): clipped dBm, p_min on every cell hosting one of them, and the ids of
-    those with zero margin."""
+    (None when there are none): clipped dBm over ``allowed`` itself, p_min on every cell hosting one
+    of them, and the ids of those with zero margin."""
     grid, bounds = scenario.grid, scenario.bounds
     if allowed is None:
         return PowerField(*key, np.full((grid.n_y, grid.n_x), float(bounds.p_max_dbm)))
-    values = _clipped_dbm(allowed, bounds)
+    values = linear_to_db_in_place(allowed, bounds)
     for rx in found.receivers:
         if grid.contains(rx.position):
             ix, iy = grid.cell_of(rx.position)
@@ -406,9 +428,8 @@ def _solo_denial(scenario: Scenario, rx: Receiver, gain: np.ndarray) -> Consumpt
     alone, as the joint walk would, so the bits are those of
     denied_consumption(scenario, [rx.id]).
     """
-    grid = scenario.grid
     alone = LinkBudget(scenario, [rx.id])
-    idle = _read_only(np.zeros((grid.n_y, grid.n_x)))
+    idle = _idle(scenario.grid)
     slices: dict[Slice, np.ndarray] = {}
     for key in _all_slices(scenario.dims):
         found = alone.slice(*key)
@@ -422,17 +443,19 @@ def _solo_denial(scenario: Scenario, rx: Receiver, gain: np.ndarray) -> Consumpt
 
 
 def _denied_linear(field: PowerField, bounds: PowerBounds) -> np.ndarray:
-    """p_max minus an opportunity field, in mW: what it denies to entrants per cell."""
-    linear = _field_linear(field, bounds)
+    """p_max minus a just-built opportunity field, in mW over its own cells: what it denies to
+    entrants per cell."""
+    linear = _linear_in_place(field.values_dbm, bounds)
     return np.subtract(bounds.p_max_linear, linear, out=linear)
 
 
 def _available(fields: Iterable[PowerField], scenario: Scenario) -> SpectrumQuantity:
-    """Opportunity fields integrated above the floor, read one at a time."""
+    """Just-built opportunity fields integrated above the floor, read one at a time, each
+    converted over its own cells."""
     bounds = scenario.bounds
     above = {}
     for field in fields:
-        linear = _field_linear(field, bounds)
+        linear = _linear_in_place(field.values_dbm, bounds)
         above[(field.band, field.quantum)] = np.subtract(linear, bounds.p_min_linear, out=linear)
     return quantify(ConsumptionSpace(frozenset(), above), scenario.grid)
 
@@ -498,11 +521,12 @@ def tx_consumption(tx, scenario: Scenario) -> ConsumptionSpace:
     mW; zero in slices where the transmitter is idle.
     """
     tx = resolve(tx, scenario.transmitter, "transmitter")
-    grid, bounds = scenario.grid, scenario.bounds
+    bounds = scenario.bounds
     received = _received_field(tx, scenario)
     np.clip(received, bounds.p_min_linear, bounds.p_max_linear, out=received)
-    active = _read_only(np.subtract(received, bounds.p_min_linear, out=received))
-    idle = _read_only(np.zeros((grid.n_y, grid.n_x)))
+    active = np.subtract(received, bounds.p_min_linear, out=received)
+    active.flags.writeable = False
+    idle = _idle(scenario.grid)
     slices = {key: active if tx.active_in(*key) else idle for key in _all_slices(scenario.dims)}
     return ConsumptionSpace(frozenset({tx.id}), slices)
 
@@ -526,15 +550,14 @@ def denied_consumption(scenario: Scenario, protected=None) -> ConsumptionSpace:
     opportunity field. A slice no protected receiver is active in denies
     nothing.
     """
-    grid, bounds = scenario.grid, scenario.bounds
     budget = LinkBudget(scenario, protected)
     keys = _all_slices(scenario.dims)
     guarded = [key for key in keys if budget.slice(*key).receivers]
     denied = {
-        (field.band, field.quantum): _denied_linear(field, bounds)
+        (field.band, field.quantum): _denied_linear(field, scenario.bounds)
         for field in budget._opportunity_fields(guarded, (), None)
     }
-    idle = _read_only(np.zeros((grid.n_y, grid.n_x)))
+    idle = _idle(scenario.grid)
     ids = frozenset(rx.id for key in guarded for rx in budget.slice(*key).receivers)
     return ConsumptionSpace(ids, {key: denied.get(key, idle) for key in keys})
 
@@ -563,8 +586,10 @@ def quantify(space: ConsumptionSpace, grid: Grid, dims: SpectrumSpaceDims | None
     """Integrate a consumption space into watt square meters.
 
     Each slice contributes sum(cells) * cell_area, converted from mW to W
-    once. The per-slice breakdown sums exactly to the total.
+    once. An array shared by several slices is summed once. The per-slice
+    breakdown sums exactly to the total.
     """
+    sums: dict[int, float] = {}
     breakdown: dict[Slice, float] = {}
     for key in sorted(space.slices):
         arr = space.slices[key]
@@ -572,7 +597,9 @@ def quantify(space: ConsumptionSpace, grid: Grid, dims: SpectrumSpaceDims | None
             raise ValueError(f"slice {key}: shape {arr.shape} does not match grid ({grid.n_y}, {grid.n_x})")
         if dims is not None:
             _check_slice(dims, *key)
-        breakdown[key] = float(np.sum(arr)) * grid.cell_area / 1000.0
+        if id(arr) not in sums:
+            sums[id(arr)] = float(np.sum(arr))
+        breakdown[key] = sums[id(arr)] * grid.cell_area / 1000.0
     return SpectrumQuantity(sum(breakdown.values()), breakdown)
 
 

@@ -25,6 +25,7 @@ from spectrumspace import (
     sinr_db,
     tx_consumption,
 )
+from spectrumspace import admission as admission_module
 from spectrumspace.admission import ENTRANT_NETWORK_ID
 
 from helpers import (
@@ -496,6 +497,29 @@ class TestEntrantUnion:
         union = quantify(combine_consumption(a, b, BOUNDS), final.grid, final.dims)
         assert result.quantified.exploited == union
         assert union.value < quantify(a, final.grid).value + quantify(b, final.grid).value
+
+
+    def test_idle_entrant_slices_become_writable_contiguous_cells(self, monkeypatch):
+        # Both entrants transmit in band 0, quantum 0 only, so every other
+        # slice of the union is built from their read-only, zero-stride idle views.
+        scn = make_scenario([], grid=make_grid(6, 4, 100.0), dims=SpectrumSpaceDims(b_hat=2, t_hat=2))
+        requests = [_request("r1", (150.0, 150.0)), _request("r2", (450.0, 250.0))]
+        unions = []
+        real_quantify = admission_module.quantify
+
+        def recording(space, grid, dims=None):
+            unions.append(space)
+            return real_quantify(space, grid, dims)
+
+        monkeypatch.setattr(admission_module, "quantify", recording)
+        result = compare_policies(scn, requests, margin_db=3.0, sensitivity_dbm=-90.0)
+        assert len(unions) == 2 and unions[0].entity_ids == frozenset({"r1", "r2"})
+        for space in unions:
+            for key, cells in space.slices.items():
+                assert cells.flags.writeable and cells.flags.c_contiguous
+                assert np.all(cells == 0.0) == (key != (0, 0))
+        for summary in (result.quantified, result.osa):
+            assert [summary.exploited.breakdown[key] for key in [(0, 1), (1, 0), (1, 1)]] == [0.0] * 3
 
 
 class TestAgainstStraightLoopAdmission:

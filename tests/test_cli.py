@@ -135,6 +135,17 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
         assert "set_int_max_str_digits" not in result.stderr
 
+    @pytest.mark.parametrize("section, key, named", [("grid", "n_x", "n_x * n_y"),
+                                                     ("dims", "bands", "bands * quanta")])
+    def test_oversized_scenario_is_usage(self, tmp_path, capsys, section, key, named):
+        data = json.loads(CAMPUS.read_text())
+        data[section][key] = 10**12
+        scn = write(tmp_path, data)
+        assert run(["quantify", "--scenario", str(scn), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and "exceeds the limit" in err
+        assert not (tmp_path / "quantify.json").exists()
+
     def test_duplicate_key_is_usage(self, tmp_path):
         # json.loads alone keeps the last value, and 29 dBm passes validation
         scn = tmp_path / "duplicated.json"

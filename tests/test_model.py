@@ -20,6 +20,7 @@ from spectrumspace import (
     validate_scenario,
     validation_errors,
 )
+from spectrumspace.model import MAX_CELLS, MAX_SLICES
 from spectrumspace.propagation import PropagationConfig
 
 from helpers import BOUNDS, PROP, make_grid, make_link, make_scenario
@@ -257,6 +258,38 @@ class TestValidation:
             scn.bounds = BOUNDS
         with pytest.raises(dataclasses.FrozenInstanceError):
             scn.networks[0].transmitters[0].tx_power_dbm = 0.0
+
+
+class TestSizeLimits:
+    """Validation bounds the cells per slice and the slice count; it never builds a field."""
+
+    @staticmethod
+    def sized(n_x, n_y, b_hat=1, t_hat=1):
+        return Scenario(grid=Grid(origin=(0.0, 0.0), cell_size=1.0, n_x=n_x, n_y=n_y),
+                        dims=SpectrumSpaceDims(b_hat=b_hat, t_hat=t_hat), bounds=BOUNDS, propagation=PROP)
+
+    def test_the_limits_are_a_bounded_memory(self):
+        assert MAX_CELLS == 1024 * 1024
+        assert 8 * MAX_CELLS * (MAX_SLICES + 4) == 4 * 2**30
+
+    def test_a_scenario_exactly_at_both_limits_validates(self):
+        assert validation_errors(self.sized(1024, 1024, 4, 127)) == []
+        assert validation_errors(self.sized(MAX_CELLS, 1, MAX_SLICES, 1)) == []
+
+    def test_one_cell_too_many_is_named(self):
+        assert validation_errors(self.sized(1025, 1024)) == [
+            "grid: n_x * n_y = 1025 * 1024 cells per slice exceeds the limit of 1048576"]
+        assert any("n_x * n_y" in e for e in validation_errors(self.sized(10**12, 1)))
+
+    def test_one_slice_too_many_is_named(self):
+        assert validation_errors(self.sized(2, 2, 509, 1)) == [
+            "dims: bands * quanta = 509 * 1 slices exceeds the limit of 508"]
+        assert any("bands * quanta" in e for e in validation_errors(self.sized(2, 2, 1, 10**12)))
+
+    def test_non_positive_sizes_are_not_also_too_large(self):
+        text = "\n".join(validation_errors(self.sized(-10**12, -1, -10**12, -1)))
+        assert "non-positive grid dims" in text and "band count must be >= 1" in text
+        assert "exceeds the limit" not in text
 
 
 class TestScenarioAccessors:

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -595,3 +596,106 @@ class TestHarvest:
             harvest_metrics(a, self._field([[10.0, 20.0]], band=1), grid, BOUNDS)
         with pytest.raises(ValueError, match="shape mismatch"):
             harvest_metrics(a, self._field([[10.0, 20.0, 30.0]]), grid, BOUNDS)
+
+
+def idle_in_quantum_one() -> Scenario:
+    """One link active in quantum 0 only: slices (0, 1), (1, 0) and (1, 1) are idle for it."""
+    return make_scenario([make_link("a", (150.0, 150.0), (250.0, 150.0), 20.0)],
+                         grid=make_grid(6, 4, 100.0), dims=SpectrumSpaceDims(b_hat=2, t_hat=2))
+
+
+IDLE_KEYS = [(0, 1), (1, 0), (1, 1)]
+IDLE_SPACES = {
+    "tx_consumption": lambda scn: tx_consumption("a-tx", scn),
+    "rx_consumption": lambda scn: rx_consumption("a-rx", scn),
+    "denied_consumption": lambda scn: denied_consumption(scn),
+}
+
+
+class TestIdleSlices:
+    """A slice an entity is idle in is a read-only, zero-stride view of 0.0, not a new array."""
+
+    @pytest.mark.parametrize("space_of", IDLE_SPACES.values(), ids=IDLE_SPACES.keys())
+    def test_idle_slices_are_read_only_zero_stride_zeros(self, space_of):
+        scn = idle_in_quantum_one()
+        slices = space_of(scn).slices
+        for key in IDLE_KEYS:
+            cells = slices[key]
+            assert cells.shape == (4, 6) and cells.strides == (0, 0)
+            assert not cells.flags.writeable
+            assert same_bits(np.array(cells), np.zeros((4, 6)))
+            with pytest.raises(ValueError, match="read-only"):
+                cells[0, 0] = 1.0
+        assert slices[(0, 0)].flags.c_contiguous and np.any(slices[(0, 0)] > 0.0)
+
+    def test_combining_idle_slices_gives_writable_contiguous_arrays(self):
+        scn = idle_in_quantum_one()
+        tx, rx = tx_consumption("a-tx", scn), rx_consumption("a-rx", scn)
+        one_sided = ConsumptionSpace(frozenset({"b"}), {(1, 1): rx.slices[(1, 1)]})
+        for union in (combine_consumption(tx, rx, BOUNDS), combine_consumption(tx, one_sided, BOUNDS),
+                      combine_consumption(one_sided, rx, BOUNDS)):
+            for key, cells in union.slices.items():
+                assert cells.flags.writeable and cells.flags.c_contiguous
+            for key in IDLE_KEYS:
+                assert same_bits(union.slices[key], np.zeros((4, 6)))
+
+    def test_a_space_of_idle_slices_quantifies_to_exactly_zero(self):
+        scn = idle_in_quantum_one()
+        nothing = denied_consumption(scn, protected=[])
+        assert len({id(cells) for cells in nothing.slices.values()}) == 1
+        quantity = quantify(nothing, scn.grid, scn.dims)
+        assert same_bits(np.array([quantity.value, *quantity.breakdown.values()]), np.zeros(5))
+
+    def test_a_shared_array_is_summed_once(self):
+        class Counted(np.ndarray):
+            sums = 0
+
+            def sum(self, *args, **kwargs):
+                Counted.sums += 1
+                return super().sum(*args, **kwargs)
+
+        scn = idle_in_quantum_one()
+        shared = np.full((4, 6), 0.5).view(Counted)
+        quantity = quantify(ConsumptionSpace(frozenset({"x"}), dict.fromkeys(IDLE_KEYS, shared)), scn.grid)
+        assert Counted.sums == 1
+        assert list(quantity.breakdown.values()) == [12.0 * scn.grid.cell_area / 1000.0] * 3
+
+
+class TestFieldMemory:
+    """receiver_accounting holds only the fields its walk needs, not one per receiver.
+
+    A field of this 250 x 250 grid is 8 B * 62,500 cells = 500,000 B. The
+    walk over its six slices holds at most, at once:
+
+    - one array per slice, the entrant caps folded into it: 6 fields;
+    - the entrant gain field of the receiver being charged: 1;
+    - the scratch array every receiver's caps are divided into: 1;
+    - that receiver's solo slices, one per slice it is active in: 2 here;
+    - while the last solo slice turns from dBm into mW, three boolean masks
+      of one byte per cell (the cells on p_min, on p_max, and all others): 3/8.
+
+    That is 10.375 fields; the bound adds half a field for the small arrays
+    (cell axes, link budgets) and tracemalloc's own counting, 10.875 in all.
+    A walk that copies a field to convert it, or allocates a zero array for
+    an idle slice, holds at least one field more, and a whole-run field cache
+    holds one per receiver.
+    """
+
+    SLICES, GAIN, SCRATCH, SOLO, MASKS, SMALL = 6, 1, 1, 2, 3 / 8, 1 / 2
+
+    def test_peak_of_the_receiver_walk(self):
+        links = [make_link(f"b{band}t{quantum}k{k}", (x, y), (x + 200.0, y), 20.0, band=band,
+                           quanta=(quantum,) if k == 0 else (0, 1))
+                 for band in range(3) for quantum in range(2) for k in range(2)
+                 for x, y in [(1000.0 + 3000.0 * quantum + 2000.0 * k, 1000.0 + 3000.0 * band)]]
+        scn = make_scenario(links, grid=make_grid(250, 250, 40.0), dims=SpectrumSpaceDims(b_hat=3, t_hat=2))
+        field_bytes = 8 * scn.grid.a_hat
+        quantify_module.receiver_accounting(scn, None)
+        tracemalloc.start()
+        try:
+            quantify_module.receiver_accounting(scn, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = self.SLICES + self.GAIN + self.SCRATCH + self.SOLO + self.MASKS + self.SMALL
+        assert peak / field_bytes < bound

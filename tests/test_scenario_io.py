@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from functools import reduce
 from operator import getitem, mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,8 +41,11 @@ from spectrumspace.scenario_io import (
     scenario_to_dict,
     write_report,
 )
+from spectrumspace.model import MAX_CELLS, MAX_SLICES
 
 from helpers import BOUNDS, o_field_csv, random_requests, random_scenario, sectored_scenario
+
+CAMPUS = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "campus.json"
 
 MINIMAL = {
     "grid": {"origin": [0.0, 0.0], "cell_size": 100.0, "n_x": 12, "n_y": 1},
@@ -122,6 +126,21 @@ class TestParseDocument:
         assert scn.propagation.path_loss_exponent == 2.0
         assert doc.requests == ()
         assert doc.policy == PolicyParams()
+
+    @pytest.mark.parametrize("section, key", [("grid", "n_x"), ("grid", "n_y"), ("dims", "bands"), ("dims", "quanta")])
+    def test_an_oversized_campus_is_refused_at_parse(self, section, key):
+        data = json.loads(CAMPUS.read_text())
+        data[section][key] = 10**12
+        with pytest.raises(ScenarioValidationError, match="exceeds the limit") as err:
+            parse_document(data)
+        assert len(err.value.errors) == 1
+
+    def test_a_campus_at_both_size_limits_parses(self):
+        data = json.loads(CAMPUS.read_text())
+        data["grid"].update(n_x=1024, n_y=1024)
+        data["dims"].update(bands=254, quanta=2)
+        scn = parse_document(data).scenario
+        assert (scn.grid.a_hat, scn.dims.b_hat * scn.dims.t_hat) == (MAX_CELLS, MAX_SLICES)
 
     def test_full_document(self):
         doc = parse_document(FULL)
