@@ -5,7 +5,8 @@ the live opportunity (including everyone admitted before it), and realizes
 winners as omni transmitters capped at their grant. The baseline is plain
 listen-before-talk: admit at full power wherever the locally sensed occupancy
 looks quiet, which is exactly how hidden receivers get hurt. Both policies
-share one request walk and differ only in how they price a band.
+share one request walk and differ only in how they price a band. A request
+is a model.AccessRequest, re-exported here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .model import RFNetwork, Scenario, Transmitter
+from .model import (
+    AccessRequest,
+    RFNetwork,
+    Scenario,
+    ScenarioValidationError,
+    Transmitter,
+    request_errors,
+)
 from .policy import Grant, Refusal, RightsRequest, define_rights
 from .quantify import (
     ConsumptionSpace,
@@ -39,25 +47,6 @@ __all__ = [
 
 ENTRANT_NETWORK_ID = "entrants"
 SINR_TOLERANCE_DB = 1e-6
-
-
-@dataclass(frozen=True)
-class AccessRequest:
-    """An entrant asking for some number of bands at a location.
-
-    ``required_bands`` of the ``acceptable_bands`` must be granted or the
-    request fails whole; there are no partial admissions. Lower ``priority``
-    values are served first, ties broken by request id.
-    """
-
-    request_id: str
-    position: tuple[float, float]
-    desired_dbm: float
-    min_useful_dbm: float
-    required_bands: int
-    acceptable_bands: frozenset[int]
-    quanta: frozenset[int]
-    priority: int = 0
 
 
 @dataclass(frozen=True)
@@ -98,18 +87,16 @@ def _order(requests) -> list[AccessRequest]:
 
 
 def _check_requests(scenario: Scenario, requests) -> None:
+    """Raise ScenarioValidationError listing every request_errors entry, and every
+    request id that collides with a scenario id or an earlier request's."""
+    errors = request_errors(scenario, requests)
     taken = scenario.all_ids()
-    seen = set()
     for req in requests:
-        if req.min_useful_dbm > req.desired_dbm:
-            raise ValueError(f"request {req.request_id!r}: min useful power exceeds desired power")
-        if req.required_bands < 1 or req.required_bands > len(req.acceptable_bands):
-            raise ValueError(f"request {req.request_id!r}: required band count out of range")
-        if not req.quanta:
-            raise ValueError(f"request {req.request_id!r}: no time quanta requested")
-        if req.request_id in taken or req.request_id in seen:
-            raise ValueError(f"request {req.request_id!r}: id collides with an existing one")
-        seen.add(req.request_id)
+        if req.request_id in taken:
+            errors.append(f"request {req.request_id!r}: id collides with an existing one")
+        taken.add(req.request_id)
+    if errors:
+        raise ScenarioValidationError(errors)
 
 
 def _entrant_id(req: AccessRequest, band: int) -> str:
@@ -288,23 +275,27 @@ def admit_osa(scenario: Scenario, requests, sensitivity_dbm: float) -> tuple[Adm
 def _entrant_exploitation(scenario: Scenario) -> SpectrumQuantity:
     """Spectrum consumed by the entrant transmitters, union per cell.
 
-    Each slice sums their consumption and clips once; for non-negative terms
-    that is bit for bit combine_consumption applied pairwise.
+    Each slice sums the consumption of the entrants active in it, starting
+    from a copy of the first one's, and clips once; for non-negative terms
+    that is bit for bit combine_consumption applied pairwise, since idle
+    entrants add 0.0. A slice no entrant is active in keeps their idle view.
     """
     net = scenario.network(ENTRANT_NETWORK_ID)
     if net is None or not net.transmitters:
         return SpectrumQuantity(0.0, {})
-    union = {}
+    idle, summed = {}, {}
     for tx in net.transmitters:
         for key, cells in tx_consumption(tx, scenario).slices.items():
-            if key in union:
-                union[key] += cells
+            if not tx.active_in(*key):
+                idle.setdefault(key, cells)
+            elif key in summed:
+                summed[key] += cells
             else:
-                union[key] = cells.copy()
-    for cells in union.values():
+                summed[key] = cells.copy()
+    for cells in summed.values():
         cells.clip(0.0, scenario.bounds.p_cmax_linear, out=cells)
     entrants = frozenset(tx.id for tx in net.transmitters)
-    return quantify(ConsumptionSpace(entrants, union), scenario.grid, scenario.dims)
+    return quantify(ConsumptionSpace(entrants, {**idle, **summed}), scenario.grid, scenario.dims)
 
 
 def _sinr_violations(original: Scenario, final: Scenario) -> tuple[int, float]:

@@ -10,13 +10,13 @@ import argparse
 import os
 import sys
 
-from .admission import admit_quantified, compare_policies, rights_register
 from .model import Scenario, ScenarioValidationError
-from .policy import PriceSheet, enforce, price
 from .quantify import (
+    PriceSheet,
     available_spectrum,
     occupancy_map,
     opportunity_map,
+    price,
     quantify,
     receiver_accounting,
     total_spectrum,
@@ -179,6 +179,11 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
                 report["prices"] = prices
         write_report(report, os.path.join(args.out, f"{command}.json"))
         return 0
+
+    # Only the admission commands load admission and policy: a process that
+    # never admits does not compile them.
+    from .admission import admit_quantified, compare_policies, rights_register
+    from .policy import enforce
 
     if command == "admit":
         margin = doc.policy.margin_db if args.margin_db is None else args.margin_db

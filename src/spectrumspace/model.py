@@ -20,6 +20,7 @@ if TYPE_CHECKING:
     from .propagation import PropagationConfig
 
 __all__ = [
+    "AccessRequest",
     "AntennaPattern",
     "Grid",
     "MAX_CELLS",
@@ -36,6 +37,7 @@ __all__ = [
     "db_to_linear_in_place",
     "linear_to_db",
     "linear_to_db_in_place",
+    "request_errors",
     "resolve",
     "validate_scenario",
     "validation_errors",
@@ -273,6 +275,25 @@ class RFNetwork:
 
 
 @dataclass(frozen=True)
+class AccessRequest:
+    """An entrant asking for some number of bands at a location.
+
+    ``required_bands`` of the ``acceptable_bands`` must be granted or the
+    request fails whole; there are no partial admissions. Lower ``priority``
+    values are served first, ties broken by request id.
+    """
+
+    request_id: str
+    position: tuple[float, float]
+    desired_dbm: float
+    min_useful_dbm: float
+    required_bands: int
+    acceptable_bands: frozenset[int]
+    quanta: frozenset[int]
+    priority: int = 0
+
+
+@dataclass(frozen=True)
 class Scenario:
     """The full world: grid, spectrum-space dims, bounds, networks, propagation.
 
@@ -403,14 +424,14 @@ def validation_errors(scenario: Scenario) -> list[str]:
                 errors.append(
                     f"transmitter {tx.id!r}: power below p_min ({tx.tx_power_dbm} < {bounds.p_min_dbm} dBm)"
                 )
-            _check_slices(tx.band, tx.quanta, dims, f"transmitter {tx.id!r}", errors)
+            _check_slices((tx.band,), tx.quanta, dims, f"transmitter {tx.id!r}", errors)
         for rx in net.receivers:
             _check_finite(f"receiver {rx.id!r}", errors, position=rx.position,
                           beta_db=rx.beta_db, noise_floor_dbm=rx.noise_floor_dbm)
             _check_pattern(rx.pattern, f"receiver {rx.id!r}", errors)
             if not rx.beta_db > 0:
                 errors.append(f"receiver {rx.id!r}: beta_db must be positive (got {rx.beta_db})")
-            _check_slices(rx.band, rx.quanta, dims, f"receiver {rx.id!r}", errors)
+            _check_slices((rx.band,), rx.quanta, dims, f"receiver {rx.id!r}", errors)
             linked = tx_ids.get(rx.linked_tx_id)
             if linked is None:
                 errors.append(f"receiver {rx.id!r}: dangling link {rx.linked_tx_id!r}")
@@ -433,6 +454,39 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     return scenario
 
 
+def request_errors(scenario: Scenario, requests) -> list[str]:
+    """Every way the requests break their rules in the scenario, not just the first.
+
+    A request needs a finite position on the grid and finite powers,
+    min_useful_dbm no more than desired_dbm, between one and all of its
+    acceptable_bands required, some quanta, and bands and quanta in the
+    scenario's range. Request ids are not checked against the scenario's:
+    admission does that, since a document audited by ``enforce`` names its
+    observed entrants after its requests.
+    """
+    errors: list[str] = []
+    for req in requests:
+        who = f"request {req.request_id!r}"
+        _check_finite(who, errors, position=req.position, desired_dbm=req.desired_dbm,
+                      min_useful_dbm=req.min_useful_dbm)
+        if all(map(math.isfinite, req.position)):
+            try:
+                scenario.grid.cell_of(req.position)
+            except ValueError as exc:
+                errors.append(f"{who}: {exc}")
+        if req.min_useful_dbm > req.desired_dbm:
+            errors.append(f"{who}: min useful power exceeds desired power "
+                          f"(min_useful_dbm {req.min_useful_dbm} > desired_dbm {req.desired_dbm})")
+        if not 1 <= req.required_bands <= len(req.acceptable_bands):
+            errors.append(f"{who}: required band count out of range (required_bands "
+                          f"{req.required_bands} of {len(req.acceptable_bands)} acceptable_bands)")
+        if not req.quanta:
+            errors.append(f"{who}: no time quanta requested")
+        _check_slices(req.acceptable_bands, req.quanta, scenario.dims, who, errors,
+                      ("acceptable_bands: band index", "quanta: time quantum"))
+    return errors
+
+
 def _all_names(scenario: Scenario) -> Iterator[str]:
     for net in scenario.networks:
         yield net.id
@@ -442,12 +496,12 @@ def _all_names(scenario: Scenario) -> Iterator[str]:
             yield rx.id
 
 
-def _check_slices(band: int, quanta: frozenset[int], dims: SpectrumSpaceDims, who: str, errors: list[str]) -> None:
-    if not 0 <= band < dims.b_hat:
-        errors.append(f"{who}: band index {band} out of range [0, {dims.b_hat})")
-    for q in sorted(quanta):
-        if not 0 <= q < dims.t_hat:
-            errors.append(f"{who}: time quantum {q} out of range [0, {dims.t_hat})")
+def _check_slices(bands, quanta, dims: SpectrumSpaceDims, who: str, errors: list[str],
+                  names=("band index", "time quantum")) -> None:
+    for name, indices, count in ((names[0], bands, dims.b_hat), (names[1], quanta, dims.t_hat)):
+        for i in sorted(indices):
+            if not 0 <= i < count:
+                errors.append(f"{who}: {name} {i} out of range [0, {count})")
 
 
 def _check_finite(who: str, errors: list[str], **values) -> None:

@@ -1,8 +1,9 @@
-"""Rights definition, guard margins, enforcement, and pricing.
+"""Rights definition, guard margins, and enforcement.
 
 A grant caps what a cell may radiate in each (band, quantum) slice; the cap
 comes from the guarded opportunity at that cell. Refusals are ordinary return
-values, not exceptions, so a manager can log and move on.
+values, not exceptions, so a manager can log and move on. The tariff,
+``PriceSheet`` and ``price``, lives in quantify and is re-exported here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .model import PowerBounds, Scenario, db_to_linear, resolve
-from .quantify import Cell, LinkBudget, PowerField, Slice, SpectrumQuantity, link_powers
+from .quantify import Cell, LinkBudget, PowerField, PriceSheet, Slice, link_powers, price
 
 __all__ = [
     "Grant",
@@ -85,14 +86,6 @@ class Violation:
     granted_dbm: float
     observed_dbm: float
     excess_db: float
-
-
-@dataclass(frozen=True)
-class PriceSheet:
-    """Linear tariff: currency per W m^2, optionally differentiated by slice."""
-
-    rate: float = 0.0
-    slice_rates: Mapping[Slice, float] | None = None
 
 
 def apply_guard_margin(opportunity: PowerField, margin_db: float, bounds: PowerBounds) -> PowerField:
@@ -219,19 +212,3 @@ def attribute_harmful_interference(rx, scenario: Scenario, quantum: int) -> dict
         return {tx_id: 0.0 for tx_id in contributions}
     scale = excess / interference
     return {tx_id: c * scale for tx_id, c in contributions.items()}
-
-
-def price(consumed: SpectrumQuantity, sheet: PriceSheet) -> float:
-    """Charge for a consumed quantity under a linear tariff.
-
-    Slice rates apply to the breakdown when both are present; otherwise the
-    flat rate multiplies the total. Negative rates are rejected.
-    """
-    if sheet.rate < 0 or (sheet.slice_rates and any(r < 0 for r in sheet.slice_rates.values())):
-        raise ValueError("price rates must be non-negative")
-    if sheet.slice_rates and consumed.breakdown is not None:
-        return sum(
-            sheet.slice_rates.get(key, sheet.rate) * amount
-            for key, amount in sorted(consumed.breakdown.items())
-        )
-    return sheet.rate * consumed.value

@@ -16,7 +16,7 @@ zero-stride view of 0.0, and quantify() sums each distinct array once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "HarvestMetrics",
     "LinkBudget",
     "PowerField",
+    "PriceSheet",
     "SliceBudget",
     "SpectrumQuantity",
     "aggregate_opportunity",
@@ -54,6 +55,7 @@ __all__ = [
     "occupancy_map",
     "opportunity_at_cell",
     "opportunity_map",
+    "price",
     "quantify",
     "receiver_accounting",
     "receiver_margin_linear",
@@ -99,6 +101,14 @@ class SpectrumQuantity:
 
     value: float
     breakdown: dict[Slice, float] | None = None
+
+
+@dataclass(frozen=True)
+class PriceSheet:
+    """Linear tariff: currency per W m^2, optionally differentiated by slice."""
+
+    rate: float = 0.0
+    slice_rates: Mapping[Slice, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -601,6 +611,22 @@ def quantify(space: ConsumptionSpace, grid: Grid, dims: SpectrumSpaceDims | None
             sums[id(arr)] = float(np.sum(arr))
         breakdown[key] = sums[id(arr)] * grid.cell_area / 1000.0
     return SpectrumQuantity(sum(breakdown.values()), breakdown)
+
+
+def price(consumed: SpectrumQuantity, sheet: PriceSheet) -> float:
+    """Charge for a consumed quantity under a linear tariff.
+
+    Slice rates apply to the breakdown when both are present; otherwise the
+    flat rate multiplies the total. Negative rates are rejected.
+    """
+    if sheet.rate < 0 or (sheet.slice_rates and any(r < 0 for r in sheet.slice_rates.values())):
+        raise ValueError("price rates must be non-negative")
+    if sheet.slice_rates and consumed.breakdown is not None:
+        return sum(
+            sheet.slice_rates.get(key, sheet.rate) * amount
+            for key, amount in sorted(consumed.breakdown.items())
+        )
+    return sheet.rate * consumed.value
 
 
 def total_spectrum(grid: Grid, dims: SpectrumSpaceDims, bounds: PowerBounds) -> SpectrumQuantity:

@@ -20,21 +20,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .admission import AccessRequest
 from .model import (
     OMNI_KIND,
     SECTORED_KIND,
+    AccessRequest,
     AntennaPattern,
     Grid,
     PowerBounds,
     Receiver,
     RFNetwork,
     Scenario,
+    ScenarioValidationError,
     SpectrumSpaceDims,
     Transmitter,
+    request_errors,
     validate_scenario,
 )
-from .policy import Grant
 from .propagation import FREE_SPACE, LOG_DISTANCE, PropagationConfig
 from .quantify import PowerField, SpectrumQuantity
 
@@ -349,12 +350,17 @@ def parse_document(data, source: str = "document") -> ScenarioDocument:
 
     Raises ScenarioFormatError with a field path on schema problems, and
     ScenarioValidationError listing every model violation afterwards; the
-    scenario is validated before the requests and policy are read.
+    scenario is validated before the requests and policy are read, and the
+    requests against the scenario after (model.request_errors).
     """
     data = _dict(data, source)
     _reject_unknown(data, _SCENARIO.keys | _DOCUMENT.keys, source)
     scenario = validate_scenario(_SCENARIO.build(data, source, {}))
-    return _DOCUMENT.build(data, source, {"scenario": scenario})
+    document = _DOCUMENT.build(data, source, {"scenario": scenario})
+    errors = request_errors(scenario, document.requests)
+    if errors:
+        raise ScenarioValidationError(errors)
+    return document
 
 
 def load_document(path) -> ScenarioDocument:
@@ -515,14 +521,14 @@ def record_to_dict(record) -> dict:
 
     Floats are fixed at 12 significant digits; tuples, lists, dicts and
     nested records are written item by item; ints, bools, strings and None
-    are kept. A SpectrumQuantity is written by ``quantity_to_dict``, and a
-    Grant's caps as one {band, quantum, cell, cap_dbm} entry per cell under
-    ``caps``.
+    are kept. A SpectrumQuantity is written by ``quantity_to_dict``, and the
+    ``caps_dbm`` of a record that has them (a policy.Grant) as one {band,
+    quantum, cell, cap_dbm} entry per cell under ``caps``.
     """
     if isinstance(record, SpectrumQuantity):
         return quantity_to_dict(record)
     out = {name: getattr(record, name) for name in record.__dataclass_fields__}
-    if isinstance(record, Grant):
+    if "caps_dbm" in out:
         out["caps"] = [
             {"band": b, "quantum": q, "cell": cell, "cap_dbm": cap}
             for (b, q), cells in sorted(out.pop("caps_dbm").items())

@@ -10,6 +10,7 @@ from spectrumspace import (
     PropagationConfig,
     Receiver,
     RFNetwork,
+    ScenarioValidationError,
     SpectrumSpaceDims,
     Transmitter,
     admit_osa,
@@ -26,7 +27,8 @@ from spectrumspace import (
     tx_consumption,
 )
 from spectrumspace import admission as admission_module
-from spectrumspace.admission import ENTRANT_NETWORK_ID
+from spectrumspace import model
+from spectrumspace.admission import ENTRANT_NETWORK_ID, rights_register
 
 from helpers import (
     BOUNDS,
@@ -175,6 +177,26 @@ class TestAdmitQuantified:
         twins = [_request("r1", (250.0, 50.0)), _request("r1", (650.0, 50.0))]
         with pytest.raises(ValueError, match="collides"):
             admit_quantified(scn, twins, 0.0)
+
+    @pytest.mark.parametrize("admit", [
+        lambda scn, reqs: admit_quantified(scn, reqs, 0.0),
+        lambda scn, reqs: admit_osa(scn, reqs, -90.0),
+        lambda scn, reqs: compare_policies(scn, reqs, 0.0, -90.0),
+        lambda scn, reqs: rights_register(scn, reqs, 0.0),
+    ], ids=["quantified", "osa", "compare", "register"])
+    def test_every_entry_point_lists_every_request_error(self, admit):
+        scn = canonical_link()
+        requests = [_request("r1", (-10.0, 50.0)), _request("r2", (250.0, 50.0), bands=(0, 1)),
+                    _request("a-rx", (650.0, 50.0))]
+        with pytest.raises(ScenarioValidationError) as err:
+            admit(scn, requests)
+        assert err.value.errors == model.request_errors(scn, requests) + [
+            "request 'a-rx': id collides with an existing one"]
+        assert "request 'r1': position (-10.0, 50.0) outside grid extent" in str(err.value)
+        assert "request 'r2': acceptable_bands: band index 1 out of range [0, 1)" in str(err.value)
+
+    def test_access_request_is_the_model_record(self):
+        assert admission_module.AccessRequest is model.AccessRequest is AccessRequest
 
 
 class TestAdmitOsa:
@@ -499,9 +521,10 @@ class TestEntrantUnion:
         assert union.value < quantify(a, final.grid).value + quantify(b, final.grid).value
 
 
-    def test_idle_entrant_slices_become_writable_contiguous_cells(self, monkeypatch):
-        # Both entrants transmit in band 0, quantum 0 only, so every other
-        # slice of the union is built from their read-only, zero-stride idle views.
+    def test_slices_no_entrant_is_active_in_stay_idle_views(self, monkeypatch):
+        # Both entrants transmit in band 0, quantum 0 only: that slice sums a
+        # copy of the first one's cells, and every other slice is left as an
+        # entrant's read-only, zero-stride idle view, neither copied nor clipped.
         scn = make_scenario([], grid=make_grid(6, 4, 100.0), dims=SpectrumSpaceDims(b_hat=2, t_hat=2))
         requests = [_request("r1", (150.0, 150.0)), _request("r2", (450.0, 250.0))]
         unions = []
@@ -516,8 +539,10 @@ class TestEntrantUnion:
         assert len(unions) == 2 and unions[0].entity_ids == frozenset({"r1", "r2"})
         for space in unions:
             for key, cells in space.slices.items():
-                assert cells.flags.writeable and cells.flags.c_contiguous
-                assert np.all(cells == 0.0) == (key != (0, 0))
+                built = key == (0, 0)
+                assert cells.flags.writeable == cells.flags.c_contiguous == built
+                assert (cells.strides == (0, 0)) != built
+                assert np.all(cells == 0.0) != built
         for summary in (result.quantified, result.osa):
             assert [summary.exploited.breakdown[key] for key in [(0, 1), (1, 0), (1, 1)]] == [0.0] * 3
 

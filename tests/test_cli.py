@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -169,6 +170,91 @@ class TestExitCodes:
              "--scenario", str(scn), "--out", str(tmp_path)],
             capture_output=True, text=True)
         assert result.returncode == 0
+
+
+class TestRequestValidation:
+    """A document whose requests break a rule is refused by every command, before any output."""
+
+    REQUEST = {"id": "r1", "position": [250.0, 50.0], "desired_dbm": 20.0, "min_useful_dbm": -20.0,
+               "required_bands": 1, "acceptable_bands": [0], "quanta": [0]}
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("acceptable_bands", [0, 1], "acceptable_bands: band index 1 out of range [0, 1)"),
+        ("quanta", [3], "quanta: time quantum 3 out of range [0, 1)"),
+        ("position", [1250.0, 50.0], "position (1250.0, 50.0) outside grid extent"),
+        ("min_useful_dbm", 25.0, "min_useful_dbm 25.0 > desired_dbm 20.0"),
+        ("required_bands", 2, "required_bands 2 of 1 acceptable_bands"),
+    ])
+    def test_each_rule_exits_1_naming_the_field(self, tmp_path, capsys, field, value, named):
+        data = dict(LINK, requests=[self.REQUEST, {**self.REQUEST, "id": "r2", field: value}])
+        scn = write(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["occupancy", "--scenario", str(scn), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"request 'r2': " in err and named in err
+        assert "request 'r1'" not in err
+        assert not out.exists()
+
+    def test_a_request_may_share_an_observed_transmitter_id(self, tmp_path):
+        # enforce audits entrants named after their requests, so only admission checks ids
+        data = dict(LINK, requests=[{**self.REQUEST, "id": "a-tx"}])
+        scn = write(tmp_path, data)
+        assert run(["occupancy", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+
+
+class TestModuleLoading:
+    """Which package modules a fresh interpreter has loaded when it exits."""
+
+    SRC = Path(importlib.import_module("spectrumspace").__file__).resolve().parents[1]
+    # ``python -m spectrumspace <argv[2:]>``, run as -m runs it, that writes sys.modules to argv[1] at exit
+    LAUNCHER = """\
+import atexit, runpy, sys
+
+def _write_modules(path=sys.argv[1]):
+    with open(path, "w") as fh:
+        fh.write("\\n".join(sys.modules))
+
+atexit.register(_write_modules)
+sys.argv = ["spectrumspace", *sys.argv[2:]]
+runpy.run_module("spectrumspace", run_name="__main__", alter_sys=True)
+"""
+    ADMISSION = {"spectrumspace.admission", "spectrumspace.policy"}
+
+    def loaded(self, tmp_path, code, *argv) -> set:
+        """The package modules ``python -c code MODULES_FILE *argv`` has loaded when it exits."""
+        modules = tmp_path / "modules.txt"
+        result = subprocess.run([sys.executable, "-c", code, str(modules), *argv], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": str(self.SRC)})
+        assert result.returncode == 0, result.stderr
+        return {name for name in modules.read_text().split("\n") if name.startswith("spectrumspace")}
+
+    def command(self, tmp_path, command) -> set:
+        return self.loaded(tmp_path, self.LAUNCHER, command, "--scenario", str(CAMPUS),
+                           "--out", str(tmp_path / "out"))
+
+    def test_reading_a_document_loads_neither_admission_nor_policy(self, tmp_path):
+        code = """\
+import sys, spectrumspace
+from spectrumspace.scenario_io import load_document
+
+load_document(sys.argv[2])
+with open(sys.argv[1], "w") as fh:
+    fh.write("\\n".join(sys.modules))
+"""
+        loaded = self.loaded(tmp_path, code, str(CAMPUS))
+        assert loaded == {"spectrumspace", "spectrumspace.model", "spectrumspace.propagation",
+                          "spectrumspace.quantify", "spectrumspace.scenario_io"}
+
+    @pytest.mark.parametrize("command", ["occupancy", "opportunity", "quantify", "report"])
+    def test_field_commands_load_neither_admission_nor_policy(self, tmp_path, command):
+        loaded = self.command(tmp_path, command)
+        assert "spectrumspace.cli" in loaded and not loaded & self.ADMISSION
+        assert any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("command", ["admit", "enforce", "compare-osa"])
+    def test_admission_commands_load_admission_and_policy(self, tmp_path, command):
+        assert self.ADMISSION <= self.command(tmp_path, command)
+        assert any((tmp_path / "out").iterdir())
 
 
 class TestRasterCommands:

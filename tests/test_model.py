@@ -20,7 +20,7 @@ from spectrumspace import (
     validate_scenario,
     validation_errors,
 )
-from spectrumspace.model import MAX_CELLS, MAX_SLICES
+from spectrumspace.model import MAX_CELLS, MAX_SLICES, AccessRequest, request_errors
 from spectrumspace.propagation import PropagationConfig
 
 from helpers import BOUNDS, PROP, make_grid, make_link, make_scenario
@@ -290,6 +290,53 @@ class TestSizeLimits:
         text = "\n".join(validation_errors(self.sized(-10**12, -1, -10**12, -1)))
         assert "non-positive grid dims" in text and "band count must be >= 1" in text
         assert "exceeds the limit" not in text
+
+
+class TestRequestErrors:
+    """Request rules that need only the scenario; id collisions are admission's."""
+
+    @staticmethod
+    def request(**changes):
+        fields = dict(request_id="r1", position=(250.0, 50.0), desired_dbm=20.0,
+                      min_useful_dbm=-20.0, required_bands=1, acceptable_bands=frozenset({0}),
+                      quanta=frozenset({0}))
+        return AccessRequest(**{**fields, **changes})
+
+    @staticmethod
+    def scenario():
+        return make_scenario([make_link("a", (50.0, 50.0), (150.0, 50.0), 30.0)],
+                             grid=make_grid(12, 1, 100.0), dims=SpectrumSpaceDims(b_hat=2, t_hat=2))
+
+    def test_a_valid_request_and_an_id_shared_with_the_scenario_pass(self):
+        scn = self.scenario()
+        assert request_errors(scn, [self.request(), self.request(request_id="a-tx")]) == []
+
+    @pytest.mark.parametrize("changes, named", [
+        ({"position": (-10.0, 50.0)}, "position (-10.0, 50.0) outside grid extent"),
+        ({"position": (1200.5, 50.0)}, "position (1200.5, 50.0) outside grid extent"),
+        ({"position": (math.nan, 50.0)}, "position must be finite"),
+        ({"desired_dbm": math.inf}, "desired_dbm must be finite"),
+        ({"min_useful_dbm": 21.0}, "min_useful_dbm 21.0 > desired_dbm 20.0"),
+        ({"required_bands": 0}, "required_bands 0 of 1 acceptable_bands"),
+        ({"required_bands": 2}, "required_bands 2 of 1 acceptable_bands"),
+        ({"acceptable_bands": frozenset()}, "required_bands 1 of 0 acceptable_bands"),
+        ({"quanta": frozenset()}, "no time quanta requested"),
+        ({"acceptable_bands": frozenset({0, 2})}, "acceptable_bands: band index 2 out of range [0, 2)"),
+        ({"acceptable_bands": frozenset({-1, 0})}, "acceptable_bands: band index -1 out of range"),
+        ({"quanta": frozenset({0, 5})}, "quanta: time quantum 5 out of range [0, 2)"),
+    ])
+    def test_each_rule_names_the_request_and_its_field(self, changes, named):
+        errors = request_errors(self.scenario(), [self.request(), self.request(request_id="r2", **changes)])
+        assert len(errors) == 1
+        assert errors[0].startswith("request 'r2': ") and named in errors[0]
+
+    def test_the_upper_grid_edge_is_on_the_grid(self):
+        assert request_errors(self.scenario(), [self.request(position=(1200.0, 100.0))]) == []
+
+    def test_all_errors_reported_at_once(self):
+        bad = self.request(position=(5000.0, 50.0), min_useful_dbm=30.0, required_bands=3,
+                           acceptable_bands=frozenset({0, 7}), quanta=frozenset({4}))
+        assert len(request_errors(self.scenario(), [bad])) == 5
 
 
 class TestScenarioAccessors:

@@ -9,6 +9,9 @@
 - No module imports another module's private (underscore) name.
 - Only ``scenario_io`` imports ``json``: documents and reports are read and
   written there, so no other module builds or dumps JSON by hand.
+- ``model``, ``propagation``, ``quantify``, ``scenario_io`` and ``cli`` import
+  neither ``admission`` nor ``policy`` when they are imported, so a command
+  that does not admit never loads those two modules.
 """
 
 import ast
@@ -93,3 +96,37 @@ def test_scenario_io_serializes():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scenario_io.py"], ids=lambda p: p.name)
 def test_only_scenario_io_imports_json(path):
     assert _json_imports(path) == []
+
+
+ADMISSION_MODULES = {"admission", "policy"}
+
+
+def _import_time_imports(path: Path) -> set[str]:
+    """The package's modules that ``path`` imports when it is itself imported: outside any function."""
+    found = set()
+    stack = list(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level > 0 and not module:
+                found.update(a.name for a in node.names)
+            elif node.level > 0 or module.startswith("spectrumspace."):
+                found.add(module.removeprefix("spectrumspace.").split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("spectrumspace."))
+    return found
+
+
+def test_the_import_time_rule_sees_admissions_imports():
+    assert {"model", "policy", "quantify"} <= _import_time_imports(PACKAGE / "admission.py")
+    assert _import_time_imports(PACKAGE / "cli.py") == {"model", "quantify", "scenario_io"}
+
+
+@pytest.mark.parametrize("name", ["model", "propagation", "quantify", "scenario_io", "cli"])
+def test_admission_and_policy_load_only_when_used(name):
+    assert _import_time_imports(PACKAGE / f"{name}.py") & ADMISSION_MODULES == set()
