@@ -14,7 +14,7 @@ from .model import Scenario, ScenarioValidationError
 from .quantify import (
     PriceSheet,
     available_spectrum,
-    occupancy_map,
+    occupancy_maps,
     opportunity_map,
     price,
     quantify,
@@ -145,9 +145,8 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
     command = args.command
 
     if command == "occupancy":
-        for b, q in _slices(scenario, args.band, args.quantum):
-            export_field(occupancy_map(scenario, b, q),
-                         os.path.join(args.out, f"occupancy_b{b}_q{q}.csv"))
+        for field in occupancy_maps(scenario, _slices(scenario, args.band, args.quantum)):
+            export_field(field, os.path.join(args.out, f"occupancy_b{field.band}_q{field.quantum}.csv"))
         return 0
 
     if command == "opportunity":

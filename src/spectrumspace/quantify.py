@@ -7,15 +7,22 @@ consumption; all sums happen in linear milliwatts.
 
 Each integrated field is finished in the array its linear caps were folded
 into: clipped to dBm in place (model.linear_to_db_in_place), then back to mW
-in place, with 10 ** (x / 10) computed only on cells off the power bounds and
-the bounds' own linear values copied into the rest. The floats are those of
-converting on copies. A slice an entity is idle in is a read-only,
-zero-stride view of 0.0, and quantify() sums each distinct array once.
+in place by model.db_to_linear_in_place, the one array 10 ** (x / 10),
+computed only on cells off the power bounds and the bounds' own linear values
+copied into the rest. The floats are those of converting on copies. A slice
+an entity is idle in is a read-only, zero-stride view of 0.0, and quantify()
+sums each distinct array once.
+
+Occupancy is walked band-major (occupancy_maps): a transmitter's received
+field is built once per band and added to every listed quantum it is active
+in, with each slice's sums in the order of its own occupancy_linear.
+Opportunity is walked receiver-major, one entrant gain field per receiver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -53,6 +60,7 @@ __all__ = [
     "occupancy_at_cell",
     "occupancy_linear",
     "occupancy_map",
+    "occupancy_maps",
     "opportunity_at_cell",
     "opportunity_map",
     "price",
@@ -141,15 +149,14 @@ def _linear_in_place(values: np.ndarray, bounds: PowerBounds) -> np.ndarray:
 
     numpy's ** may round 10 ** (x / 10) one ulp away from the Python float **
     of PowerBounds, so ** skips the cells equal to a bound and they take that
-    bound's linear value. Every other cell gets numpy's 10 ** (x / 10), bit
-    for bit db_to_linear.
+    bound's linear value. Every other cell gets db_to_linear_in_place's
+    10 ** (x / 10), bit for bit db_to_linear.
     """
     at_min = values == bounds.p_min_dbm
     at_max = values == bounds.p_max_dbm
     free = np.logical_or(at_min, at_max)
     np.logical_not(free, out=free)
-    np.divide(values, 10.0, out=values)
-    np.power(10.0, values, out=values, where=free)
+    db_to_linear_in_place(values, where=free)
     np.copyto(values, bounds.p_min_linear, where=at_min)
     np.copyto(values, bounds.p_max_linear, where=at_max)
     return values
@@ -184,6 +191,43 @@ def _received_field(tx: Transmitter, scenario: Scenario) -> np.ndarray:
     return db_to_linear_in_place(np.add(tx.tx_power_dbm, field, out=field))
 
 
+def _occupancy_walk(scenario: Scenario, keys: list[Slice]) -> Iterator[tuple[Slice, np.ndarray]]:
+    """(key, occupancy_linear) of each of the distinct slices ``keys``, in that order.
+
+    Each run of keys in one band is folded band-major: a transmitter active
+    in one of its quanta has its received field built once and added to each.
+    Per slice the sums are occupancy_linear's. A network's sum is a new
+    array from its second field on, so a field two quanta share is never
+    added into. The walk holds one band's totals and one network's partial
+    sums at a time.
+    """
+    for key in keys:
+        _check_slice(scenario.dims, *key)
+    for band, run in groupby(keys, key=lambda k: k[0]):
+        quanta = [q for _, q in run]
+        totals = {q: np.zeros((scenario.grid.n_y, scenario.grid.n_x)) for q in quanta}
+        for net in scenario.networks:
+            sums: dict[int, np.ndarray] = {}
+            owned: set[int] = set()
+            for tx in net.transmitters:
+                listed = [q for q in quanta if tx.active_in(band, q)]
+                if not listed:
+                    continue
+                received = _received_field(tx, scenario)
+                for q in listed:
+                    if q not in sums:
+                        sums[q] = received
+                    elif q in owned:
+                        sums[q] += received
+                    else:
+                        sums[q] = sums[q] + received
+                        owned.add(q)
+            for q, net_sum in sums.items():
+                totals[q] += net_sum
+        for q in quanta:
+            yield (band, q), totals.pop(q)
+
+
 def occupancy_linear(scenario: Scenario, band: int, quantum: int) -> np.ndarray:
     """Aggregate man-made linear power (mW) at every cell center, unclipped.
 
@@ -193,20 +237,7 @@ def occupancy_linear(scenario: Scenario, band: int, quantum: int) -> np.ndarray:
     and a network idle in the slice adds nothing: every term is >= +0.0, so
     both give the bits a sum started at zeros would.
     """
-    _check_slice(scenario.dims, band, quantum)
-    total = np.zeros((scenario.grid.n_y, scenario.grid.n_x))
-    for net in scenario.networks:
-        net_sum = None
-        for tx in net.transmitters:
-            if tx.active_in(band, quantum):
-                received = _received_field(tx, scenario)
-                if net_sum is None:
-                    net_sum = received
-                else:
-                    net_sum += received
-        if net_sum is not None:
-            total += net_sum
-    return total
+    return next(_occupancy_walk(scenario, [(band, quantum)]))[1]
 
 
 def occupancy_map(scenario: Scenario, band: int, quantum: int) -> PowerField:
@@ -215,7 +246,14 @@ def occupancy_map(scenario: Scenario, band: int, quantum: int) -> PowerField:
     Cells reached by no transmission report p_min. Noise is not part of
     occupancy; only transmitted power counts.
     """
-    return PowerField(band, quantum, linear_to_db_in_place(occupancy_linear(scenario, band, quantum), scenario.bounds))
+    return next(occupancy_maps(scenario, [(band, quantum)]))
+
+
+def occupancy_maps(scenario: Scenario, keys: Iterable[Slice]) -> Iterator[PowerField]:
+    """occupancy_map of each of the distinct slices ``keys``, in that order, from one walk that
+    builds a transmitter's field once per run of keys in its band."""
+    for key, total in _occupancy_walk(scenario, list(keys)):
+        yield PowerField(*key, linear_to_db_in_place(total, scenario.bounds))
 
 
 def occupancy_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell) -> float:

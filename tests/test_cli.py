@@ -401,6 +401,42 @@ class TestReportCommand:
                 assert price == format_number(2.0 * quantity)
 
 
+class TestOccupancyWalk:
+    """occupancy builds each transmitter's field once over all the slices it writes, under
+    --band and --quantum too."""
+
+    SCENARIOS = [(make, seed) for make in (random_scenario, sectored_scenario) for seed in range(5)]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        tx_field = quantify_module.tx_gain_db_field
+
+        def counting_tx(tx, *args):
+            built.append(tx.id)
+            return tx_field(tx, *args)
+
+        monkeypatch.setattr(quantify_module, "tx_gain_db_field", counting_tx)
+        return built
+
+    @pytest.mark.parametrize("which", ["all", "band", "quantum", "slice"])
+    @pytest.mark.parametrize("make, seed", SCENARIOS, ids=lambda v: getattr(v, "__name__", v))
+    def test_each_field_is_built_once(self, tmp_path, built, make, seed, which):
+        path = write(tmp_path, scenario_to_dict(make(seed)))
+        scn = load_scenario(path)
+        band, quantum = scn.dims.b_hat - 1, scn.dims.t_hat - 1
+        flags = {"all": [], "band": ["--band", str(band)], "quantum": ["--quantum", str(quantum)],
+                 "slice": ["--band", str(band), "--quantum", str(quantum)]}[which]
+        bands = [band] if "--band" in flags else range(scn.dims.b_hat)
+        quanta = [quantum] if "--quantum" in flags else range(scn.dims.t_hat)
+        keys = [(b, q) for b in bands for q in quanta]
+        out = tmp_path / "out"
+        assert run(["occupancy", "--scenario", str(path), "--out", str(out), *flags]) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(f"occupancy_b{b}_q{q}.csv" for b, q in keys)
+        assert sorted(built) == sorted(tx.id for tx in scn.transmitters()
+                                       if any(tx.active_in(*key) for key in keys))
+
+
 class TestReportWalk:
     """report charges every receiver from the walk that gives available spectrum: each
     receiver's entrant gain field and each transmitter's gain field is built once."""

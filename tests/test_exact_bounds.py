@@ -26,6 +26,7 @@ from spectrumspace import (
     opportunity_map,
     rx_consumption,
 )
+from spectrumspace import model
 from spectrumspace.model import linear_to_db_in_place
 
 from helpers import make_grid, make_link, make_scenario, random_scenario, same_bits
@@ -170,3 +171,74 @@ def test_in_place_dbm_conversion_is_the_clipped_formula(p_max, p_min, n_y, n_x, 
     owned = linear.copy()
     assert linear_to_db_in_place(owned, bounds) is owned
     assert same_bits(owned, expected)
+
+
+# model.db_to_linear_in_place is the package's one array 10 ** (x / 10). It
+# feeds np.power a contiguous base block of 10.0 instead of the scalar, block
+# by block over a large array's flat view. These properties pin it to the
+# scalar-base call bit for bit, masked or not, across the block edges; any CPU
+# whose power loop rounds a contiguous base differently fails them.
+
+BLOCK = model._TENS.size
+BLOCK_EDGES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 62_500]
+HUGE = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 4000.0, -4000.0)
+
+
+def scalar_base(db: np.ndarray, where=True) -> np.ndarray:
+    """np.power(10.0, db / 10) on a copy, masked cells left at db / 10."""
+    out = db / 10.0
+    with np.errstate(over="ignore"):
+        return np.power(10.0, out, out=out, where=where)
+
+
+def kernel_cells(size: int, seed: int) -> np.ndarray:
+    """``size`` dB values: about half in [-400, 400], the rest special or huge."""
+    rng = np.random.default_rng(seed)
+    cells = rng.uniform(-400.0, 400.0, size)
+    special = rng.integers(0, 2, size).astype(bool)
+    cells[special] = rng.choice(np.array(HUGE), int(special.sum()))
+    return cells
+
+
+@given(size=st.sampled_from(BLOCK_EDGES) | st.integers(0, 3 * BLOCK + 7),
+       rows=st.sampled_from([1, 2, 5, 250]), masked=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(size=62_500, rows=250, masked=True, seed=0)
+@example(size=62_500, rows=250, masked=False, seed=0)
+@example(size=BLOCK + 1, rows=1, masked=False, seed=0)
+@example(size=BLOCK + 1, rows=1, masked=True, seed=0)
+@example(size=BLOCK, rows=1, masked=False, seed=0)
+@example(size=BLOCK - 1, rows=1, masked=True, seed=0)
+@example(size=1, rows=1, masked=False, seed=0)
+@example(size=0, rows=1, masked=False, seed=0)
+def test_block_kernel_is_the_scalar_base_call(size, rows, masked, seed):
+    cells = kernel_cells(size, seed)
+    shape = (rows, size // rows) if size % rows == 0 and rows > 1 else (size,)
+    cells = cells.reshape(shape)
+    where = np.random.default_rng(seed + 1).integers(0, 2, shape).astype(bool) if masked else True
+
+    owned = cells.copy()
+    with np.errstate(over="ignore"):
+        assert model.db_to_linear_in_place(owned, where=where) is owned
+    assert same_bits(owned, scalar_base(cells, where))
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: a[:, ::2],         # strided rows no flat view reaches, larger than a block
+    lambda a: a.T,               # Fortran order, larger than a block
+    lambda a: a[:3, ::7],        # strided, within one block
+], ids=["strided", "transposed", "small strided"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_non_contiguous_arrays_are_converted_where_they_lie(make, masked):
+    base = kernel_cells(100 * 91, 7).reshape(100, 91)
+    before = base.copy()
+    view = make(base)
+    assert not view.flags.c_contiguous
+    where = np.random.default_rng(8).integers(0, 2, view.shape).astype(bool) if masked else True
+    expected = scalar_base(make(before), where)
+
+    with np.errstate(over="ignore"):
+        assert model.db_to_linear_in_place(view, where=where) is view
+    assert same_bits(make(base), expected)
+    untouched = np.ones(base.shape, dtype=bool)
+    make(untouched)[...] = False
+    assert same_bits(base[untouched], before[untouched])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spectrumspace import (
     AntennaPattern,
@@ -87,6 +87,35 @@ class TestGrid:
         assert 0 <= ix < 10 and 0 <= iy < 10
         assert ix * 100.0 <= x and (x < (ix + 1) * 100.0 or x == 1000.0)
         assert iy * 100.0 <= y
+
+    @given(origin=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+           cell_size=st.floats(1e-3, 1e4), n_x=st.integers(1, 1024), n_y=st.integers(1, 1024),
+           steps=st.integers(0, 3))
+    @example(origin=(-397.5, 0.0), cell_size=32.1, n_x=22, n_y=1, steps=1)
+    def test_contains_holds_exactly_when_cell_of_returns(self, origin, cell_size, n_x, n_y, steps):
+        """At the extent's edges and up to ``steps`` ulps either side of them, cell_of returns a
+        cell of the grid for every point contains accepts, and raises for every other one."""
+        grid = Grid(origin, cell_size, n_x, n_y)
+        x_min, y_min, x_max, y_max = grid.extent
+
+        def near(edge):
+            points = [edge]
+            for toward in (-math.inf, math.inf):
+                point = edge
+                for _ in range(steps):
+                    point = math.nextafter(point, toward)
+                    points.append(point)
+            return points
+
+        xs = near(x_min) + near(x_max) + [grid.cell_center(n_x // 2, 0)[0]]
+        ys = near(y_min) + near(y_max) + [grid.cell_center(0, n_y // 2)[1]]
+        for point in [(x, y) for x in xs for y in ys]:
+            if grid.contains(point):
+                ix, iy = grid.cell_of(point)
+                assert 0 <= ix < n_x and 0 <= iy < n_y
+            else:
+                with pytest.raises(ValueError, match="outside grid extent"):
+                    grid.cell_of(point)
 
     def test_center_arrays_align_with_cell_center(self):
         grid = make_grid(4, 3, 50.0, origin=(10.0, -20.0))

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from spectrumspace import (
     Grant,
+    Grid,
     PowerField,
     PriceSheet,
     Receiver,
@@ -204,6 +207,14 @@ class TestEnforce:
         observed = _observed(BOUNDS.p_min_dbm)
         violations = enforce([], observed)
         assert "e1" not in {v.tx_id for v in violations}
+
+    def test_a_transmitter_one_ulp_inside_the_upper_edge_is_audited(self):
+        # floor((x - origin) / cell_size) rounds up to n_x there; the cell is still the last one
+        grid = Grid((-397.5, 0.0), 32.1, 22, 1)
+        x = math.nextafter(grid.extent[2], -math.inf)
+        observed = make_scenario([make_link("a", (x, 10.0), (0.0, 10.0), 10.0)], grid=grid)
+        violations = enforce([], observed)
+        assert [(v.tx_id, v.cell) for v in violations] == [("a-tx", (21, 0))]
 
     def test_absent_grantee_is_compliant(self):
         grant = self._grant()

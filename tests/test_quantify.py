@@ -34,7 +34,8 @@ from spectrumspace import (
     tx_consumption,
 )
 from spectrumspace.propagation import link_gain_db
-from spectrumspace.quantify import link_powers
+from spectrumspace.model import linear_to_db_in_place
+from spectrumspace.quantify import link_powers, occupancy_maps
 
 from helpers import (
     BOUNDS,
@@ -68,6 +69,21 @@ def zero_margin_link() -> Scenario:
     """The rx's own link is hopeless (-60 dBm tx at 100 m, beta 10)."""
     return make_scenario([make_link("z", (50.0, 50.0), (150.0, 50.0), -60.0)],
                          grid=make_grid(5, 5, 100.0))
+
+
+def spanning_scenario(seed: int) -> Scenario:
+    """random_scenario (B=2, T=2) plus a network of five transmitters in band 0: a field shared
+    by both quanta comes first in each quantum, then one quantum's own, then another shared."""
+    base = random_scenario(seed, b_hat=2, t_hat=2)
+    rng = np.random.default_rng(seed)
+    x_min, y_min, x_max, y_max = base.grid.extent
+    txs = tuple(
+        Transmitter(id=f"span{i}", network_id="span",
+                    position=(float(rng.uniform(x_min, x_max)), float(rng.uniform(y_min, y_max))),
+                    tx_power_dbm=float(rng.uniform(-5.0, 28.0)), band=0, quanta=frozenset(quanta))
+        for i, quanta in enumerate([{0, 1}, {0}, {0, 1}, {1}, {0, 1}])
+    )
+    return base.with_network(RFNetwork("span", txs))
 
 
 class TestOccupancy:
@@ -144,6 +160,21 @@ class TestOccupancy:
         for b in range(scn.dims.b_hat):
             for q in range(scn.dims.t_hat):
                 assert same_bits(occupancy_linear(scn, b, q), o_occupancy_linear(scn, b, q))
+
+    @pytest.mark.parametrize("make", [random_scenario, sectored_scenario, spanning_scenario],
+                             ids=["random", "sectored", "spanning"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_band_major_walk_gives_each_slice_its_own_bits(self, make, seed):
+        scn = make(seed)
+        keys = [(b, q) for b in range(scn.dims.b_hat) for q in range(scn.dims.t_hat)]
+        for order in (keys, keys[::-1]):
+            fields = list(occupancy_maps(scn, order))
+            assert [(f.band, f.quantum) for f in fields] == order
+            for field in fields:
+                key = (field.band, field.quantum)
+                assert same_bits(field.values_dbm, occupancy_map(scn, *key).values_dbm)
+                expected = linear_to_db_in_place(o_occupancy_linear(scn, *key), scn.bounds)
+                assert same_bits(field.values_dbm, expected)
 
     def test_oracle_scenarios_have_idle_networks(self):
         scn = sectored_scenario(0)

@@ -6,6 +6,8 @@
 - ``quantify`` calls each whole-grid gain field, ``tx_gain_db_field`` and
   ``entrant_gain_field_linear``, from exactly one place, so a second walk
   over transmitters or receivers cannot come back unseen.
+- ``np.power`` appears only in ``model.db_to_linear_in_place``, so every
+  array 10 ** x goes through one conversion kernel.
 - No module imports another module's private (underscore) name.
 - Only ``scenario_io`` imports ``json``: documents and reports are read and
   written there, so no other module builds or dumps JSON by hand.
@@ -71,6 +73,28 @@ def test_gain_db_is_called_only_in_propagation(path):
 @pytest.mark.parametrize("field", ["tx_gain_db_field", "entrant_gain_field_linear"])
 def test_quantify_builds_each_gain_field_in_one_place(field):
     assert len(_calls(PACKAGE / "quantify.py", field)) == 1
+
+
+def _numpy_power_uses(path: Path) -> list[str]:
+    """``function: line`` of every np.power / numpy.power reference or import from numpy,
+    named by the top-level function or class it sits in."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "power" and \
+                    isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                found.append(f"{getattr(top, 'name', '<module>')}: {node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy" and \
+                    any(a.name == "power" for a in node.names):
+                found.append(f"{getattr(top, 'name', '<module>')}: {node.lineno}")
+    return found
+
+
+def test_np_power_is_called_only_in_the_conversion_kernel():
+    uses = {path.name: _numpy_power_uses(path) for path in MODULES}
+    kernel = uses.pop("model.py")
+    assert kernel and all(use.startswith("db_to_linear_in_place:") for use in kernel)
+    assert {name: found for name, found in uses.items() if found} == {}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
