@@ -35,7 +35,6 @@ from .propagation import (
     LOG_DISTANCE,
     PropagationConfig,
     link_gain_db,
-    path_loss_db,
 )
 from .quantify import (
     ConsumptionSpace,
@@ -105,7 +104,7 @@ __all__ = sorted([
     "OMNI", "AccessRequest", "AntennaPattern", "Grid", "PowerBounds", "Receiver", "RFNetwork",
     "Scenario", "ScenarioValidationError", "SpectrumSpaceDims", "Transmitter", "db_to_linear",
     "linear_to_db", "validate_scenario", "validation_errors",
-    "FREE_SPACE", "LOG_DISTANCE", "PropagationConfig", "link_gain_db", "path_loss_db",
+    "FREE_SPACE", "LOG_DISTANCE", "PropagationConfig", "link_gain_db",
     "ConsumptionSpace", "HarvestMetrics", "LinkBudget", "PowerField", "PriceSheet",
     "SpectrumQuantity", "aggregate_opportunity", "available_spectrum", "combine_consumption",
     "denied_consumption", "harvest_metrics", "occupancy_at_cell", "occupancy_linear",

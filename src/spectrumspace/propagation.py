@@ -22,7 +22,6 @@ __all__ = [
     "gain_db",
     "gains_db",
     "link_gain_db",
-    "path_loss_db",
     "tx_gain_db_field",
 ]
 
@@ -47,15 +46,6 @@ class PropagationConfig:
     @property
     def exponent(self) -> float:
         return 2.0 if self.model == FREE_SPACE else self.path_loss_exponent
-
-
-def path_loss_db(distance_m, config: PropagationConfig):
-    """Path loss in dB at a distance (scalar or array), never below zero slope.
-
-    Distances under the clamp are treated as the clamp distance.
-    """
-    loss = _path_loss_in_place(np.array(distance_m, dtype=float), config)
-    return float(loss) if loss.ndim == 0 else loss
 
 
 def _path_loss_in_place(d: np.ndarray, config: PropagationConfig) -> np.ndarray:

@@ -17,13 +17,16 @@ Occupancy is walked band-major (occupancy_maps): a transmitter's received
 field is built once per band and added to every listed quantum it is active
 in, with each slice's sums in the order of its own occupancy_linear.
 Opportunity is walked receiver-major, one entrant gain field per receiver.
+LinkBudget._opportunity_fields is the one fold of entrant caps into a grid:
+every opportunity field, joint denial and receiver charge comes from it. A
+receiver's charge, rx_consumption, is the denial of protecting it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -178,11 +181,18 @@ def _entrant_caps(margin, gain, out=None):
     receiver hits its threshold.
 
     A zero gain gives inf, or NaN when the margin is 0 too. Both callers fold
-    the caps into inf with np.fmin, which skips NaN, so a receiver that no
-    entrant power reaches sets no cap.
+    the caps with np.fmin, starting from inf, and np.fmin skips NaN, so a
+    receiver that no entrant power reaches sets no cap.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.divide(margin, gain, out=out)
+
+
+def _entrant_gains(scenario: Scenario, receivers: Iterable[Receiver]) -> Iterator[tuple[Receiver, np.ndarray]]:
+    """(receiver, entrant gain field) of each of ``receivers``, in that order, each field built as
+    it is read."""
+    for rx in receivers:
+        yield rx, entrant_gain_field_linear(rx.position, rx.pattern, scenario.grid, scenario.propagation)
 
 
 def _received_field(tx: Transmitter, scenario: Scenario) -> np.ndarray:
@@ -347,6 +357,9 @@ class LinkBudget:
     Args:
       scenario: validated world.
       protected: receiver ids or Receiver objects; None protects all.
+
+    Raises:
+      ValueError: a protected id names no receiver of ``scenario``.
     """
 
     def __init__(self, scenario: Scenario, protected=None):
@@ -354,6 +367,9 @@ class LinkBudget:
         self._wanted = None if protected is None else frozenset(
             rx.id if isinstance(rx, Receiver) else rx for rx in protected
         )
+        unknown = sorted(self._wanted - {rx.id for rx in scenario.receivers()}) if self._wanted else []
+        if unknown:
+            raise ValueError(f"unknown receiver {unknown[0]!r} in the protected set")
         self._slices: dict[Slice, SliceBudget] = {}
 
     def slice(self, band: int, quantum: int) -> SliceBudget:
@@ -396,41 +412,42 @@ class LinkBudget:
 
     def opportunity_map(self, band: int, quantum: int) -> PowerField:
         """:func:`opportunity_map` of this budget's scenario and protected set."""
-        return next(self._opportunity_fields([(band, quantum)], (), None))
+        return next(self._opportunity_fields([(band, quantum)]))
 
-    def _opportunity_fields(self, keys: list[Slice], charged: Collection[str],
-                            charge: Callable[[Receiver, ConsumptionSpace], None] | None) -> Iterator[PowerField]:
-        """The opportunity fields of ``keys``, in that order, from one walk over the receivers.
+    def _opportunity_fields(self, keys: list[Slice], gains: Iterable[tuple[Receiver, np.ndarray]] | None = None
+                            ) -> Iterator[PowerField]:
+        """The opportunity fields of ``keys``, in that order, from one walk over (receiver, entrant
+        gain field) pairs: the one place entrant caps are folded into a grid.
 
-        The walk takes the scenario's receivers in declaration order and builds
-        a receiver's entrant gain field once: when it is protected and active
-        in a listed slice, or when its id is in ``charged``. A protected
-        receiver folds margin / gain into every listed slice it is active in;
-        np.fmin is exact, so the fold gives the same bits in any order. A
-        charged receiver, protected or not, goes to ``charge`` with its
-        rx_consumption before the next field is built. Every receiver's caps
-        are divided into one scratch array. The walk runs in this call; each
-        field is finished as it is read, in the array its caps were folded into.
+        ``gains`` defaults to _entrant_gains of the protected receivers active
+        in a listed slice, in declaration order, so each field is built once,
+        as the walk reads it; a receiver that guards no listed slice folds
+        nothing. A protected receiver folds margin / gain into every listed
+        slice it is active in. The first caps of a slice become its array,
+        through np.fmin(inf, caps); a later receiver's are divided into one
+        scratch array, allocated on the first such fold, and folded in with
+        np.fmin. np.fmin is exact, so the fold gives the same bits in any
+        order. The walk runs in this call; each field is finished as it is
+        read, in the array its caps were folded into.
         """
         scenario = self.scenario
-        grid = scenario.grid
         budgets = {key: self.slice(*key) for key in keys}
-        allowed = {
-            key: np.full((grid.n_y, grid.n_x), np.inf) for key, found in budgets.items() if found.receivers
-        }
-        scratch = np.empty((grid.n_y, grid.n_x)) if allowed else None
         folds: dict[str, list[tuple[Slice, float]]] = {}
         for key, found in budgets.items():
             for rx, margin in zip(found.receivers, found.margin):
                 folds.setdefault(rx.id, []).append((key, margin))
-        for rx in scenario.receivers():
-            if rx.id not in folds and rx.id not in charged:
-                continue
-            gain = entrant_gain_field_linear(rx.position, rx.pattern, grid, scenario.propagation)
+        if gains is None:
+            gains = _entrant_gains(scenario, [rx for rx in scenario.receivers() if rx.id in folds])
+        allowed: dict[Slice, np.ndarray] = {}
+        scratch = None
+        for rx, gain in gains:
             for key, margin in folds.get(rx.id, ()):
-                np.fmin(allowed[key], _entrant_caps(margin, gain, scratch), out=allowed[key])
-            if rx.id in charged:
-                charge(rx, _solo_denial(scenario, rx, gain))
+                if key not in allowed:
+                    caps = allowed[key] = _entrant_caps(margin, gain)
+                    np.fmin(np.inf, caps, out=caps)
+                else:
+                    scratch = np.empty_like(gain) if scratch is None else scratch
+                    np.fmin(allowed[key], _entrant_caps(margin, gain, scratch), out=allowed[key])
         return (_capped_field(key, allowed.pop(key, None), budgets[key], scenario) for key in keys)
 
     def opportunity_at_cell(self, band: int, quantum: int, cell: Cell) -> tuple[float, str | None]:
@@ -450,7 +467,7 @@ class LinkBudget:
 
     def available_spectrum(self) -> SpectrumQuantity:
         """:func:`available_spectrum` of this budget's scenario and protected set."""
-        return _available(self._opportunity_fields(_all_slices(self.scenario.dims), (), None), self.scenario)
+        return _available(self._opportunity_fields(_all_slices(self.scenario.dims)), self.scenario)
 
 
 def _capped_field(key: Slice, allowed: np.ndarray | None, found: SliceBudget, scenario: Scenario) -> PowerField:
@@ -467,27 +484,6 @@ def _capped_field(key: Slice, allowed: np.ndarray | None, found: SliceBudget, sc
             values[iy, ix] = bounds.p_min_dbm
     zero_margin = tuple(rx.id for rx, margin in zip(found.receivers, found.margin) if margin == 0.0)
     return PowerField(*key, values, zero_margin)
-
-
-def _solo_denial(scenario: Scenario, rx: Receiver, gain: np.ndarray) -> ConsumptionSpace:
-    """rx_consumption of ``rx``, given its entrant gain field.
-
-    Each slice is finished and denied from the budget protecting ``rx``
-    alone, as the joint walk would, so the bits are those of
-    denied_consumption(scenario, [rx.id]).
-    """
-    alone = LinkBudget(scenario, [rx.id])
-    idle = _idle(scenario.grid)
-    slices: dict[Slice, np.ndarray] = {}
-    for key in _all_slices(scenario.dims):
-        found = alone.slice(*key)
-        if not found.receivers:
-            slices[key] = idle
-            continue
-        caps = _entrant_caps(found.margin[0], gain)
-        np.fmin(np.inf, caps, out=caps)
-        slices[key] = _denied_linear(_capped_field(key, caps, found, scenario), scenario.bounds)
-    return ConsumptionSpace(frozenset({rx.id}), slices)
 
 
 def _denied_linear(field: PowerField, bounds: PowerBounds) -> np.ndarray:
@@ -580,15 +576,12 @@ def tx_consumption(tx, scenario: Scenario) -> ConsumptionSpace:
 
 
 def rx_consumption(rx, scenario: Scenario) -> ConsumptionSpace:
-    """Spectrum a receiver denies to entrants: p_max minus its solo opportunity.
+    """Spectrum a receiver denies to entrants: denied_consumption protecting it alone.
 
-    The denied consumption of this receiver alone, so a slice where the
-    receiver is idle costs nothing; the entity set is the receiver either way.
+    p_max minus the receiver's solo opportunity where it is active; a slice
+    where it is idle costs nothing.
     """
-    rx = resolve(rx, scenario.receiver, "receiver")
-    spaces = []
-    LinkBudget(scenario, ())._opportunity_fields([], {rx.id}, lambda _, space: spaces.append(space))
-    return spaces[0]
+    return denied_consumption(scenario, [resolve(rx, scenario.receiver, "receiver").id])
 
 
 def denied_consumption(scenario: Scenario, protected=None) -> ConsumptionSpace:
@@ -598,12 +591,18 @@ def denied_consumption(scenario: Scenario, protected=None) -> ConsumptionSpace:
     opportunity field. A slice no protected receiver is active in denies
     nothing.
     """
-    budget = LinkBudget(scenario, protected)
+    return _denial(LinkBudget(scenario, protected))
+
+
+def _denial(budget: LinkBudget, gains: Iterable[tuple[Receiver, np.ndarray]] | None = None) -> ConsumptionSpace:
+    """denied_consumption of ``budget``'s scenario and protected set, its fields folded from
+    ``gains`` (LinkBudget._opportunity_fields) when given."""
+    scenario = budget.scenario
     keys = _all_slices(scenario.dims)
     guarded = [key for key in keys if budget.slice(*key).receivers]
     denied = {
         (field.band, field.quantum): _denied_linear(field, scenario.bounds)
-        for field in budget._opportunity_fields(guarded, (), None)
+        for field in budget._opportunity_fields(guarded, gains)
     }
     idle = _idle(scenario.grid)
     ids = frozenset(rx.id for key in guarded for rx in budget.slice(*key).receivers)
@@ -634,8 +633,9 @@ def quantify(space: ConsumptionSpace, grid: Grid, dims: SpectrumSpaceDims | None
     """Integrate a consumption space into watt square meters.
 
     Each slice contributes sum(cells) * cell_area, converted from mW to W
-    once. An array shared by several slices is summed once. The per-slice
-    breakdown sums exactly to the total.
+    once. An array shared by several slices is summed once. The total adds
+    the per-slice breakdown with += in slice order (sum() compensates float
+    sums from Python 3.12, which would change the bits).
     """
     sums: dict[int, float] = {}
     breakdown: dict[Slice, float] = {}
@@ -648,22 +648,26 @@ def quantify(space: ConsumptionSpace, grid: Grid, dims: SpectrumSpaceDims | None
         if id(arr) not in sums:
             sums[id(arr)] = float(np.sum(arr))
         breakdown[key] = sums[id(arr)] * grid.cell_area / 1000.0
-    return SpectrumQuantity(sum(breakdown.values()), breakdown)
+    total = 0.0
+    for amount in breakdown.values():
+        total += amount
+    return SpectrumQuantity(total, breakdown)
 
 
 def price(consumed: SpectrumQuantity, sheet: PriceSheet) -> float:
     """Charge for a consumed quantity under a linear tariff.
 
-    Slice rates apply to the breakdown when both are present; otherwise the
-    flat rate multiplies the total. Negative rates are rejected.
+    Slice rates apply to the breakdown when both are present, totalled with
+    += in slice order as quantify() totals; otherwise the flat rate
+    multiplies the total. Negative rates are rejected.
     """
     if sheet.rate < 0 or (sheet.slice_rates and any(r < 0 for r in sheet.slice_rates.values())):
         raise ValueError("price rates must be non-negative")
     if sheet.slice_rates and consumed.breakdown is not None:
-        return sum(
-            sheet.slice_rates.get(key, sheet.rate) * amount
-            for key, amount in sorted(consumed.breakdown.items())
-        )
+        total = 0.0
+        for key, amount in sorted(consumed.breakdown.items()):
+            total += sheet.slice_rates.get(key, sheet.rate) * amount
+        return total
     return sheet.rate * consumed.value
 
 
@@ -687,18 +691,20 @@ def receiver_accounting(scenario: Scenario, protected) -> tuple[SpectrumQuantity
 
     Returns (available_spectrum(scenario, protected), {rx id: quantify(
     rx_consumption(rx, scenario), grid, dims)}) with the receivers in
-    declaration order. Every receiver is charged, protected or not, and each
-    receiver's entrant gain field is built once for both.
+    declaration order. Every receiver, protected or not, has its entrant gain
+    field built once: the walk folds it into the joint fields, then charges
+    the receiver's one-receiver denial from it before the next field is built.
     """
     charges: dict[str, SpectrumQuantity] = {}
 
-    def charge(rx: Receiver, space: ConsumptionSpace) -> None:
-        charges[rx.id] = quantify(space, scenario.grid, scenario.dims)
+    def walk() -> Iterator[tuple[Receiver, np.ndarray]]:
+        for rx, gain in _entrant_gains(scenario, scenario.receivers()):
+            yield rx, gain
+            charges[rx.id] = quantify(_denial(LinkBudget(scenario, [rx.id]), [(rx, gain)]),
+                                      scenario.grid, scenario.dims)
 
-    budget = LinkBudget(scenario, protected)
-    ids = {rx.id for rx in scenario.receivers()}
-    available = _available(budget._opportunity_fields(_all_slices(scenario.dims), ids, charge), scenario)
-    return available, charges
+    fields = LinkBudget(scenario, protected)._opportunity_fields(_all_slices(scenario.dims), walk())
+    return _available(fields, scenario), charges
 
 
 def harvest_metrics(estimated: PowerField, truth: PowerField, grid: Grid,

@@ -195,6 +195,18 @@ class TestAdmitQuantified:
         assert "request 'r1': position (-10.0, 50.0) outside grid extent" in str(err.value)
         assert "request 'r2': acceptable_bands: band index 1 out of range [0, 1)" in str(err.value)
 
+    @pytest.mark.parametrize("admit", [
+        lambda scn, reqs, protected: admit_quantified(scn, reqs, 0.0, protected),
+        lambda scn, reqs, protected: compare_policies(scn, reqs, 0.0, -90.0, protected),
+        lambda scn, reqs, protected: rights_register(scn, reqs, 0.0, protected),
+    ], ids=["quantified", "compare", "register"])
+    def test_every_entry_point_refuses_an_unknown_protected_id(self, admit):
+        scn = canonical_link()
+        requests = [_request("r1", (250.0, 50.0))]
+        with pytest.raises(ValueError, match="unknown receiver 'nope'"):
+            admit(scn, requests, ["nope"])
+        admit(scn, requests, ["a-rx"])
+
     def test_access_request_is_the_model_record(self):
         assert admission_module.AccessRequest is model.AccessRequest is AccessRequest
 

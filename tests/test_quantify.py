@@ -10,11 +10,13 @@ from spectrumspace import (
     ConsumptionSpace,
     LinkBudget,
     PowerField,
+    PriceSheet,
     Receiver,
     RFNetwork,
     Scenario,
     SpectrumSpaceDims,
     Transmitter,
+    aggregate_opportunity,
     available_spectrum,
     combine_consumption,
     db_to_linear,
@@ -26,7 +28,9 @@ from spectrumspace import (
     occupancy_map,
     opportunity_at_cell,
     opportunity_map,
+    price,
     quantify,
+    receiver_accounting,
     receiver_margin_linear,
     rx_consumption,
     sinr_db,
@@ -389,6 +393,35 @@ class TestRxConsumption:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown receiver"):
             rx_consumption("ghost", canonical_link())
+        with pytest.raises(ValueError, match="unknown receiver 'z-rx'"):
+            rx_consumption(zero_margin_link().receiver("z-rx"), canonical_link())
+
+
+class TestProtectedIds:
+    """A protected id that names no receiver of the scenario is refused, not dropped: dropped, it
+    would protect nobody and leave the whole spectrum open."""
+
+    ENTRY_POINTS = {
+        "LinkBudget": lambda scn, p: LinkBudget(scn, p),
+        "opportunity_map": lambda scn, p: opportunity_map(scn, 0, 0, protected=p),
+        "opportunity_at_cell": lambda scn, p: opportunity_at_cell(scn, 0, 0, (3, 0), protected=p),
+        "aggregate_opportunity": lambda scn, p: aggregate_opportunity(scn, (350.0, 50.0), protected=p),
+        "available_spectrum": lambda scn, p: available_spectrum(scn, p),
+        "denied_consumption": lambda scn, p: denied_consumption(scn, p),
+        "receiver_accounting": lambda scn, p: receiver_accounting(scn, p),
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_unknown_id_rejected(self, name):
+        scn = canonical_link()
+        with pytest.raises(ValueError, match="unknown receiver 'a-rxx'"):
+            self.ENTRY_POINTS[name](scn, ["a-rx", "a-rxx"])
+        for protected in (None, (), ["a-rx"], [scn.receiver("a-rx")]):
+            self.ENTRY_POINTS[name](scn, protected)
+
+    def test_a_receiver_of_another_scenario_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown receiver 'z-rx'"):
+            LinkBudget(canonical_link(), [zero_margin_link().receiver("z-rx")])
 
 
 class TestCombineAndQuantify:
@@ -440,6 +473,16 @@ class TestCombineAndQuantify:
         quantity = quantify(tx_consumption(tx, scn), scn.grid, scn.dims)
         assert quantity.value == pytest.approx(sum(quantity.breakdown.values()), rel=1e-12)
         assert set(quantity.breakdown) == {(b, t) for b in range(2) for t in range(2)}
+
+    def test_totals_add_in_slice_order(self):
+        # Ten slices of 0.1 W m^2 add up to 0.9999999999999999 with +=; sum() compensates float
+        # sums from Python 3.12 and would give 1.0.
+        space = ConsumptionSpace(frozenset({"x"}), {(0, t): np.full((1, 1), 100.0) for t in range(10)})
+        quantity = quantify(space, make_grid(1, 1, 1.0))
+        assert list(quantity.breakdown.values()) == [0.1] * 10
+        assert quantity.value == 0.9999999999999999
+        rates = PriceSheet(slice_rates=dict.fromkeys(quantity.breakdown, 1.0))
+        assert price(quantity, rates) == 0.9999999999999999
 
     def test_zero_space_quantifies_to_zero(self):
         grid = make_grid(2, 2, 50.0)
@@ -522,7 +565,7 @@ class TestReceiverMajorFields:
         scn = sectored_scenario(seed)
         protected = None if protect == "all" else [rx.id for rx in scn.receivers()][::2]
         keys = self.slices(scn)[::-1]
-        together = list(LinkBudget(scn, protected)._opportunity_fields(keys, (), None))
+        together = list(LinkBudget(scn, protected)._opportunity_fields(keys))
         assert [(f.band, f.quantum) for f in together] == keys
         for key, field in zip(keys, together):
             alone = opportunity_map(scn, *key, protected=protected)
@@ -698,17 +741,21 @@ class TestFieldMemory:
     A field of this 250 x 250 grid is 8 B * 62,500 cells = 500,000 B. The
     walk over its six slices holds at most, at once:
 
-    - one array per slice, the entrant caps folded into it: 6 fields;
+    - one array per slice, its first receiver's caps with every later
+      receiver's folded in: 6 fields;
     - the entrant gain field of the receiver being charged: 1;
-    - the scratch array every receiver's caps are divided into: 1;
-    - that receiver's solo slices, one per slice it is active in: 2 here;
-    - while the last solo slice turns from dBm into mW, three boolean masks
-      of one byte per cell (the cells on p_min, on p_max, and all others): 3/8.
+    - the scratch array a later receiver's caps are divided into: 1;
+    - that receiver's one-receiver denial, one slice per slice it is active
+      in: 2 here;
+    - while the last of those slices turns from dBm into mW, three boolean
+      masks of one byte per cell (the cells on p_min, on p_max, and all
+      others): 3/8.
 
     That is 10.375 fields; the bound adds half a field for the small arrays
     (cell axes, link budgets) and tracemalloc's own counting, 10.875 in all.
-    A walk that copies a field to convert it, or allocates a zero array for
-    an idle slice, holds at least one field more, and a whole-run field cache
+    A walk that copies a field to convert it, allocates a zero array for an
+    idle slice, or keeps a receiver's charged space while the next gain field
+    is built, holds at least one field more, and a whole-run field cache
     holds one per receiver.
     """
 

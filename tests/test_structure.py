@@ -6,8 +6,13 @@
 - ``quantify`` calls each whole-grid gain field, ``tx_gain_db_field`` and
   ``entrant_gain_field_linear``, from exactly one place, so a second walk
   over transmitters or receivers cannot come back unseen.
+- Only ``LinkBudget._opportunity_fields`` and ``LinkBudget.opportunity_at_cell``
+  call ``_entrant_caps``: entrant caps are folded into a grid in one place, so
+  a second fold (a solo-denial path beside the joint one) cannot come back.
 - ``np.power`` appears only in ``model.db_to_linear_in_place``, so every
   array 10 ** x goes through one conversion kernel.
+- No module calls the builtin ``sum``: from Python 3.12 it compensates float
+  sums, so totals are added with ``+=`` in a stated order (``np.sum`` is fine).
 - No module imports another module's private (underscore) name.
 - Only ``scenario_io`` imports ``json``: documents and reports are read and
   written there, so no other module builds or dumps JSON by hand.
@@ -29,15 +34,31 @@ def _nodes(path: Path):
     return ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
 
 
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _calls(path: Path, name: str) -> list[int]:
     """Lines that call anything named ``name``."""
-    lines = []
-    for node in _nodes(path):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
-                lines.append(node.lineno)
-    return lines
+    return [node.lineno for node in _nodes(path) if isinstance(node, ast.Call) and _called_name(node) == name]
+
+
+def _callers(path: Path, name: str) -> set[str]:
+    """Qualified names (``Class.method``) of the functions that call anything named ``name``."""
+    found = set()
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call) and _called_name(child) == name:
+                found.add(scope or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+    return found
 
 
 def _gain_db_uses(path: Path) -> list[int]:
@@ -73,6 +94,26 @@ def test_gain_db_is_called_only_in_propagation(path):
 @pytest.mark.parametrize("field", ["tx_gain_db_field", "entrant_gain_field_linear"])
 def test_quantify_builds_each_gain_field_in_one_place(field):
     assert len(_calls(PACKAGE / "quantify.py", field)) == 1
+
+
+def test_entrant_caps_are_folded_in_one_place():
+    assert _callers(PACKAGE / "quantify.py", "_entrant_caps") == {
+        "LinkBudget._opportunity_fields", "LinkBudget.opportunity_at_cell"}
+
+
+def _builtin_sum_calls(source: str) -> list[int]:
+    """Lines that call the bare name ``sum``; ``np.sum`` is an attribute and does not count."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+
+
+def test_the_sum_rule_tells_sum_from_np_sum():
+    assert _builtin_sum_calls("cells = np.sum(a)\ntotal = sum(xs)\n") == [2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_the_builtin_sum(path):
+    assert _builtin_sum_calls(path.read_text(encoding="utf-8")) == []
 
 
 def _numpy_power_uses(path: Path) -> list[str]:
