@@ -11,6 +11,7 @@ is a model.AccessRequest, re-exported here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -27,9 +28,7 @@ from .quantify import (
     ConsumptionSpace,
     LinkBudget,
     SpectrumQuantity,
-    occupancy_at_cell,
     quantify,
-    sinr_db,
     tx_consumption,
 )
 
@@ -97,6 +96,12 @@ def _check_requests(scenario: Scenario, requests) -> None:
         taken.add(req.request_id)
     if errors:
         raise ScenarioValidationError(errors)
+
+
+def _check_finite(label: str, value: float) -> None:
+    """Raise ValueError when a margin or threshold is NaN or infinite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite (got {value})")
 
 
 def _entrant_id(req: AccessRequest, band: int) -> str:
@@ -199,9 +204,8 @@ def _rights_offer(margin_db: float, budget: LinkBudget, req: AccessRequest, band
 def _sensing_offer(sensitivity_dbm: float, budget: LinkBudget, req: AccessRequest, band: int,
                    issued: int):
     """Listen-before-talk pricing: quietest band first, at full desired power, no grant."""
-    scenario = budget.scenario
-    cell = scenario.grid.cell_of(req.position)
-    sensed = max(occupancy_at_cell(scenario, band, q, cell) for q in sorted(req.quanta))
+    cell = budget.scenario.grid.cell_of(req.position)
+    sensed = max(budget.occupancy_at_cell(band, q, cell) for q in sorted(req.quanta))
     if sensed < sensitivity_dbm:
         return sensed, req.desired_dbm, None
     return Refusal(
@@ -222,7 +226,11 @@ def admit_quantified(scenario: Scenario, requests, margin_db: float,
 
     Returns:
       (outcome, scenario augmented with the admitted entrants).
+
+    Raises:
+      ValueError: the margin is not finite.
     """
+    _check_finite("guard margin", margin_db)
     _check_requests(scenario, requests)
     budget = LinkBudget(scenario, protected)
     outcomes, admitted = _admit_in_order(budget, requests, partial(_rights_offer, margin_db))
@@ -242,7 +250,11 @@ def rights_register(observed: Scenario, requests, margin_db: float,
 
     Returns:
       (grants, refusals), both in admission order.
+
+    Raises:
+      ValueError: the margin is not finite.
     """
+    _check_finite("guard margin", margin_db)
     entrant_ids = {_entrant_id(req, band) for req in requests for band in req.acceptable_bands}
     baseline = replace(observed, networks=tuple(
         replace(net, transmitters=tuple(tx for tx in net.transmitters if tx.id not in entrant_ids))
@@ -263,10 +275,14 @@ def admit_osa(scenario: Scenario, requests, sensitivity_dbm: float) -> tuple[Adm
     stays below the sensitivity threshold in every requested quantum; winners
     transmit at full desired power with no shaping. Quieter bands are chosen
     first. Admitted entrants join the scenario for subsequent decisions.
+
+    Raises:
+      ValueError: the threshold is not finite.
     """
+    _check_finite("sensing threshold", sensitivity_dbm)
     _check_requests(scenario, requests)
-    # Sensing reads no margin, so this budget is never sliced before
-    # available_spectrum: add only moves its scenario.
+    # Sensing reads only the slices' active transmitters, so this budget
+    # computes no margin before available_spectrum.
     budget = LinkBudget(scenario)
     outcomes, admitted = _admit_in_order(budget, requests, partial(_sensing_offer, sensitivity_dbm))
     return AdmissionOutcome(outcomes, admitted, budget.available_spectrum()), budget.scenario
@@ -304,14 +320,17 @@ def _sinr_violations(original: Scenario, final: Scenario) -> tuple[int, float]:
     Counts (receiver, quantum) slices below beta by more than
     SINR_TOLERANCE_DB in the final scenario but not in the original one
     (computed only for slices that fail), and totals their dB shortfall.
+    The SINRs come from fresh budgets of the two scenarios, never from the
+    admission walk's incremental one, so the recheck stays independent.
     """
+    before, after = LinkBudget(original), LinkBudget(final)
     count = 0
     total_short = 0.0
     for rx in original.receivers():
         for quantum in sorted(rx.quanta):
-            shortfall = rx.beta_db - sinr_db(final, rx, quantum)
+            shortfall = rx.beta_db - after.sinr_db(rx, quantum)
             if (shortfall > SINR_TOLERANCE_DB
-                    and rx.beta_db - sinr_db(original, rx, quantum) <= SINR_TOLERANCE_DB):
+                    and rx.beta_db - before.sinr_db(rx, quantum) <= SINR_TOLERANCE_DB):
                 count += 1
                 total_short += shortfall
     return count, total_short
@@ -326,7 +345,12 @@ def compare_policies(scenario: Scenario, requests, margin_db: float,
     SINR threshold (checked by brute force, not by the admission math);
     receivers already below it before admission are not counted. Neither
     side computes the spectrum left available after admission.
+
+    Raises:
+      ValueError: the margin or the threshold is not finite.
     """
+    _check_finite("guard margin", margin_db)
+    _check_finite("sensing threshold", sensitivity_dbm)
     _check_requests(scenario, requests)
 
     def summary(name: str, budget: LinkBudget, offer) -> PolicySummary:

@@ -7,6 +7,7 @@ Diagnostics go to stderr; artifacts are plain files under --out.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -37,6 +38,17 @@ from .scenario_io import (
 __all__ = ["main", "run"]
 
 
+def _finite_float(text: str) -> float:
+    """An option's number, refused unless finite, as the document parser refuses one."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number (got {text!r})")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectrumspace",
@@ -54,10 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--protect", default="all",
                            help="'all' or comma-separated network ids whose receivers are protected")
         if margin:
-            p.add_argument("--margin-db", type=float, default=None,
+            p.add_argument("--margin-db", type=_finite_float, default=None,
                            help="guard margin override (else the document's policy value)")
         if sensitivity:
-            p.add_argument("--sensitivity-dbm", type=float, default=None,
+            p.add_argument("--sensitivity-dbm", type=_finite_float, default=None,
                            help="sensing threshold override (else the document's policy value)")
 
     common(sub.add_parser("occupancy", help="export occupancy rasters"), slice_flags=True)

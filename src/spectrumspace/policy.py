@@ -8,6 +8,7 @@ values, not exceptions, so a manager can log and move on. The tariff,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -115,9 +116,12 @@ def define_rights(scenario: Scenario, request: RightsRequest, margin_db: float,
 
     Returns:
       Grant or Refusal.
+
+    Raises:
+      ValueError: the margin is negative or not finite, or no quantum is requested.
     """
-    if margin_db < 0:
-        raise ValueError(f"guard margin must be non-negative (got {margin_db})")
+    if not math.isfinite(margin_db) or margin_db < 0:
+        raise ValueError(f"guard margin must be finite and non-negative (got {margin_db})")
     if not request.quanta:
         raise ValueError(f"request {request.tx_id!r}: no time quanta requested")
     if budget is None:
@@ -201,7 +205,8 @@ def attribute_harmful_interference(rx, scenario: Scenario, quantum: int) -> dict
       dict mapping interferer tx id to its share in linear mW.
     """
     rx = resolve(rx, scenario.receiver, "receiver")
-    signal, interference, contributions = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
+    active = LinkBudget(scenario).active(rx.band, quantum)
+    signal, interference, contributions = link_powers(rx, active, scenario.propagation)
     noise = db_to_linear(rx.noise_floor_dbm)
     if interference <= 0.0 or signal >= db_to_linear(rx.beta_db) * (noise + interference):
         return {tx_id: 0.0 for tx_id in contributions}

@@ -18,10 +18,12 @@ __all__ = [
     "FREE_SPACE",
     "LOG_DISTANCE",
     "PropagationConfig",
+    "Targets",
     "entrant_gain_field_linear",
     "gain_db",
     "gains_db",
     "link_gain_db",
+    "prepare_targets",
     "tx_gain_db_field",
 ]
 
@@ -101,22 +103,50 @@ def link_gain_db(tx, rx_point: tuple[float, float], config: PropagationConfig,
     return float(gain_db(tx.position, tx.pattern, rx_point, rx_pattern, config))
 
 
-def gains_db(src: tuple[float, float], src_pattern: AntennaPattern, others,
-             config: PropagationConfig) -> np.ndarray:
-    """Gain in dB from a point to each of many transmitters or receivers, in one gain_db call.
+class Targets:
+    """Many transmitters or receivers, prepared once as gains_db's destinations.
 
-    ``others`` is a sequence of objects with ``position`` and ``pattern``; their
-    patterns go in as one AntennaPattern of per-entry arrays, an omni entry as
-    a 0 dB full circle. gain_db is reciprocal bit for bit, so entry i is also
-    that entity's gain toward the point.
+    ``xs`` and ``ys`` hold their positions. ``pattern`` is OMNI when every
+    entry is omni, else one AntennaPattern of per-entry arrays, an omni entry
+    as a 0 dB full circle. Two preparations are equal when their arrays hold
+    the same values.
     """
-    xs, ys = np.array([o.position for o in others], dtype=float).reshape(-1, 2).T
-    patterns = [OMNI if o.pattern.kind == OMNI_KIND else o.pattern for o in others]
-    pattern = OMNI
-    if any(p.kind != OMNI_KIND for p in patterns):
-        pattern = AntennaPattern(SECTORED_KIND, *np.array(
-            [(p.boresight_deg, p.beamwidth_deg, p.main_gain_db, p.back_gain_db) for p in patterns]).T)
-    return gain_db(src, src_pattern, (xs, ys), pattern, config)
+
+    __slots__ = ("xs", "ys", "pattern")
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, pattern: AntennaPattern = OMNI):
+        self.xs, self.ys, self.pattern = xs, ys, pattern
+
+    def _arrays(self) -> tuple:
+        p = self.pattern
+        return (self.xs, self.ys) if p is OMNI else \
+            (self.xs, self.ys, p.boresight_deg, p.beamwidth_deg, p.main_gain_db, p.back_gain_db)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Targets):
+            return NotImplemented
+        mine, theirs = self._arrays(), other._arrays()
+        return len(mine) == len(theirs) and all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+
+
+def prepare_targets(entities) -> Targets:
+    """Objects with ``position`` and ``pattern``, as gains_db's destinations."""
+    xs, ys = np.array([e.position for e in entities], dtype=float).reshape(-1, 2).T
+    patterns = [OMNI if e.pattern.kind == OMNI_KIND else e.pattern for e in entities]
+    if all(p is OMNI for p in patterns):
+        return Targets(xs, ys)
+    return Targets(xs, ys, AntennaPattern(SECTORED_KIND, *np.array(
+        [(p.boresight_deg, p.beamwidth_deg, p.main_gain_db, p.back_gain_db) for p in patterns]).T))
+
+
+def gains_db(src: tuple[float, float], src_pattern: AntennaPattern, targets: Targets,
+             config: PropagationConfig) -> np.ndarray:
+    """Gain in dB from a point to each of many prepared transmitters or receivers, in one gain_db call.
+
+    gain_db is reciprocal bit for bit, so entry i is also that entity's gain
+    toward the point.
+    """
+    return gain_db(src, src_pattern, (targets.xs, targets.ys), targets.pattern, config)
 
 
 def tx_gain_db_field(tx, grid: Grid, config: PropagationConfig) -> np.ndarray:

@@ -44,7 +44,14 @@ from .model import (
     linear_to_db_in_place,
     resolve,
 )
-from .propagation import PropagationConfig, entrant_gain_field_linear, gains_db, tx_gain_db_field
+from .propagation import (
+    PropagationConfig,
+    Targets,
+    entrant_gain_field_linear,
+    gains_db,
+    prepare_targets,
+    tx_gain_db_field,
+)
 
 __all__ = [
     "ConsumptionSpace",
@@ -53,6 +60,7 @@ __all__ = [
     "PowerField",
     "PriceSheet",
     "SliceBudget",
+    "SliceTransmitters",
     "SpectrumQuantity",
     "aggregate_opportunity",
     "available_spectrum",
@@ -267,37 +275,41 @@ def occupancy_maps(scenario: Scenario, keys: Iterable[Slice]) -> Iterator[PowerF
 
 
 def occupancy_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell) -> float:
-    """Clipped occupancy (dBm) at a single cell, bit for bit its occupancy_map cell: one gain
-    call, then occupancy_linear's sums per network and across networks."""
-    _check_slice(scenario.dims, band, quantum)
-    active = [tx for tx in scenario.transmitters() if tx.active_in(band, quantum)]
-    gains = gains_db(scenario.grid.cell_center(*cell), OMNI, active, scenario.propagation)
-    received = iter(db_to_linear(np.array([tx.tx_power_dbm for tx in active]) + gains).tolist())
-    total = 0.0
-    for net in scenario.networks:
-        net_sum = 0.0
-        for tx in net.transmitters:
-            if tx.active_in(band, quantum):
-                net_sum += next(received)
-        total += net_sum
-    return float(_clipped_dbm(total, scenario.bounds))
+    """Clipped occupancy (dBm) at a single cell, bit for bit its occupancy_map cell."""
+    return LinkBudget(scenario).occupancy_at_cell(band, quantum, cell)
 
 
-def link_powers(rx: Receiver, quantum: int, transmitters: Iterable[Transmitter],
-                config: PropagationConfig) -> tuple[float, float, dict[str, float]]:
-    """The one signal/interference rule: what a receiver hears in a quantum, in linear mW.
+@dataclass
+class SliceTransmitters:
+    """The transmitters active in one (band, quantum) slice, in scenario declaration order.
 
-    Of the given transmitters active in the receiver's slice, the linked one
-    is signal (0.0 when silent) and every other one an interferer. Returns
-    (signal, interference, {interferer id: power}) with interferers in the
-    order given and their total accumulated with += in that order (sum()
-    compensates float sums from Python 3.12, which would change the bits).
+    ``networks`` holds the index of each one's network in the scenario,
+    ``power`` its tx power in linear mW (db_to_linear of its dBm), and
+    ``targets`` their positions and patterns prepared for gains_db, or None
+    until LinkBudget.active prepares them after a change.
     """
-    active = [tx for tx in transmitters if tx.active_in(rx.band, quantum)]
+
+    transmitters: list[Transmitter]
+    networks: list[int]
+    power: list[float]
+    targets: Targets | None = None
+
+
+def link_powers(rx: Receiver, active: SliceTransmitters,
+                config: PropagationConfig) -> tuple[float, float, dict[str, float]]:
+    """The one signal/interference rule: what a receiver hears from the transmitters of its slice, in mW.
+
+    The linked transmitter is signal (0.0 when silent) and every other one
+    an interferer. Returns (signal, interference, {interferer id: power})
+    with interferers in declaration order and their total accumulated with +=
+    in that order (sum() compensates float sums from Python 3.12, which would
+    change the bits).
+    """
     signal = interference = 0.0
     interferers: dict[str, float] = {}
-    for tx, gain in zip(active, gains_db(rx.position, rx.pattern, active, config).tolist()):
-        power = db_to_linear(tx.tx_power_dbm) * db_to_linear(gain)
+    gains = gains_db(rx.position, rx.pattern, active.targets, config).tolist()
+    for tx, tx_power, gain in zip(active.transmitters, active.power, gains):
+        power = tx_power * db_to_linear(gain)
         if tx.id == rx.linked_tx_id:
             signal = power
         else:
@@ -316,8 +328,7 @@ def sinr_db(scenario: Scenario, rx: Receiver, quantum: int) -> float:
 
     -inf when the linked transmitter is silent in that quantum.
     """
-    signal, interference, _ = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
-    return linear_to_db(signal / (db_to_linear(rx.noise_floor_dbm) + interference))
+    return LinkBudget(scenario).sinr_db(rx, quantum)
 
 
 def receiver_margin_linear(scenario: Scenario, rx: Receiver, quantum: int) -> float:
@@ -325,34 +336,43 @@ def receiver_margin_linear(scenario: Scenario, rx: Receiver, quantum: int) -> fl
 
     Zero when the link is already at or below its threshold.
     """
-    signal, interference, _ = link_powers(rx, quantum, scenario.transmitters(), scenario.propagation)
+    signal, interference, _ = link_powers(rx, LinkBudget(scenario).active(rx.band, quantum), scenario.propagation)
     return _margin(rx, signal, interference)
 
 
-@dataclass(eq=False)
+@dataclass
 class SliceBudget:
     """Link budget of the protected receivers active in one (band, quantum) slice.
 
-    ``receivers`` are in scenario declaration order; ``signal``,
-    ``interference`` and ``margin`` are parallel lists in linear mW.
+    ``receivers`` are in scenario declaration order, ``targets`` them prepared
+    for gains_db, and ``cells`` the cell each one sits in (None outside the
+    grid); ``signal``, ``interference`` and ``margin`` are parallel lists in
+    linear mW.
     """
 
     receivers: list[Receiver]
+    targets: Targets
+    cells: list[Cell | None]
     signal: list[float]
     interference: list[float]
     margin: list[float]
 
 
 class LinkBudget:
-    """Signal, interference and margin of a scenario's protected receivers, per slice.
+    """Per-slice state of a scenario: its active transmitters and its protected receivers' margins.
 
-    A slice is built on first use with the arithmetic of
-    receiver_margin_linear, so it holds exactly the floats that function
-    returns. ``add`` moves the budget to a scenario with one more transmitter.
-    When that transmitter comes last in declaration order, its received power
-    is the next term of each receiver's sum, so adding it to every built slice
-    gives, bit for bit, what a rebuild would; otherwise the slices it is
-    active in are dropped and rebuilt on next use.
+    Each slice's state is built on first use. ``active`` holds the
+    transmitters active in it, prepared for the point queries that sensing
+    and the links read. ``slice`` holds the protected receivers, prepared
+    once, with their signal, interference and margin computed by link_powers
+    over ``active``: exactly the floats receiver_margin_linear returns.
+    ``add`` moves the budget to a scenario with one more transmitter. When
+    that transmitter comes last in declaration order, it is appended to each
+    built ``active`` state of its slices, whose targets are prepared again on
+    their next read, and its received power is the next term of each
+    receiver's sum, so adding it to every built slice gives, bit for bit,
+    what a rebuild would; otherwise both states of the slices it is active in
+    are dropped and rebuilt on next use.
 
     Args:
       scenario: validated world.
@@ -370,20 +390,37 @@ class LinkBudget:
         unknown = sorted(self._wanted - {rx.id for rx in scenario.receivers()}) if self._wanted else []
         if unknown:
             raise ValueError(f"unknown receiver {unknown[0]!r} in the protected set")
+        self._active: dict[Slice, SliceTransmitters] = {}
         self._slices: dict[Slice, SliceBudget] = {}
+
+    def active(self, band: int, quantum: int) -> SliceTransmitters:
+        """The transmitters active in one slice, of every network, with their targets prepared."""
+        found = self._active.get((band, quantum))
+        if found is None:
+            _check_slice(self.scenario.dims, band, quantum)
+            pairs = [(i, tx) for i, net in enumerate(self.scenario.networks) for tx in net.transmitters
+                     if tx.active_in(band, quantum)]
+            txs = [tx for _, tx in pairs]
+            found = self._active[(band, quantum)] = SliceTransmitters(
+                txs, [i for i, _ in pairs], [db_to_linear(tx.tx_power_dbm) for tx in txs])
+        if found.targets is None:
+            found.targets = prepare_targets(found.transmitters)
+        return found
 
     def slice(self, band: int, quantum: int) -> SliceBudget:
         """The budget of one slice; receivers inactive in it impose no constraint."""
         found = self._slices.get((band, quantum))
         if found is None:
             _check_slice(self.scenario.dims, band, quantum)
+            grid = self.scenario.grid
             rxs = [
                 rx for rx in self.scenario.receivers()
                 if (self._wanted is None or rx.id in self._wanted) and rx.active_in(band, quantum)
             ]
-            found = SliceBudget(rxs, [], [], [])
+            cells = [grid.cell_of(rx.position) if grid.contains(rx.position) else None for rx in rxs]
+            found = SliceBudget(rxs, prepare_targets(rxs), cells, [], [], [])
             for rx in rxs:
-                signal, interference, _ = link_powers(rx, quantum, self.scenario.transmitters(), self.scenario.propagation)
+                signal, interference, _ = link_powers(rx, self.active(band, quantum), self.scenario.propagation)
                 found.signal.append(signal)
                 found.interference.append(interference)
                 found.margin.append(_margin(rx, signal, interference))
@@ -394,21 +431,49 @@ class LinkBudget:
         """Move to ``scenario``: the current scenario plus the transmitter ``tx``."""
         appended = bool(scenario.networks) and scenario.networks[-1].transmitters[-1:] == (tx,)
         self.scenario = scenario
+        tx_power = db_to_linear(tx.tx_power_dbm)
         for quantum in sorted(tx.quanta):
-            found = self._slices.get((tx.band, quantum))
+            key = (tx.band, quantum)
+            if not appended:
+                self._active.pop(key, None)
+                self._slices.pop(key, None)
+                continue
+            active = self._active.get(key)
+            if active is not None:
+                active.transmitters.append(tx)
+                active.networks.append(len(scenario.networks) - 1)
+                active.power.append(tx_power)
+                active.targets = None
+            found = self._slices.get(key)
             if found is None:
                 continue
-            if not appended:
-                del self._slices[(tx.band, quantum)]
-                continue
-            gains = gains_db(tx.position, tx.pattern, found.receivers, scenario.propagation).tolist()
+            gains = gains_db(tx.position, tx.pattern, found.targets, scenario.propagation).tolist()
             for i, (rx, gain) in enumerate(zip(found.receivers, gains)):
-                power = db_to_linear(tx.tx_power_dbm) * db_to_linear(gain)
+                power = tx_power * db_to_linear(gain)
                 if tx.id == rx.linked_tx_id:
                     found.signal[i] = power
                 else:
                     found.interference[i] += power
                 found.margin[i] = _margin(rx, found.signal[i], found.interference[i])
+
+    def sinr_db(self, rx: Receiver, quantum: int) -> float:
+        """:func:`sinr_db` of a receiver of this budget's scenario, protected or not."""
+        signal, interference, _ = link_powers(rx, self.active(rx.band, quantum), self.scenario.propagation)
+        return linear_to_db(signal / (db_to_linear(rx.noise_floor_dbm) + interference))
+
+    def occupancy_at_cell(self, band: int, quantum: int, cell: Cell) -> float:
+        """:func:`occupancy_at_cell` of this budget's scenario: one gain call over the slice's
+        active transmitters, then occupancy_linear's sums per network and across networks."""
+        active = self.active(band, quantum)
+        gains = gains_db(self.scenario.grid.cell_center(*cell), OMNI, active.targets, self.scenario.propagation)
+        received = db_to_linear(np.array([tx.tx_power_dbm for tx in active.transmitters]) + gains).tolist()
+        total = 0.0
+        for _, run in groupby(zip(active.networks, received), key=lambda pair: pair[0]):
+            net_sum = 0.0
+            for _, power in run:
+                net_sum += power
+            total += net_sum
+        return float(_clipped_dbm(total, self.scenario.bounds))
 
     def opportunity_map(self, band: int, quantum: int) -> PowerField:
         """:func:`opportunity_map` of this budget's scenario and protected set."""
@@ -452,15 +517,14 @@ class LinkBudget:
 
     def opportunity_at_cell(self, band: int, quantum: int, cell: Cell) -> tuple[float, str | None]:
         """:func:`opportunity_at_cell` of this budget's scenario and protected set."""
-        grid, bounds = self.scenario.grid, self.scenario.bounds
+        bounds = self.scenario.bounds
         found = self.slice(band, quantum)
         if not found.receivers:
             return float(bounds.p_max_dbm), None
-        for rx in found.receivers:
-            if grid.contains(rx.position) and grid.cell_of(rx.position) == cell:
-                return float(bounds.p_min_dbm), rx.id
+        if cell in found.cells:
+            return float(bounds.p_min_dbm), found.receivers[found.cells.index(cell)].id
 
-        gains = gains_db(grid.cell_center(*cell), OMNI, found.receivers, self.scenario.propagation)
+        gains = gains_db(self.scenario.grid.cell_center(*cell), OMNI, found.targets, self.scenario.propagation)
         caps = np.fmin(np.inf, _entrant_caps(np.array(found.margin), db_to_linear(gains)))
         i = int(np.argmin(caps))
         return float(_clipped_dbm(caps[i], bounds)), found.receivers[i].id if caps[i] < np.inf else None
@@ -478,10 +542,9 @@ def _capped_field(key: Slice, allowed: np.ndarray | None, found: SliceBudget, sc
     if allowed is None:
         return PowerField(*key, np.full((grid.n_y, grid.n_x), float(bounds.p_max_dbm)))
     values = linear_to_db_in_place(allowed, bounds)
-    for rx in found.receivers:
-        if grid.contains(rx.position):
-            ix, iy = grid.cell_of(rx.position)
-            values[iy, ix] = bounds.p_min_dbm
+    for cell in found.cells:
+        if cell is not None:
+            values[cell[1], cell[0]] = bounds.p_min_dbm
     zero_margin = tuple(rx.id for rx, margin in zip(found.receivers, found.margin) if margin == 0.0)
     return PowerField(*key, values, zero_margin)
 

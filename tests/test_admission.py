@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import time
 from functools import reduce
 
 import numpy as np
@@ -20,6 +22,7 @@ from spectrumspace import (
     combine_consumption,
     compare_policies,
     db_to_linear,
+    enforce,
     opportunity_at_cell,
     opportunity_map,
     quantify,
@@ -39,6 +42,7 @@ from helpers import (
     o_sinr_db,
     random_requests,
     random_scenario,
+    sectored_scenario,
 )
 
 
@@ -206,6 +210,20 @@ class TestAdmitQuantified:
         with pytest.raises(ValueError, match="unknown receiver 'nope'"):
             admit(scn, requests, ["nope"])
         admit(scn, requests, ["a-rx"])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("admit, label", [
+        (lambda scn, reqs, value: admit_quantified(scn, reqs, value), "guard margin"),
+        (lambda scn, reqs, value: rights_register(scn, reqs, value), "guard margin"),
+        (lambda scn, reqs, value: admit_osa(scn, reqs, value), "sensing threshold"),
+        (lambda scn, reqs, value: compare_policies(scn, reqs, value, -90.0), "guard margin"),
+        (lambda scn, reqs, value: compare_policies(scn, reqs, 0.0, value), "sensing threshold"),
+    ], ids=["quantified", "register", "osa", "compare-margin", "compare-threshold"])
+    def test_every_entry_point_refuses_a_non_finite_number(self, admit, label, value):
+        # refused up front, also when no request would reach a price
+        for requests in ([_request("r1", (250.0, 50.0))], []):
+            with pytest.raises(ValueError, match=f"{label} must be finite"):
+                admit(canonical_link(), requests, value)
 
     def test_access_request_is_the_model_record(self):
         assert admission_module.AccessRequest is model.AccessRequest is AccessRequest
@@ -463,6 +481,93 @@ class TestIncrementalBudget:
         assert budget.slice(0, 0).signal == fresh.signal
         assert budget.slice(0, 0).interference == fresh.interference == [0.0]
         assert budget.slice(0, 0).margin == fresh.margin
+
+
+class TestSliceState:
+    """After every add in a sectored walk, each slice state the walk's budget has built equals that
+    of a budget built fresh on the augmented scenario: its active transmitters, its receivers with
+    their margins, and its opportunity_at_cell answers."""
+
+    def walk_and_compare(self, monkeypatch, scn, requests, protected):
+        """Run the quantified and the sensing walk; returns (slice states appended to, dropped)."""
+        counts = [0, 0]
+        real_add = LinkBudget.add
+        grid = scn.grid
+        cells = [(ix, iy) for ix in range(0, grid.n_x, 3) for iy in range(0, grid.n_y, 3)]
+
+        def add_then_compare(budget, scenario, tx):
+            keys = [(tx.band, q) for q in sorted(tx.quanta)]
+            built = [key for key in keys if key in budget._active or key in budget._slices]
+            real_add(budget, scenario, tx)
+            appended = scenario.networks[-1].transmitters[-1:] == (tx,)
+            counts[0 if appended else 1] += len(built)
+            if not appended:
+                assert not any(key in budget._active or key in budget._slices for key in keys)
+            fresh = LinkBudget(scenario, budget._wanted)
+            for key in list(budget._active):
+                assert budget.active(*key) == fresh.active(*key)
+            for key, found in budget._slices.items():
+                assert found == fresh.slice(*key)
+                for cell in cells:
+                    assert budget.opportunity_at_cell(*key, cell) == fresh.opportunity_at_cell(*key, cell)
+
+        monkeypatch.setattr(LinkBudget, "add", add_then_compare)
+        admit_quantified(scn, requests, 1.0, protected)
+        admit_osa(scn, requests, -80.0)
+        return counts
+
+    def test_appended_states_equal_fresh_ones(self, monkeypatch):
+        appended = 0
+        for seed in range(6):
+            scn = sectored_scenario(seed)
+            counts = self.walk_and_compare(monkeypatch, scn, random_requests(seed + 500, scn, n=10),
+                                           _protected_subset(scn, seed))
+            assert counts[1] == 0
+            appended += counts[0]
+        assert appended > 0
+
+    def test_dropped_states_are_rebuilt_equal_to_fresh_ones(self, monkeypatch):
+        # The entrants network comes first, so every entrant lands mid-way
+        # through the declaration order and the slices it is active in are dropped.
+        dropped = 0
+        for seed in range(3):
+            scn = sectored_scenario(seed)
+            first = scn.networks[0]
+            entrants = dataclasses.replace(
+                first, id=ENTRANT_NETWORK_ID, receivers=(),
+                transmitters=tuple(dataclasses.replace(tx, network_id=ENTRANT_NETWORK_ID)
+                                   for tx in first.transmitters))
+            scn = make_scenario((entrants,) + scn.networks[1:], grid=scn.grid, dims=scn.dims)
+            counts = self.walk_and_compare(monkeypatch, scn, random_requests(seed + 600, scn, n=10), None)
+            assert counts[0] == 0
+            dropped += counts[1]
+        assert dropped > 0
+
+
+class TestCommandsAgree:
+    """An entrant admit grants passes enforce, enforce's register is admit's, and compare-osa's
+    quantified side is admit (ROADMAP item 5), over random and sectored scenarios."""
+
+    @pytest.mark.parametrize("margin_db", [0.0, 3.0])
+    @pytest.mark.parametrize("make", [random_scenario, sectored_scenario])
+    def test_register_enforce_and_comparison_agree_with_admission(self, make, margin_db):
+        started = time.perf_counter()
+        admitted = 0
+        for seed in range(60):
+            scn = make(seed)
+            requests = random_requests(20_000 + seed, scn, n=10)
+            protected = _protected_subset(scn, seed)
+            outcome, final = admit_quantified(scn, requests, margin_db, protected)
+            grants = [grant for o in outcome.outcomes for grant in o.grants]
+            assert rights_register(final, requests, margin_db, protected)[0] == grants
+            entrants = final.network(ENTRANT_NETWORK_ID)
+            entrant_ids = {tx.id for tx in entrants.transmitters} if entrants else set()
+            assert [v for v in enforce(grants, final, tolerance_db=0.0) if v.tx_id in entrant_ids] == []
+            comparison = compare_policies(scn, requests, margin_db, -80.0, protected)
+            assert comparison.quantified.outcomes == outcome.outcomes
+            admitted += outcome.admitted_count
+        assert admitted > 0
+        assert time.perf_counter() - started < 60.0
 
 
 class TestOneAdmissionWalk:

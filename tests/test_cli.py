@@ -171,6 +171,18 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert result.returncode == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("command, option", [
+        ("admit", "--margin-db"), ("enforce", "--margin-db"),
+        ("compare-osa", "--margin-db"), ("compare-osa", "--sensitivity-dbm"),
+    ])
+    def test_non_finite_option_is_usage(self, tmp_path, capsys, command, option, value):
+        # the document parser refuses these numbers, and so does the command line
+        out = tmp_path / "out"
+        assert run([command, "--scenario", str(CAMPUS), "--out", str(out), f"{option}={value}"]) == 1
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRequestValidation:
     """A document whose requests break a rule is refused by every command, before any output."""
@@ -496,6 +508,22 @@ class TestReportWalk:
             assert charges[rx.id] == alone
             assert report["consumed"]["receivers"][rx.id] == quantity_to_dict(alone)
             assert alone.value == pytest.approx(o_rx_consumption_value(scn, rx), rel=1e-9)
+
+
+class TestReportsReadBack:
+    def test_every_json_artifact_reads_back_to_its_bytes(self, tmp_path):
+        # Loaded and written again, by write_report and by json.dump, each
+        # report of campus.json gives its own bytes back.
+        for command in ("occupancy", "opportunity", "quantify", "report", "admit", "enforce", "compare-osa"):
+            assert run([command, "--scenario", str(CAMPUS), "--out", str(tmp_path / "out")]) == 0
+        reports = sorted((tmp_path / "out").glob("*.json"))
+        assert [p.name for p in reports] == ["admit.json", "compare-osa.json", "enforce.json",
+                                             "quantify.json", "report.json"]
+        for path in reports:
+            written = path.read_bytes()
+            scenario_io.write_report(json.loads(written), tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == written
+            assert (json.dumps(json.loads(written), indent=2, sort_keys=True) + "\n").encode() == written
 
 
 class TestAdmitCommand:

@@ -148,6 +148,9 @@ class TestDefineRights:
                                 min_useful_dbm=0.0, band=0, quanta=frozenset({0}))
         with pytest.raises(ValueError, match="non-negative"):
             define_rights(scn, request, margin_db=-2.0)
+        for margin_db in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                define_rights(scn, request, margin_db=margin_db)
         empty = RightsRequest(tx_id="e1", position=(250.0, 50.0), desired_dbm=30.0,
                               min_useful_dbm=0.0, band=0, quanta=frozenset())
         with pytest.raises(ValueError, match="no time quanta"):

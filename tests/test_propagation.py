@@ -12,6 +12,7 @@ from spectrumspace.propagation import (
     gain_db,
     gains_db,
     link_gain_db,
+    prepare_targets,
     tx_gain_db_field,
 )
 
@@ -164,10 +165,22 @@ class TestGainKernel:
         # Omni and sectored entries share one call; each entry is bit for bit
         # the scalar kernel run the other way, from the entity to the point.
         entities = [_tx(pos=pos, pattern=pattern) for pos, pattern in others]
-        gains = gains_db(src, src_pattern, entities, PROP)
+        gains = gains_db(src, src_pattern, prepare_targets(entities), PROP)
         assert gains.shape == (len(entities),)
         for k, entity in enumerate(entities):
             assert gains[k] == float(gain_db(entity.position, entity.pattern, src, src_pattern, PROP))
+
+    @given(src=POINTS, others=st.lists(st.tuples(POINTS, PATTERNS), max_size=8))
+    def test_targets_are_equal_when_their_arrays_are(self, src, others):
+        # An all-omni preparation keeps the one OMNI pattern; any sectored entry
+        # gives per-entry arrays, with omni entries as 0 dB full circles.
+        entities = [_tx(pos=pos, pattern=pattern) for pos, pattern in others]
+        targets = prepare_targets(entities)
+        assert targets == prepare_targets(list(entities))
+        assert (targets.pattern is OMNI) == all(e.pattern.kind == "omni" for e in entities)
+        if entities:
+            moved = [_tx(pos=(src[0] + 1.0, src[1]), pattern=entities[0].pattern)] + entities[1:]
+            assert (prepare_targets(moved) == targets) == (moved[0].position == entities[0].position)
 
 
 class TestFieldHelpers:
@@ -280,7 +293,7 @@ class TestKernelLeavesItsInputs:
         before = [a.copy() for a in (boresights, beamwidths, mains, backs, xs, ys)]
         gain_db((0.0, 0.0), AntennaPattern(), (xs, ys), pattern, PROP)
         entities = [_tx(pos=(100.0, 0.0), pattern=_sector(10.0, 90.0, 6.0, -20.0)), _tx(pos=(-40.0, 60.0))]
-        gains_db((0.0, 0.0), _sector(45.0, 90.0), entities, PROP)
+        gains_db((0.0, 0.0), _sector(45.0, 90.0), prepare_targets(entities), PROP)
         assert entities == [_tx(pos=(100.0, 0.0), pattern=_sector(10.0, 90.0, 6.0, -20.0)), _tx(pos=(-40.0, 60.0))]
         for a, b in zip((boresights, beamwidths, mains, backs, xs, ys), before):
             assert same_bits(a, b)

@@ -210,7 +210,7 @@ class TestSinrAndMargin:
         scn = make_scenario([make_link(n, (50.0 + 100.0 * i, 50.0), (150.0 + 100.0 * i, 250.0), 30.0 - i)
                              for i, n in enumerate("cab")], grid=make_grid(5, 5, 100.0))
         rx, config = scn.receiver("a-rx"), scn.propagation
-        signal, interference, interferers = link_powers(rx, 0, scn.transmitters(), config)
+        signal, interference, interferers = link_powers(rx, LinkBudget(scn).active(rx.band, 0), config)
 
         def received(tx_id):
             tx = scn.transmitter(tx_id)

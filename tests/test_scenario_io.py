@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -576,7 +577,7 @@ class TestReportHelpers:
         path = tmp_path / "report.json"
         write_report({"a": 1}, path)
         before = path.read_bytes()
-        # json fails at the third key, after writing the first two to the temp file
+        # the writer fails at the third key, after the temp file is opened
         with pytest.raises(TypeError):
             write_report({"a": 1, "b": float("nan"), "c": object()}, path)
         assert path.read_bytes() == before
@@ -607,6 +608,70 @@ class TestReportHelpers:
     def test_scenario_to_dict_parses_back(self):
         scn = parse_document(FULL).scenario
         assert parse_document(scenario_to_dict(scn)).scenario == scn
+
+
+# json.dump's inputs: floats with their edge values (float subclasses too),
+# non-ASCII and control-character strings, and dicts whose keys are all of
+# one kind json accepts, or, now and then, of mixed or unsupported kinds.
+JSON_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64))
+JSON_ATOMS = st.one_of(st.none(), st.booleans(), st.integers(), JSON_FLOATS,
+                       st.text(), st.text(st.characters(max_codepoint=0x1f)))
+JSON_KEYS = [st.text(), st.integers(), JSON_FLOATS, st.booleans(), st.none()]
+UNSUPPORTED = st.one_of(st.builds(object), st.sets(st.integers(), max_size=2), st.binary(max_size=2),
+                        st.complex_numbers(), st.integers(-2**63, 2**63 - 1).map(np.int64))
+
+
+def _json_trees(leaves):
+    def containers(children):
+        dicts = [st.dictionaries(keys, children, max_size=4) for keys in JSON_KEYS]
+        mixed = st.dictionaries(st.one_of(*JSON_KEYS, st.tuples(st.integers())), children, max_size=3)
+        return st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+                         *dicts, mixed)
+
+    return st.recursive(leaves, containers, max_leaves=24)
+
+
+def _json_dump_bytes(tree):
+    out = io.StringIO()
+    json.dump(tree, out, indent=2, sort_keys=True)
+    return (out.getvalue() + "\n").encode("utf-8")
+
+
+class TestReportWriter:
+    """write_report writes json.dump(report, indent=2, sort_keys=True)'s bytes without json's encoder."""
+
+    @given(tree=_json_trees(JSON_ATOMS) | _json_trees(JSON_ATOMS | UNSUPPORTED))
+    @example(tree={"b": [(), {}, [[]]], "a": {1.5: -0.0, 2.0: 5e-324}, "\u00e9\n": "\x00\u2028\ud800"})
+    @example(tree={"a": 1, 2: 3})
+    @example(tree={(1,): 1})
+    @example(tree=[object()])
+    def test_bytes_equal_json_dump(self, tmp_path_factory, tree):
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        try:
+            expected = _json_dump_bytes(tree)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                write_report(tree, path)
+            return
+        write_report(tree, path)
+        assert path.read_bytes() == expected
+
+    def test_writes_in_chunks(self):
+        # A long report goes out in several writes, none of them the whole text.
+        writes = []
+
+        class Recording(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        report = {"rows": [{"band": i, "value": i / 7.0} for i in range(5000)]}
+        out = Recording()
+        scenario_io._write_json(report, out)
+        assert (out.getvalue() + "\n").encode() == _json_dump_bytes(report)
+        assert len(writes) > 10 and max(writes) < sum(writes) / 10
 
 
 def _json(value) -> str:

@@ -6,6 +6,9 @@
 - ``quantify`` calls each whole-grid gain field, ``tx_gain_db_field`` and
   ``entrant_gain_field_linear``, from exactly one place, so a second walk
   over transmitters or receivers cannot come back unseen.
+- Gain targets are prepared only where a slice's state is built,
+  ``LinkBudget.active`` and ``LinkBudget.slice``, so a point query that
+  rebuilds its targets from a list on every call cannot come back.
 - Only ``LinkBudget._opportunity_fields`` and ``LinkBudget.opportunity_at_cell``
   call ``_entrant_caps``: entrant caps are folded into a grid in one place, so
   a second fold (a solo-denial path beside the joint one) cannot come back.
@@ -94,6 +97,12 @@ def test_gain_db_is_called_only_in_propagation(path):
 @pytest.mark.parametrize("field", ["tx_gain_db_field", "entrant_gain_field_linear"])
 def test_quantify_builds_each_gain_field_in_one_place(field):
     assert len(_calls(PACKAGE / "quantify.py", field)) == 1
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "propagation.py"], ids=lambda p: p.name)
+def test_targets_are_prepared_only_where_a_slice_is_built(path):
+    builders = {"LinkBudget.active", "LinkBudget.slice"} if path.name == "quantify.py" else set()
+    assert _callers(path, "prepare_targets") == builders
 
 
 def test_entrant_caps_are_folded_in_one_place():
