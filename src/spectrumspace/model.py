@@ -193,6 +193,13 @@ class Grid:
         return ix, iy
 
     def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
+        """The center of cell (ix, iy): the one check every cell query passes.
+
+        Raises ValueError unless both indices are integers in [0, n_x) x [0, n_y).
+        """
+        if not (isinstance(ix, (int, np.integer)) and isinstance(iy, (int, np.integer))
+                and 0 <= ix < self.n_x and 0 <= iy < self.n_y):
+            raise ValueError(f"cell {(ix, iy)!r} is not a cell of the {self.n_x}x{self.n_y} grid")
         x0, y0 = self.origin
         return (x0 + (ix + 0.5) * self.cell_size, y0 + (iy + 0.5) * self.cell_size)
 

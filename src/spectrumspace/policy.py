@@ -92,10 +92,10 @@ class Violation:
 def apply_guard_margin(opportunity: PowerField, margin_db: float, bounds: PowerBounds) -> PowerField:
     """Back every cell off by a safety margin, never dropping below the floor.
 
-    Raises ValueError for a negative margin.
+    Raises ValueError for a margin that is negative or not finite.
     """
-    if margin_db < 0:
-        raise ValueError(f"guard margin must be non-negative (got {margin_db})")
+    if not math.isfinite(margin_db) or margin_db < 0:
+        raise ValueError(f"guard margin must be finite and non-negative (got {margin_db})")
     values = np.maximum(bounds.p_min_dbm, opportunity.values_dbm - margin_db)
     return PowerField(opportunity.band, opportunity.quantum, values, opportunity.zero_margin_rx_ids)
 
@@ -166,7 +166,11 @@ def enforce(grants, observed: Scenario, tolerance_db: float = 0.5) -> list[Viola
     transmitter occupying a slice no grant covers is unauthorized access and
     is reported against the power floor. A grantee that is absent from the
     observed scenario is simply compliant.
+
+    Raises ValueError for a tolerance that is not finite.
     """
+    if not math.isfinite(tolerance_db):
+        raise ValueError(f"tolerance must be finite (got {tolerance_db})")
     by_tx: dict[str, list[Grant]] = {}
     for grant in grants:
         by_tx.setdefault(grant.grantee_tx_id, []).append(grant)

@@ -24,6 +24,7 @@ receiver's charge, rx_consumption, is the denial of protecting it alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping
@@ -214,32 +215,32 @@ def _occupancy_walk(scenario: Scenario, keys: list[Slice]) -> Iterator[tuple[Sli
 
     Each run of keys in one band is folded band-major: a transmitter active
     in one of its quanta has its received field built once and added to each.
-    Per slice the sums are occupancy_linear's. A network's sum is a new
-    array from its second field on, so a field two quanta share is never
-    added into. The walk holds one band's totals and one network's partial
-    sums at a time.
+    Per slice the sums are occupancy_linear's. A network's sum starts at its
+    first field and each later field is added out of place, so a field two
+    quanta share is never written. The walk holds one band's totals and one
+    network's partial sums at a time.
+
+    Raises:
+      ValueError: a slice is out of range or listed twice.
     """
+    seen: set[Slice] = set()
     for key in keys:
         _check_slice(scenario.dims, *key)
+        if key in seen:
+            raise ValueError(f"slice {key} is listed twice")
+        seen.add(key)
     for band, run in groupby(keys, key=lambda k: k[0]):
         quanta = [q for _, q in run]
         totals = {q: np.zeros((scenario.grid.n_y, scenario.grid.n_x)) for q in quanta}
         for net in scenario.networks:
             sums: dict[int, np.ndarray] = {}
-            owned: set[int] = set()
             for tx in net.transmitters:
                 listed = [q for q in quanta if tx.active_in(band, q)]
                 if not listed:
                     continue
                 received = _received_field(tx, scenario)
                 for q in listed:
-                    if q not in sums:
-                        sums[q] = received
-                    elif q in owned:
-                        sums[q] += received
-                    else:
-                        sums[q] = sums[q] + received
-                        owned.add(q)
+                    sums[q] = sums[q] + received if q in sums else received
             for q, net_sum in sums.items():
                 totals[q] += net_sum
         for q in quanta:
@@ -279,20 +280,21 @@ def occupancy_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell) -
     return LinkBudget(scenario).occupancy_at_cell(band, quantum, cell)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SliceTransmitters:
     """The transmitters active in one (band, quantum) slice, in scenario declaration order.
 
     ``networks`` holds the index of each one's network in the scenario,
     ``power`` its tx power in linear mW (db_to_linear of its dBm), and
-    ``targets`` their positions and patterns prepared for gains_db, or None
-    until LinkBudget.active prepares them after a change.
+    ``targets`` their positions and patterns prepared for gains_db. A
+    snapshot never changes: LinkBudget.add drops it and the next read
+    builds a new one.
     """
 
-    transmitters: list[Transmitter]
-    networks: list[int]
-    power: list[float]
-    targets: Targets | None = None
+    transmitters: tuple[Transmitter, ...]
+    networks: tuple[int, ...]
+    power: tuple[float, ...]
+    targets: Targets
 
 
 def link_powers(rx: Receiver, active: SliceTransmitters,
@@ -366,13 +368,12 @@ class LinkBudget:
     and the links read. ``slice`` holds the protected receivers, prepared
     once, with their signal, interference and margin computed by link_powers
     over ``active``: exactly the floats receiver_margin_linear returns.
-    ``add`` moves the budget to a scenario with one more transmitter. When
-    that transmitter comes last in declaration order, it is appended to each
-    built ``active`` state of its slices, whose targets are prepared again on
-    their next read, and its received power is the next term of each
-    receiver's sum, so adding it to every built slice gives, bit for bit,
-    what a rebuild would; otherwise both states of the slices it is active in
-    are dropped and rebuilt on next use.
+    ``add`` moves the budget to a scenario with one more transmitter and
+    drops the ``active`` state of each slice it is active in, to be rebuilt
+    on next use. When that transmitter comes last in declaration order, its
+    received power is the next term of each receiver's sum, so adding it to
+    every built ``slice`` gives, bit for bit, what a rebuild would;
+    otherwise those slices' ``slice`` states are dropped too.
 
     Args:
       scenario: validated world.
@@ -400,11 +401,10 @@ class LinkBudget:
             _check_slice(self.scenario.dims, band, quantum)
             pairs = [(i, tx) for i, net in enumerate(self.scenario.networks) for tx in net.transmitters
                      if tx.active_in(band, quantum)]
-            txs = [tx for _, tx in pairs]
+            txs = tuple(tx for _, tx in pairs)
             found = self._active[(band, quantum)] = SliceTransmitters(
-                txs, [i for i, _ in pairs], [db_to_linear(tx.tx_power_dbm) for tx in txs])
-        if found.targets is None:
-            found.targets = prepare_targets(found.transmitters)
+                txs, tuple(i for i, _ in pairs), tuple(db_to_linear(tx.tx_power_dbm) for tx in txs),
+                prepare_targets(txs))
         return found
 
     def slice(self, band: int, quantum: int) -> SliceBudget:
@@ -434,16 +434,10 @@ class LinkBudget:
         tx_power = db_to_linear(tx.tx_power_dbm)
         for quantum in sorted(tx.quanta):
             key = (tx.band, quantum)
+            self._active.pop(key, None)
             if not appended:
-                self._active.pop(key, None)
                 self._slices.pop(key, None)
                 continue
-            active = self._active.get(key)
-            if active is not None:
-                active.transmitters.append(tx)
-                active.networks.append(len(scenario.networks) - 1)
-                active.power.append(tx_power)
-                active.targets = None
             found = self._slices.get(key)
             if found is None:
                 continue
@@ -518,13 +512,14 @@ class LinkBudget:
     def opportunity_at_cell(self, band: int, quantum: int, cell: Cell) -> tuple[float, str | None]:
         """:func:`opportunity_at_cell` of this budget's scenario and protected set."""
         bounds = self.scenario.bounds
+        center = self.scenario.grid.cell_center(*cell)
         found = self.slice(band, quantum)
         if not found.receivers:
             return float(bounds.p_max_dbm), None
         if cell in found.cells:
             return float(bounds.p_min_dbm), found.receivers[found.cells.index(cell)].id
 
-        gains = gains_db(self.scenario.grid.cell_center(*cell), OMNI, found.targets, self.scenario.propagation)
+        gains = gains_db(center, OMNI, found.targets, self.scenario.propagation)
         caps = np.fmin(np.inf, _entrant_caps(np.array(found.margin), db_to_linear(gains)))
         i = int(np.argmin(caps))
         return float(_clipped_dbm(caps[i], bounds)), found.receivers[i].id if caps[i] < np.inf else None
@@ -722,10 +717,11 @@ def price(consumed: SpectrumQuantity, sheet: PriceSheet) -> float:
 
     Slice rates apply to the breakdown when both are present, totalled with
     += in slice order as quantify() totals; otherwise the flat rate
-    multiplies the total. Negative rates are rejected.
+    multiplies the total. Negative or non-finite rates are rejected.
     """
-    if sheet.rate < 0 or (sheet.slice_rates and any(r < 0 for r in sheet.slice_rates.values())):
-        raise ValueError("price rates must be non-negative")
+    rates = [sheet.rate, *(sheet.slice_rates or {}).values()]
+    if not all(math.isfinite(r) and r >= 0 for r in rates):
+        raise ValueError("price rates must be finite and non-negative")
     if sheet.slice_rates and consumed.breakdown is not None:
         total = 0.0
         for key, amount in sorted(consumed.breakdown.items()):

@@ -415,10 +415,10 @@ def export_field(field: PowerField, path) -> None:
     row 0 is the minimum-y edge. Output is byte-stable across runs. Each
     value has the bytes of ``%.4f``, the formatter behind ``format(v, ".4f")``,
     -0.0000 included. A raster of at least ``_BLOCK_CELLS`` cells is
-    formatted and written a block at a time: a row whose cells
+    formatted and written a block at a time: a block whose every row
     ``_ten_thousandths`` can round is laid out in numpy by ``_fixed_rows``,
-    any other row goes through ``%.4f`` itself, as every row of a smaller
-    raster does.
+    any other block goes whole through ``%.4f`` itself, as every row of a
+    smaller raster does.
     """
     values = np.asarray(field.values_dbm, dtype=float)
     row_format = ",".join(["%.4f"] * values.shape[1])
@@ -435,13 +435,10 @@ def export_field(field: PowerField, path) -> None:
         for start in range(0, len(values), step):
             block = values[start:start + step]
             units, rows_placed = _ten_thousandths(block)
-            # rows left to %.4f split the block into runs; each run is written one way
-            edges = [0, *(np.flatnonzero(np.diff(rows_placed)) + 1).tolist(), len(block)]
-            for lo, hi in zip(edges, edges[1:]):
-                if rows_placed[lo]:
-                    fh.write(_fixed_rows(units[lo:hi], block[lo:hi]))
-                else:
-                    fh.writelines(formatted(block[lo:hi]))
+            if rows_placed.all():
+                fh.write(_fixed_rows(units, block))
+            else:
+                fh.writelines(formatted(block))
 
 
 def _ten_thousandths(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

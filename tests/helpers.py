@@ -460,3 +460,27 @@ def sectored_scenario(seed: int) -> Scenario:
     networks.append(make_link("host", center, (center[0] + 30.0, center[1]), 25.0,
                               quanta=(0, 1), tx_pattern=beam, rx_pattern=facing))
     return make_scenario(networks, grid=base.grid, dims=base.dims)
+
+
+def crowded_scenario() -> Scenario:
+    """A 250 x 250 grid of 40 m cells, 2 bands x 3 quanta, every pattern omni.
+
+    Network "crowd" has three links in band 0, active in quanta {0, 1, 2},
+    {0, 1} and {1, 2}: two or three of its transmitters are active in each
+    band-0 slice, and its first transmitter's field is shared by all three.
+    Two single links follow, one in band 0 and one in band 1.
+    """
+    links = [make_link(f"crowd{k}", (2000.0 + 1500.0 * k, 3000.0), (2000.0 + 1500.0 * k, 3300.0), 20.0,
+                       quanta=quanta)
+             for k, quanta in enumerate([(0, 1, 2), (0, 1), (1, 2)])]
+    crowd = RFNetwork(
+        id="crowd",
+        transmitters=tuple(replace(link.transmitters[0], network_id="crowd") for link in links),
+        receivers=tuple(replace(link.receivers[0], network_id="crowd") for link in links),
+    )
+    networks = [
+        crowd,
+        make_link("solo0", (7000.0, 7000.0), (7200.0, 7000.0), 20.0, quanta=(0, 1, 2)),
+        make_link("solo1", (5000.0, 5000.0), (5200.0, 5000.0), 20.0, band=1, quanta=(0, 2)),
+    ]
+    return make_scenario(networks, grid=make_grid(250, 250, 40.0), dims=SpectrumSpaceDims(b_hat=2, t_hat=3))

@@ -511,9 +511,12 @@ class TestSliceState:
                 for cell in cells:
                     assert budget.opportunity_at_cell(*key, cell) == fresh.opportunity_at_cell(*key, cell)
 
-        monkeypatch.setattr(LinkBudget, "add", add_then_compare)
-        admit_quantified(scn, requests, 1.0, protected)
-        admit_osa(scn, requests, -80.0)
+        # a context per walk, so a later walk's wrapper does not call an earlier walk's, whose
+        # cells belong to another grid
+        with monkeypatch.context() as patched:
+            patched.setattr(LinkBudget, "add", add_then_compare)
+            admit_quantified(scn, requests, 1.0, protected)
+            admit_osa(scn, requests, -80.0)
         return counts
 
     def test_appended_states_equal_fresh_ones(self, monkeypatch):

@@ -62,6 +62,14 @@ class TestGrid:
         assert grid.cell_center(0, 0) == (50.0, 50.0)
         assert grid.cell_center(9, 4) == (950.0, 450.0)
 
+    @pytest.mark.parametrize("cell", [(10, 0), (0, 5), (-1, 0), (500, 500), (1.5, 2), (2, 1.0)])
+    def test_cell_center_refuses_a_cell_the_grid_does_not_have(self, cell):
+        with pytest.raises(ValueError, match="not a cell of the 10x5 grid"):
+            make_grid(10, 5, 100.0).cell_center(*cell)
+
+    def test_cell_center_takes_numpy_indices(self):
+        assert make_grid(10, 5, 100.0).cell_center(np.int64(9), np.int32(4)) == (950.0, 450.0)
+
     def test_cell_of_interior_boundary_goes_up(self):
         grid = make_grid(10, 10, 100.0)
         assert grid.cell_of((0.0, 0.0)) == (0, 0)

@@ -69,6 +69,13 @@ class TestGuardMargin:
         with pytest.raises(ValueError, match="non-negative"):
             apply_guard_margin(field, -1.0, BOUNDS)
 
+    @pytest.mark.parametrize("margin_db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_margin_rejected(self, margin_db):
+        # a NaN margin used to give back an all-NaN field
+        field = PowerField(0, 0, np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            apply_guard_margin(field, margin_db, BOUNDS)
+
     def test_larger_margin_never_leaves_more_available(self):
         scn = canonical_link()
         field = opportunity_map(scn, 0, 0)
@@ -195,6 +202,14 @@ class TestEnforce:
         assert (v.grant_id, v.tx_id, v.cell, v.band, v.quantum) == (
             grant.grant_id, "e1", (2, 0), 0, 0)
         assert v.excess_db == pytest.approx(0.6, abs=1e-9)
+
+    @pytest.mark.parametrize("tolerance_db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance_db):
+        # a NaN or infinite tolerance used to pass a transmitter 5 dB over its cap
+        grant = self._grant()
+        observed = _observed(grant.cap_dbm() + 5.0)
+        with pytest.raises(ValueError, match="finite"):
+            enforce([grant], observed, tolerance_db=tolerance_db)
 
     def test_ungranted_transmitter_reported_against_floor(self):
         observed = _observed(10.0)
@@ -345,3 +360,11 @@ class TestPrice:
         with pytest.raises(ValueError, match="non-negative"):
             price(SpectrumQuantity(1.0, {(0, 0): 1.0}),
                   PriceSheet(slice_rates={(0, 0): -0.5}))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rates_rejected(self, rate):
+        # a NaN rate used to price any quantity at NaN
+        with pytest.raises(ValueError, match="finite"):
+            price(SpectrumQuantity(1.0), PriceSheet(rate=rate))
+        with pytest.raises(ValueError, match="finite"):
+            price(SpectrumQuantity(1.0, {(0, 0): 1.0}), PriceSheet(slice_rates={(0, 0): rate}))

@@ -1,6 +1,7 @@
 import importlib
 import math
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from spectrumspace.quantify import link_powers, occupancy_maps
 
 from helpers import (
     BOUNDS,
+    crowded_scenario,
     make_grid,
     make_link,
     make_scenario,
@@ -148,6 +150,15 @@ class TestOccupancy:
         with pytest.raises(ValueError, match="time quantum"):
             occupancy_at_cell(scn, 0, 5, (0, 0))
 
+    @pytest.mark.parametrize("keys", [[(0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)]], ids=["adjacent", "apart"])
+    def test_a_slice_listed_twice_is_refused_before_any_field_is_built(self, monkeypatch, keys):
+        # listed twice in a row, a slice used to raise a bare KeyError; apart, it got two fields
+        built = []
+        monkeypatch.setattr(quantify_module, "tx_gain_db_field", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match=r"slice \(0, 0\) is listed twice"):
+            next(occupancy_maps(spanning_scenario(0), keys))
+        assert built == []
+
     @pytest.mark.parametrize("seed", range(4))
     def test_values_always_within_bounds(self, seed):
         scn = random_scenario(seed=seed, max_n=7)
@@ -184,6 +195,36 @@ class TestOccupancy:
         scn = sectored_scenario(0)
         assert any(not tx.active_in(0, 1) for tx in scn.network("zero").transmitters)
         assert scn.network("host").transmitters[0].active_in(0, 1)
+
+
+class TestCellQueries:
+    """A cell query answers only for a cell of its grid: integer indices in [0, n_x) x [0, n_y).
+    A cell past an edge, or a fractional one, used to get the number of a point no map has."""
+
+    MISSING = [(12, 0), (0, 12), (-1, 0), (500, 500), (1.5, 2)]
+
+    @staticmethod
+    def square() -> Scenario:
+        """canonical_link's 30 dBm link on a 12 x 12 grid of 100 m cells."""
+        return make_scenario([make_link("a", (50.0, 50.0), (150.0, 50.0), 30.0)], grid=make_grid(12, 12, 100.0))
+
+    @pytest.mark.parametrize("cell", MISSING)
+    def test_module_functions_refuse_a_missing_cell(self, cell):
+        scn = self.square()
+        with pytest.raises(ValueError, match="not a cell of the 12x12 grid"):
+            occupancy_at_cell(scn, 0, 0, cell)
+        # protecting nobody answers before any gain is computed
+        for protected in (None, []):
+            with pytest.raises(ValueError, match="not a cell of the 12x12 grid"):
+                opportunity_at_cell(scn, 0, 0, cell, protected)
+
+    @pytest.mark.parametrize("cell", MISSING)
+    def test_link_budget_methods_refuse_a_missing_cell(self, cell):
+        budget = LinkBudget(self.square())
+        with pytest.raises(ValueError, match="not a cell of the 12x12 grid"):
+            budget.occupancy_at_cell(0, 0, cell)
+        with pytest.raises(ValueError, match="not a cell of the 12x12 grid"):
+            budget.opportunity_at_cell(0, 0, cell)
 
 
 class TestSinrAndMargin:
@@ -777,3 +818,69 @@ class TestFieldMemory:
             tracemalloc.stop()
         bound = self.SLICES + self.GAIN + self.SCRATCH + self.SOLO + self.MASKS + self.SMALL
         assert peak / field_bytes < bound
+
+
+class TestWalkMemory:
+    """The occupancy and opportunity walks hold only the fields their design needs, counted on
+    crowded_scenario, where a network has two or three transmitters active in each band-0 slice.
+
+    A field of its 250 x 250 grid is 8 B * 62,500 cells = 500,000 B. Each walk's fields are
+    dropped as they are read, as the occupancy and opportunity commands write and drop them. Each
+    bound adds half a field for the small arrays and the gain kernel's broadcast buffers (numpy's
+    two 8,192-element buffers, 0.26 field here).
+    """
+
+    SMALL = 1 / 2
+
+    @staticmethod
+    def peak_fields(walk, scn) -> float:
+        walk()
+        tracemalloc.start()
+        try:
+            walk()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * scn.grid.a_hat)
+
+    def test_peak_of_the_occupancy_walk_over_every_slice(self):
+        """occupancy_maps over all six slices walks band 0 first, all three of its quanta listed,
+        and holds at most, at once:
+
+        - one total per listed quantum of the band: 3 fields;
+        - the crowd network's partial sum of each quantum: 3;
+        - the received field last folded in, still bound while the next transmitter's field is
+          built: 1;
+        - the field being built, or the new sum a later field is added into out of place: 1.
+
+        That is 8 fields, 8.5 with the small arrays. A walk that builds every band's totals at
+        once holds 11, and one that keeps each transmitter's field until its network is summed
+        holds 9.
+        """
+        scn = crowded_scenario()
+        keys = [(b, q) for b in range(scn.dims.b_hat) for q in range(scn.dims.t_hat)]
+        totals, sums, in_hand, new = scn.dims.t_hat, scn.dims.t_hat, 1, 1
+        peak = self.peak_fields(lambda: deque(occupancy_maps(scn, keys), maxlen=0), scn)
+        assert peak < totals + sums + in_hand + new + self.SMALL
+
+    def test_peak_of_the_opportunity_walk_one_slice_at_a_time(self):
+        """opportunity_map over each slice in turn holds at most, at once:
+
+        - the slice's caps, its first receiver's with every later one's folded in: 1 field;
+        - the entrant gain field last folded in, still bound while the next one is built: 1;
+        - the gain field being built: 1;
+        - the scratch array a later receiver's caps are divided into: 1.
+
+        That is 4 fields, 4.5 with the small arrays. A walk that keeps every receiver's gain
+        field holds 6 in slice (0, 1), where four receivers are active, and one that keeps a
+        slice's field while the next is built holds at least 5.
+        """
+        scn = crowded_scenario()
+        keys = [(b, q) for b in range(scn.dims.b_hat) for q in range(scn.dims.t_hat)]
+        caps, folded, building, scratch = 1, 1, 1, 1
+
+        def walk():
+            for key in keys:
+                opportunity_map(scn, *key)
+
+        assert self.peak_fields(walk, scn) < caps + folded + building + scratch + self.SMALL
