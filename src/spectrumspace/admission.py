@@ -85,9 +85,19 @@ def _order(requests) -> list[AccessRequest]:
     return sorted(requests, key=lambda r: (r.priority, r.request_id))
 
 
-def _check_requests(scenario: Scenario, requests) -> None:
-    """Raise ScenarioValidationError listing every request_errors entry, and every
-    request id that collides with a scenario id or an earlier request's."""
+def _check_inputs(scenario: Scenario, requests, margin_db: float | None = None,
+                  sensitivity_dbm: float | None = None) -> None:
+    """The entry points' prologue, run before any request is walked.
+
+    Raises ValueError when a given guard margin is negative or not finite, or
+    a given sensing threshold is not finite; then ScenarioValidationError
+    listing every request_errors entry, and every request id that collides
+    with a scenario id or an earlier request's.
+    """
+    if margin_db is not None and not (math.isfinite(margin_db) and margin_db >= 0):
+        raise ValueError(f"guard margin must be finite and non-negative (got {margin_db})")
+    if sensitivity_dbm is not None and not math.isfinite(sensitivity_dbm):
+        raise ValueError(f"sensing threshold must be finite (got {sensitivity_dbm})")
     errors = request_errors(scenario, requests)
     taken = scenario.all_ids()
     for req in requests:
@@ -96,12 +106,6 @@ def _check_requests(scenario: Scenario, requests) -> None:
         taken.add(req.request_id)
     if errors:
         raise ScenarioValidationError(errors)
-
-
-def _check_finite(label: str, value: float) -> None:
-    """Raise ValueError when a margin or threshold is NaN or infinite."""
-    if not math.isfinite(value):
-        raise ValueError(f"{label} must be finite (got {value})")
 
 
 def _entrant_id(req: AccessRequest, band: int) -> str:
@@ -228,10 +232,9 @@ def admit_quantified(scenario: Scenario, requests, margin_db: float,
       (outcome, scenario augmented with the admitted entrants).
 
     Raises:
-      ValueError: the margin is not finite.
+      ValueError: the margin is negative or not finite.
     """
-    _check_finite("guard margin", margin_db)
-    _check_requests(scenario, requests)
+    _check_inputs(scenario, requests, margin_db)
     budget = LinkBudget(scenario, protected)
     outcomes, admitted = _admit_in_order(budget, requests, partial(_rights_offer, margin_db))
     return AdmissionOutcome(outcomes, admitted, budget.available_spectrum()), budget.scenario
@@ -252,15 +255,14 @@ def rights_register(observed: Scenario, requests, margin_db: float,
       (grants, refusals), both in admission order.
 
     Raises:
-      ValueError: the margin is not finite.
+      ValueError: the margin is negative or not finite.
     """
-    _check_finite("guard margin", margin_db)
     entrant_ids = {_entrant_id(req, band) for req in requests for band in req.acceptable_bands}
     baseline = replace(observed, networks=tuple(
         replace(net, transmitters=tuple(tx for tx in net.transmitters if tx.id not in entrant_ids))
         for net in observed.networks
     ))
-    _check_requests(baseline, requests)
+    _check_inputs(baseline, requests, margin_db)
     outcomes, _ = _admit_in_order(LinkBudget(baseline, protected), requests,
                                   partial(_rights_offer, margin_db))
     grants = [grant for o in outcomes for grant in o.grants]
@@ -279,8 +281,7 @@ def admit_osa(scenario: Scenario, requests, sensitivity_dbm: float) -> tuple[Adm
     Raises:
       ValueError: the threshold is not finite.
     """
-    _check_finite("sensing threshold", sensitivity_dbm)
-    _check_requests(scenario, requests)
+    _check_inputs(scenario, requests, sensitivity_dbm=sensitivity_dbm)
     # Sensing reads only the slices' active transmitters, so this budget
     # computes no margin before available_spectrum.
     budget = LinkBudget(scenario)
@@ -347,11 +348,9 @@ def compare_policies(scenario: Scenario, requests, margin_db: float,
     side computes the spectrum left available after admission.
 
     Raises:
-      ValueError: the margin or the threshold is not finite.
+      ValueError: the margin is negative or not finite, or the threshold is not finite.
     """
-    _check_finite("guard margin", margin_db)
-    _check_finite("sensing threshold", sensitivity_dbm)
-    _check_requests(scenario, requests)
+    _check_inputs(scenario, requests, margin_db, sensitivity_dbm)
 
     def summary(name: str, budget: LinkBudget, offer) -> PolicySummary:
         outcomes, admitted = _admit_in_order(budget, requests, offer)

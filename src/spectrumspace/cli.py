@@ -155,95 +155,60 @@ def _price_sheet(doc: ScenarioDocument) -> PriceSheet | None:
 def _dispatch(args, doc: ScenarioDocument) -> int:
     scenario = doc.scenario
     command = args.command
+    protected = None if command == "occupancy" else _protected_ids(scenario, args.protect)
 
-    if command == "occupancy":
-        for field in occupancy_maps(scenario, _slices(scenario, args.band, args.quantum)):
-            export_field(field, os.path.join(args.out, f"occupancy_b{field.band}_q{field.quantum}.csv"))
+    if command in ("occupancy", "opportunity"):
+        keys = _slices(scenario, args.band, args.quantum)
+        fields = (occupancy_maps(scenario, keys) if command == "occupancy"
+                  else (opportunity_map(scenario, b, q, protected) for b, q in keys))
+        for field in fields:
+            export_field(field, os.path.join(args.out, f"{command}_b{field.band}_q{field.quantum}.csv"))
         return 0
 
-    if command == "opportunity":
-        protected = _protected_ids(scenario, args.protect)
-        for b, q in _slices(scenario, args.band, args.quantum):
-            export_field(opportunity_map(scenario, b, q, protected),
-                         os.path.join(args.out, f"opportunity_b{b}_q{q}.csv"))
-        return 0
-
-    protected = _protected_ids(scenario, args.protect)
-
+    report = {"command": command, "scenario": scenario_to_dict(scenario)}
     if command in ("quantify", "report"):
-        # report charges every receiver from the walk that gives available spectrum
-        if command == "report":
-            available, rx_charges = receiver_accounting(scenario, protected)
-        else:
+        report["total_spectrum"] = quantity_to_dict(
+            total_spectrum(scenario.grid, scenario.dims, scenario.bounds))
+        if command == "quantify":
             available = available_spectrum(scenario, protected)
-        report = {
-            "command": command,
-            "scenario": scenario_to_dict(scenario),
-            "total_spectrum": quantity_to_dict(
-                total_spectrum(scenario.grid, scenario.dims, scenario.bounds)
-            ),
-            "available_spectrum": quantity_to_dict(available),
-        }
-        if command == "report":
+        else:
+            # report charges every receiver from the walk that gives available spectrum
+            available, rx_charges = receiver_accounting(scenario, protected)
             report["consumed"], prices = _consumed_sections(scenario, _price_sheet(doc), rx_charges)
             if prices is not None:
                 report["prices"] = prices
-        write_report(report, os.path.join(args.out, f"{command}.json"))
-        return 0
+        report["available_spectrum"] = quantity_to_dict(available)
+    else:
+        # Only the admission commands load admission and policy: a process that
+        # never admits does not compile them.
+        from .admission import admit_quantified, compare_policies, rights_register
+        from .policy import enforce
 
-    # Only the admission commands load admission and policy: a process that
-    # never admits does not compile them.
-    from .admission import admit_quantified, compare_policies, rights_register
-    from .policy import enforce
-
-    if command == "admit":
-        margin = doc.policy.margin_db if args.margin_db is None else args.margin_db
-        outcome, augmented = admit_quantified(scenario, doc.requests, margin, protected)
-        report = {
-            "command": command,
-            "margin_db": format_number(margin),
-            "scenario": scenario_to_dict(scenario),
-            "admission": record_to_dict(outcome),
-            "augmented_scenario": scenario_to_dict(augmented),
-        }
-        write_report(report, os.path.join(args.out, "admit.json"))
-        return 0
-
-    if command == "enforce":
-        # The request batch is the register of authorized rights. It is rebuilt
-        # by replaying quantified admission on the observed scenario without
-        # the requests' own entrant transmitters: each request holds the grants
-        # of the bands admission chose for it, priced in admission order as
-        # `admit` priced them, and its entrants carry the ids admission gives
-        # them. Then every observed transmitter is audited.
-        margin = doc.policy.margin_db if args.margin_db is None else args.margin_db
-        grants, refusals = rights_register(scenario, doc.requests, margin, protected)
-        violations = enforce(grants, scenario, doc.policy.tolerance_db)
-        report = {
-            "command": command,
-            "margin_db": format_number(margin),
-            "tolerance_db": format_number(doc.policy.tolerance_db),
-            "scenario": scenario_to_dict(scenario),
-            "grants": [record_to_dict(g) for g in grants],
-            "refusals": [record_to_dict(r) for r in refusals],
-            "violations": [record_to_dict(v) for v in violations],
-        }
-        write_report(report, os.path.join(args.out, "enforce.json"))
-        return 0
-
-    if command == "compare-osa":
-        margin = doc.policy.margin_db if args.margin_db is None else args.margin_db
-        sensitivity = (doc.policy.sensitivity_dbm if args.sensitivity_dbm is None
-                       else args.sensitivity_dbm)
-        report = {
-            "command": command,
-            "margin_db": format_number(margin),
-            "sensitivity_dbm": format_number(sensitivity),
-            "scenario": scenario_to_dict(scenario),
-            "comparison": record_to_dict(
-                compare_policies(scenario, doc.requests, margin, sensitivity, protected)),
-        }
-        write_report(report, os.path.join(args.out, "compare-osa.json"))
-        return 0
-
-    raise ValueError(f"unknown command {command!r}")
+        policy = doc.policy
+        margin = policy.margin_db if args.margin_db is None else args.margin_db
+        report["margin_db"] = format_number(margin)
+        if command == "admit":
+            outcome, augmented = admit_quantified(scenario, doc.requests, margin, protected)
+            report["admission"] = record_to_dict(outcome)
+            report["augmented_scenario"] = scenario_to_dict(augmented)
+        elif command == "enforce":
+            # The request batch is the register of authorized rights. It is rebuilt
+            # by replaying quantified admission on the observed scenario without
+            # the requests' own entrant transmitters: each request holds the grants
+            # of the bands admission chose for it, priced in admission order as
+            # `admit` priced them, and its entrants carry the ids admission gives
+            # them. Then every observed transmitter is audited.
+            grants, refusals = rights_register(scenario, doc.requests, margin, protected)
+            violations = enforce(grants, scenario, policy.tolerance_db)
+            report["tolerance_db"] = format_number(policy.tolerance_db)
+            report["grants"] = [record_to_dict(g) for g in grants]
+            report["refusals"] = [record_to_dict(r) for r in refusals]
+            report["violations"] = [record_to_dict(v) for v in violations]
+        else:
+            sensitivity = (policy.sensitivity_dbm if args.sensitivity_dbm is None
+                           else args.sensitivity_dbm)
+            report["sensitivity_dbm"] = format_number(sensitivity)
+            report["comparison"] = record_to_dict(
+                compare_policies(scenario, doc.requests, margin, sensitivity, protected))
+    write_report(report, os.path.join(args.out, f"{command}.json"))
+    return 0

@@ -377,13 +377,17 @@ class LinkBudget:
 
     Args:
       scenario: validated world.
-      protected: receiver ids or Receiver objects; None protects all.
+      protected: a collection of receiver ids or Receiver objects, never a
+        bare id string; None protects all.
 
     Raises:
+      TypeError: ``protected`` is a string.
       ValueError: a protected id names no receiver of ``scenario``.
     """
 
     def __init__(self, scenario: Scenario, protected=None):
+        if isinstance(protected, str):
+            raise TypeError(f"protected expects a collection of receiver ids, not the string {protected!r}")
         self.scenario = scenario
         self._wanted = None if protected is None else frozenset(
             rx.id if isinstance(rx, Receiver) else rx for rx in protected
@@ -576,7 +580,8 @@ def opportunity_map(scenario: Scenario, band: int, quantum: int, protected=None)
     Args:
       scenario: validated world.
       band, quantum: the slice to evaluate.
-      protected: receiver ids or Receiver objects; None protects all.
+      protected: a collection of receiver ids or Receiver objects, never a
+        bare id string; None protects all.
     """
     return LinkBudget(scenario, protected).opportunity_map(band, quantum)
 

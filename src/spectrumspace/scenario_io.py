@@ -352,16 +352,41 @@ def parse_document(data, source: str = "document") -> ScenarioDocument:
     Raises ScenarioFormatError with a field path on schema problems, and
     ScenarioValidationError listing every model violation afterwards; the
     scenario is validated before the requests and policy are read, and the
-    requests against the scenario after (model.request_errors).
+    requests (model.request_errors) and the policy (_policy_errors) against
+    the scenario after.
     """
     data = _dict(data, source)
     _reject_unknown(data, _SCENARIO.keys | _DOCUMENT.keys, source)
     scenario = validate_scenario(_SCENARIO.build(data, source, {}))
     document = _DOCUMENT.build(data, source, {"scenario": scenario})
-    errors = request_errors(scenario, document.requests)
+    errors = request_errors(scenario, document.requests) + _policy_errors(scenario, document.policy)
     if errors:
         raise ScenarioValidationError(errors)
     return document
+
+
+def _policy_errors(scenario: Scenario, policy: PolicyParams) -> list[str]:
+    """Every way the policy breaks its rules in the scenario, not just the first.
+
+    The guard margin and every price rate are non-negative, and each price
+    rate names a slice in the scenario's range that no earlier one named.
+    """
+    errors = [f"policy.{name}: must be non-negative (got {value})"
+              for name, value in (("margin_db", policy.margin_db), ("price_rate", policy.price_rate))
+              if value < 0]
+    dims, first = scenario.dims, {}
+    for i, (band, quantum, rate) in enumerate(policy.price_rates):
+        who = f"policy.price_rates[{i}]"
+        for name, index, count in (("band", band, dims.b_hat), ("quantum", quantum, dims.t_hat)):
+            if not 0 <= index < count:
+                errors.append(f"{who}.{name}: {index} out of range [0, {count})")
+        if rate < 0:
+            errors.append(f"{who}.rate: must be non-negative (got {rate})")
+        earlier = first.setdefault((band, quantum), i)
+        if earlier != i:
+            errors.append(f"{who}: slice ({band}, {quantum}) is already priced by "
+                          f"policy.price_rates[{earlier}]")
+    return errors
 
 
 def load_document(path) -> ScenarioDocument:

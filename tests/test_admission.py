@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from spectrumspace import (
 from spectrumspace import admission as admission_module
 from spectrumspace import model
 from spectrumspace.admission import ENTRANT_NETWORK_ID, rights_register
+from spectrumspace.scenario_io import load_document
 
 from helpers import (
     BOUNDS,
@@ -44,6 +46,9 @@ from helpers import (
     random_scenario,
     sectored_scenario,
 )
+
+
+CAMPUS = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "campus.json"
 
 
 def canonical_link():
@@ -224,6 +229,18 @@ class TestAdmitQuantified:
         for requests in ([_request("r1", (250.0, 50.0))], []):
             with pytest.raises(ValueError, match=f"{label} must be finite"):
                 admit(canonical_link(), requests, value)
+
+    @pytest.mark.parametrize("admit", [
+        lambda scn, reqs: admit_quantified(scn, reqs, -1.0),
+        lambda scn, reqs: rights_register(scn, reqs, -1.0),
+        lambda scn, reqs: compare_policies(scn, reqs, -1.0, -90.0),
+    ], ids=["quantified", "register", "compare"])
+    def test_every_entry_point_refuses_a_negative_margin_up_front(self, admit):
+        # refused before the walk, also when no request would reach a price
+        doc = load_document(CAMPUS)
+        for requests in ([], doc.requests):
+            with pytest.raises(ValueError, match=r"guard margin must be finite and non-negative \(got -1.0\)"):
+                admit(doc.scenario, requests)
 
     def test_access_request_is_the_model_record(self):
         assert admission_module.AccessRequest is model.AccessRequest is AccessRequest

@@ -214,6 +214,44 @@ class TestRequestValidation:
         assert run(["occupancy", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
 
 
+class TestPolicyValidation:
+    """A document whose policy breaks a rule is refused by every command, before any output."""
+
+    COMMANDS = ("occupancy", "opportunity", "quantify", "report", "admit", "enforce", "compare-osa")
+
+    @pytest.mark.parametrize("policy, named", [
+        ({"price_rates": [{"band": 9, "quantum": 0, "rate": 1.0}]},
+         "policy.price_rates[0].band: 9 out of range [0, 2)"),
+        ({"price_rates": [{"band": -1, "quantum": 0, "rate": 1.0}]},
+         "policy.price_rates[0].band: -1 out of range [0, 2)"),
+        ({"price_rates": [{"band": 0, "quantum": 0, "rate": 1.0}, {"band": 0, "quantum": 0, "rate": 7.0}]},
+         "policy.price_rates[1]: slice (0, 0) is already priced by policy.price_rates[0]"),
+        ({"price_rates": [{"band": 1, "quantum": 1, "rate": -1.0}]},
+         "policy.price_rates[0].rate: must be non-negative (got -1.0)"),
+        ({"price_rate": -1.5}, "policy.price_rate: must be non-negative (got -1.5)"),
+        ({"margin_db": -3.0}, "policy.margin_db: must be non-negative (got -3.0)"),
+    ])
+    def test_every_command_exits_1_naming_the_field(self, tmp_path, capsys, policy, named):
+        data = json.loads(CAMPUS.read_text())
+        data["policy"].update(policy)
+        scn = write(tmp_path, data)
+        for command in self.COMMANDS:
+            out = tmp_path / command
+            assert run([command, "--scenario", str(scn), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {named}\n"
+            assert not out.exists()
+
+    def test_a_negative_margin_flag_fails_admit_without_requests(self, tmp_path, capsys):
+        data = json.loads(CAMPUS.read_text())
+        del data["requests"]
+        scn = write(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["admit", "--scenario", str(scn), "--out", str(out), "--margin-db", "-1"]) == 1
+        assert "guard margin must be finite and non-negative (got -1.0)" in capsys.readouterr().err
+        assert not (out / "admit.json").exists()
+
+
 class TestModuleLoading:
     """Which package modules a fresh interpreter has loaded when it exits."""
 

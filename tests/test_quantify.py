@@ -2,6 +2,7 @@ import importlib
 import math
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spectrumspace import (
     aggregate_opportunity,
     available_spectrum,
     combine_consumption,
+    compare_policies,
     db_to_linear,
     denied_consumption,
     harvest_metrics,
@@ -56,6 +58,7 @@ from helpers import (
     o_sinr_db,
     o_tx_consumption_value,
     o_tx_field,
+    random_requests,
     random_scenario,
     same_bits,
     sectored_scenario,
@@ -463,6 +466,22 @@ class TestProtectedIds:
     def test_a_receiver_of_another_scenario_is_unknown(self):
         with pytest.raises(ValueError, match="unknown receiver 'z-rx'"):
             LinkBudget(canonical_link(), [zero_margin_link().receiver("z-rx")])
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_a_bare_string_is_refused(self, name):
+        # read one character at a time, "a-rx" would name receivers 'a', '-', 'r' and 'x'
+        with pytest.raises(TypeError, match="expects a collection of receiver ids"):
+            self.ENTRY_POINTS[name](canonical_link(), "a-rx")
+
+    def test_a_string_of_one_character_ids_is_refused(self):
+        # receivers "x" and "y": read one character at a time, "xy" would protect both
+        links = [make_link(f"net-{rx_id}", (50.0 + 600.0 * i, 50.0), (150.0 + 600.0 * i, 50.0), 20.0)
+                 for i, rx_id in enumerate("xy")]
+        scn = make_scenario([replace(net, receivers=(replace(net.receivers[0], id=rx_id),))
+                             for net, rx_id in zip(links, "xy")], grid=make_grid(12, 1, 100.0))
+        with pytest.raises(TypeError, match="expects a collection of receiver ids"):
+            available_spectrum(scn, protected="xy")
+        available_spectrum(scn, protected=["x", "y"])
 
 
 class TestCombineAndQuantify:
@@ -884,3 +903,57 @@ class TestWalkMemory:
                 opportunity_map(scn, *key)
 
         assert self.peak_fields(walk, scn) < caps + folded + building + scratch + self.SMALL
+
+    def test_peak_of_the_available_spectrum_walk(self):
+        """available_spectrum over all six slices (the quantify command) folds every receiver's caps
+        into one array per slice before it reads any, and holds at most, at once:
+
+        - the caps of each slice a receiver is active in: 5 fields, for band 0's three quanta and
+          band 1's quanta 0 and 2 (slice (1, 1) has no receiver, and its p_max field is filled
+          only when it is read, after the fold);
+        - the scratch array a later receiver's caps are divided into: 1;
+        - the entrant gain field being folded: 1.
+
+        That is 7 fields, 7.5 with the small arrays. The previous receiver's gain field is dropped
+        before a new one's caps are made, and reading turns each slice's caps into mW in place. A
+        walk that keeps every receiver's gain field holds 11.
+        """
+        scn = crowded_scenario()
+        caps, scratch, gain = 5, 1, 1
+        assert self.peak_fields(lambda: available_spectrum(scn), scn) < caps + scratch + gain + self.SMALL
+
+    def test_peak_of_the_transmitter_charges(self):
+        """quantify(tx_consumption(tx)) for each transmitter in turn, as the report command charges
+        them, holds one field: the transmitter's received power, clipped and made consumption in
+        place, shared by every slice it is active in, while each idle slice is a zero-stride view.
+
+        That is 1 field, 1.5 with the small arrays. A consumption that copies the field into each
+        active slice holds 3 for crowd0, and one that allocates each idle slice holds 1 more per
+        idle slice.
+        """
+        scn = crowded_scenario()
+
+        def walk():
+            for tx in scn.transmitters():
+                quantify(tx_consumption(tx, scn), scn.grid, scn.dims)
+
+        assert self.peak_fields(walk, scn) < 1 + self.SMALL
+
+    def test_peak_of_the_policy_comparison(self):
+        """compare_policies prices requests by point queries, so its fields are those of each side's
+        entrant union (_entrant_exploitation), which holds at most, at once:
+
+        - one sum per slice an entrant is active in: 6 fields, every slice here on both sides;
+        - the consumption field of the entrant being built: 1;
+        - the previous entrant's field, still bound to the union's loop while the next is built,
+          when that entrant is active in the last slice: 1.
+
+        That is 8 fields, 8.5 with the small arrays. The two sides run one after the other, so
+        their peaks do not add. A union that keeps every entrant's field until it sums them holds
+        18 on the quantified side's 12 entrants, and one that allocates idle slices holds more.
+        """
+        scn = crowded_scenario()
+        requests = random_requests(5, scn, n=10)
+        sums, building, previous = scn.dims.b_hat * scn.dims.t_hat, 1, 1
+        peak = self.peak_fields(lambda: compare_policies(scn, requests, 3.0, -80.0), scn)
+        assert peak < sums + building + previous + self.SMALL

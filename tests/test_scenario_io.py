@@ -245,6 +245,51 @@ class TestParseDocument:
         assert "power above p_max" in text
         assert "dangling link" in text
 
+    @pytest.mark.parametrize("policy, named", [
+        ({"price_rates": [{"band": 2, "quantum": 0, "rate": 1.0}]},
+         "policy.price_rates[0].band: 2 out of range [0, 2)"),
+        ({"price_rates": [{"band": -1, "quantum": 0, "rate": 1.0}]},
+         "policy.price_rates[0].band: -1 out of range [0, 2)"),
+        ({"price_rates": [{"band": 0, "quantum": 2, "rate": 1.0}]},
+         "policy.price_rates[0].quantum: 2 out of range [0, 2)"),
+        ({"price_rates": [{"band": 0, "quantum": 0, "rate": 1.0}, {"band": 0, "quantum": 0, "rate": 7.0}]},
+         "policy.price_rates[1]: slice (0, 0) is already priced by policy.price_rates[0]"),
+        ({"price_rates": [{"band": 0, "quantum": 0, "rate": -1.0}]},
+         "policy.price_rates[0].rate: must be non-negative (got -1.0)"),
+        ({"price_rate": -0.5}, "policy.price_rate: must be non-negative (got -0.5)"),
+        ({"margin_db": -1.0}, "policy.margin_db: must be non-negative (got -1.0)"),
+    ])
+    def test_a_policy_breaking_a_rule_is_refused_naming_the_field(self, policy, named):
+        data = json.loads(json.dumps(FULL))
+        data["policy"].update(policy)
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_document(data)
+        assert err.value.errors == [named]
+
+    def test_every_policy_problem_is_listed_together(self):
+        data = json.loads(json.dumps(FULL))
+        data["policy"].update(margin_db=-3.0, price_rate=-1.0, price_rates=[
+            {"band": 0, "quantum": 1, "rate": 1.0},
+            {"band": 5, "quantum": -2, "rate": -4.0},
+            {"band": 0, "quantum": 1, "rate": 2.0},
+        ])
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_document(data)
+        assert err.value.errors == [
+            "policy.margin_db: must be non-negative (got -3.0)",
+            "policy.price_rate: must be non-negative (got -1.0)",
+            "policy.price_rates[1].band: 5 out of range [0, 2)",
+            "policy.price_rates[1].quantum: -2 out of range [0, 2)",
+            "policy.price_rates[1].rate: must be non-negative (got -4.0)",
+            "policy.price_rates[2]: slice (0, 1) is already priced by policy.price_rates[0]",
+        ]
+
+    def test_zero_rates_and_margin_and_every_slice_priced_once_parse(self):
+        data = json.loads(json.dumps(FULL))
+        data["policy"].update(margin_db=0.0, price_rate=0.0, price_rates=[
+            {"band": b, "quantum": q, "rate": 0.0} for b in range(2) for q in range(2)])
+        assert len(parse_document(data).policy.price_rates) == 4
+
     @given(st.sampled_from(list(_paths(FULL))), JSON_VALUES)
     def test_any_value_anywhere_parses_or_is_rejected(self, path, value):
         # A valid document with one node swapped for an arbitrary JSON value
