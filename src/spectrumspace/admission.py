@@ -91,8 +91,10 @@ def _check_inputs(scenario: Scenario, requests, margin_db: float | None = None,
 
     Raises ValueError when a given guard margin is negative or not finite, or
     a given sensing threshold is not finite; then ScenarioValidationError
-    listing every request_errors entry, and every request id that collides
-    with a scenario id or an earlier request's.
+    listing every request_errors entry, and every request id or entrant id
+    that collides with a scenario id or an earlier request's ids. A request
+    that needs more than one band can take one entrant id per acceptable
+    band (``<id>:b<band>``); a one-band request's entrant takes its own id.
     """
     if margin_db is not None and not (math.isfinite(margin_db) and margin_db >= 0):
         raise ValueError(f"guard margin must be finite and non-negative (got {margin_db})")
@@ -101,9 +103,16 @@ def _check_inputs(scenario: Scenario, requests, margin_db: float | None = None,
     errors = request_errors(scenario, requests)
     taken = scenario.all_ids()
     for req in requests:
+        who = f"request {req.request_id!r}"
         if req.request_id in taken:
-            errors.append(f"request {req.request_id!r}: id collides with an existing one")
+            errors.append(f"{who}: id collides with an existing one")
         taken.add(req.request_id)
+        if req.required_bands > 1:
+            for band in sorted(req.acceptable_bands):
+                entrant = _entrant_id(req, band)
+                if entrant in taken:
+                    errors.append(f"{who}: entrant id {entrant!r} collides with an existing one")
+                taken.add(entrant)
     if errors:
         raise ScenarioValidationError(errors)
 
@@ -309,6 +318,7 @@ def _entrant_exploitation(scenario: Scenario) -> SpectrumQuantity:
                 summed[key] += cells
             else:
                 summed[key] = cells.copy()
+        cells = None  # release this entrant's field before the next one's is built
     for cells in summed.values():
         cells.clip(0.0, scenario.bounds.p_cmax_linear, out=cells)
     entrants = frozenset(tx.id for tx in net.transmitters)

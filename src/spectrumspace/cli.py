@@ -27,11 +27,8 @@ from .scenario_io import (
     ScenarioDocument,
     ScenarioFormatError,
     export_field,
-    format_number,
     load_document,
-    quantity_to_dict,
-    record_to_dict,
-    scenario_to_dict,
+    report_to_dict,
     write_report,
 )
 
@@ -128,20 +125,6 @@ def _slices(scenario: Scenario, band, quantum):
     return [(b, q) for b in bands for q in quanta]
 
 
-def _consumed_sections(scenario: Scenario, sheet: PriceSheet | None, rx_charges: dict):
-    """Each transmitter's quantified tx_consumption and the receivers' precomputed charges."""
-    consumed: dict = {"transmitters": {}, "receivers": {}}
-    prices: dict = {"transmitters": {}, "receivers": {}}
-    tx_charges = ((tx.id, quantify(tx_consumption(tx, scenario), scenario.grid, scenario.dims))
-                  for tx in scenario.transmitters())
-    for kind, charges in (("transmitters", tx_charges), ("receivers", rx_charges.items())):
-        for entity_id, q in charges:
-            consumed[kind][entity_id] = quantity_to_dict(q)
-            if sheet is not None:
-                prices[kind][entity_id] = format_number(price(q, sheet))
-    return consumed, (prices if sheet is not None else None)
-
-
 def _price_sheet(doc: ScenarioDocument) -> PriceSheet | None:
     pol = doc.policy
     if pol.price_rate == 0.0 and not pol.price_rates:
@@ -165,19 +148,24 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
             export_field(field, os.path.join(args.out, f"{command}_b{field.band}_q{field.quantum}.csv"))
         return 0
 
-    report = {"command": command, "scenario": scenario_to_dict(scenario)}
+    report = {"command": command, "scenario": scenario}
     if command in ("quantify", "report"):
-        report["total_spectrum"] = quantity_to_dict(
-            total_spectrum(scenario.grid, scenario.dims, scenario.bounds))
+        grid, dims = scenario.grid, scenario.dims
+        report["total_spectrum"] = total_spectrum(grid, dims, scenario.bounds)
         if command == "quantify":
-            available = available_spectrum(scenario, protected)
+            report["available_spectrum"] = available_spectrum(scenario, protected)
         else:
             # report charges every receiver from the walk that gives available spectrum
-            available, rx_charges = receiver_accounting(scenario, protected)
-            report["consumed"], prices = _consumed_sections(scenario, _price_sheet(doc), rx_charges)
-            if prices is not None:
-                report["prices"] = prices
-        report["available_spectrum"] = quantity_to_dict(available)
+            report["available_spectrum"], rx_charges = receiver_accounting(scenario, protected)
+            report["consumed"] = consumed = {
+                "transmitters": {tx.id: quantify(tx_consumption(tx, scenario), grid, dims)
+                                 for tx in scenario.transmitters()},
+                "receivers": rx_charges,
+            }
+            sheet = _price_sheet(doc)
+            if sheet is not None:
+                report["prices"] = {kind: {entity_id: price(q, sheet) for entity_id, q in charges.items()}
+                                    for kind, charges in consumed.items()}
     else:
         # Only the admission commands load admission and policy: a process that
         # never admits does not compile them.
@@ -185,30 +173,17 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
         from .policy import enforce
 
         policy = doc.policy
-        margin = policy.margin_db if args.margin_db is None else args.margin_db
-        report["margin_db"] = format_number(margin)
+        report["margin_db"] = margin = policy.margin_db if args.margin_db is None else args.margin_db
         if command == "admit":
-            outcome, augmented = admit_quantified(scenario, doc.requests, margin, protected)
-            report["admission"] = record_to_dict(outcome)
-            report["augmented_scenario"] = scenario_to_dict(augmented)
+            report["admission"], report["augmented_scenario"] = admit_quantified(
+                scenario, doc.requests, margin, protected)
         elif command == "enforce":
-            # The request batch is the register of authorized rights. It is rebuilt
-            # by replaying quantified admission on the observed scenario without
-            # the requests' own entrant transmitters: each request holds the grants
-            # of the bands admission chose for it, priced in admission order as
-            # `admit` priced them, and its entrants carry the ids admission gives
-            # them. Then every observed transmitter is audited.
-            grants, refusals = rights_register(scenario, doc.requests, margin, protected)
-            violations = enforce(grants, scenario, policy.tolerance_db)
-            report["tolerance_db"] = format_number(policy.tolerance_db)
-            report["grants"] = [record_to_dict(g) for g in grants]
-            report["refusals"] = [record_to_dict(r) for r in refusals]
-            report["violations"] = [record_to_dict(v) for v in violations]
+            report["grants"], report["refusals"] = rights_register(scenario, doc.requests, margin, protected)
+            report["violations"] = enforce(report["grants"], scenario, policy.tolerance_db)
+            report["tolerance_db"] = policy.tolerance_db
         else:
-            sensitivity = (policy.sensitivity_dbm if args.sensitivity_dbm is None
-                           else args.sensitivity_dbm)
-            report["sensitivity_dbm"] = format_number(sensitivity)
-            report["comparison"] = record_to_dict(
-                compare_policies(scenario, doc.requests, margin, sensitivity, protected))
-    write_report(report, os.path.join(args.out, f"{command}.json"))
+            report["sensitivity_dbm"] = sensitivity = (
+                policy.sensitivity_dbm if args.sensitivity_dbm is None else args.sensitivity_dbm)
+            report["comparison"] = compare_policies(scenario, doc.requests, margin, sensitivity, protected)
+    write_report(report_to_dict(report), os.path.join(args.out, f"{command}.json"))
     return 0

@@ -14,7 +14,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import PowerBounds, Scenario, db_to_linear, resolve
+from .model import (
+    AccessRequest,
+    PowerBounds,
+    Scenario,
+    ScenarioValidationError,
+    db_to_linear,
+    request_errors,
+    resolve,
+)
 from .quantify import Cell, LinkBudget, PowerField, PriceSheet, Slice, link_powers, price
 
 __all__ = [
@@ -118,12 +126,19 @@ def define_rights(scenario: Scenario, request: RightsRequest, margin_db: float,
       Grant or Refusal.
 
     Raises:
-      ValueError: the margin is negative or not finite, or no quantum is requested.
+      ValueError: the margin is negative or not finite.
+      ScenarioValidationError: the request breaks a rule of model.request_errors
+        as the one-band AccessRequest it describes: a position off the grid,
+        a power that is not finite, a minimum useful power above the desired
+        one, no quanta, or a band or quantum out of range.
     """
     if not math.isfinite(margin_db) or margin_db < 0:
         raise ValueError(f"guard margin must be finite and non-negative (got {margin_db})")
-    if not request.quanta:
-        raise ValueError(f"request {request.tx_id!r}: no time quanta requested")
+    errors = request_errors(scenario, [AccessRequest(
+        request.tx_id, tuple(request.position), request.desired_dbm, request.min_useful_dbm,
+        1, frozenset({request.band}), request.quanta)])
+    if errors:
+        raise ScenarioValidationError(errors)
     if budget is None:
         budget = LinkBudget(scenario)
     bounds = scenario.bounds
@@ -167,10 +182,10 @@ def enforce(grants, observed: Scenario, tolerance_db: float = 0.5) -> list[Viola
     is reported against the power floor. A grantee that is absent from the
     observed scenario is simply compliant.
 
-    Raises ValueError for a tolerance that is not finite.
+    Raises ValueError for a tolerance that is negative or not finite.
     """
-    if not math.isfinite(tolerance_db):
-        raise ValueError(f"tolerance must be finite (got {tolerance_db})")
+    if not (math.isfinite(tolerance_db) and tolerance_db >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative (got {tolerance_db})")
     by_tx: dict[str, list[Grant]] = {}
     for grant in grants:
         by_tx.setdefault(grant.grantee_tx_id, []).append(grant)

@@ -607,18 +607,15 @@ def aggregate_opportunity(scenario: Scenario, position: tuple[float, float],
       the floor over the cell, converted and integrated as available_spectrum
       does a one-cell grid.
     """
-    grid, bounds, dims = scenario.grid, scenario.bounds, scenario.dims
+    grid, dims = scenario.grid, scenario.dims
     cell = grid.cell_of(position)
     quantum_list = list(range(dims.t_hat)) if quanta is None else sorted(quanta)
     budget = LinkBudget(scenario, protected)
     entries = [(band, q, budget.opportunity_at_cell(band, q, cell)[0])
                for band in range(dims.b_hat) for q in quantum_list]
-    above = {
-        (band, q): _field_linear(PowerField(band, q, np.array([[value]])), bounds) - bounds.p_min_linear
-        for band, q, value in entries
-    }
     entries.sort(key=lambda e: (-e[2], e[0], e[1]))
-    return entries, quantify(ConsumptionSpace(frozenset(), above), replace(grid, n_x=1, n_y=1))
+    return entries, _available((PowerField(band, q, np.array([[value]])) for band, q, value in entries),
+                               replace(scenario, grid=replace(grid, n_x=1, n_y=1)))
 
 
 def tx_consumption(tx, scenario: Scenario) -> ConsumptionSpace:

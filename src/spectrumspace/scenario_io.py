@@ -53,6 +53,7 @@ __all__ = [
     "parse_document",
     "quantity_to_dict",
     "record_to_dict",
+    "report_to_dict",
     "scenario_to_dict",
     "write_report",
 ]
@@ -368,11 +369,13 @@ def parse_document(data, source: str = "document") -> ScenarioDocument:
 def _policy_errors(scenario: Scenario, policy: PolicyParams) -> list[str]:
     """Every way the policy breaks its rules in the scenario, not just the first.
 
-    The guard margin and every price rate are non-negative, and each price
-    rate names a slice in the scenario's range that no earlier one named.
+    The guard margin, the enforcement tolerance and every price rate are
+    non-negative, and each price rate names a slice in the scenario's range
+    that no earlier one named.
     """
     errors = [f"policy.{name}: must be non-negative (got {value})"
-              for name, value in (("margin_db", policy.margin_db), ("price_rate", policy.price_rate))
+              for name, value in (("margin_db", policy.margin_db), ("tolerance_db", policy.tolerance_db),
+                                  ("price_rate", policy.price_rate))
               if value < 0]
     dims, first = scenario.dims, {}
     for i, (band, quantum, rate) in enumerate(policy.price_rates):
@@ -570,6 +573,19 @@ def _report_value(value):
     if hasattr(value, "__dataclass_fields__"):
         return record_to_dict(value)
     return value
+
+
+def report_to_dict(report: dict) -> dict:
+    """A report's sections, as write_report takes them.
+
+    A Scenario is written in its unrounded document form (``scenario_to_dict``),
+    so an echoed scenario parses back to an equal one. Every other section is
+    written as ``record_to_dict`` writes a field: floats at 12 significant
+    digits, quantities and records by ``record_to_dict``, lists, tuples and
+    dicts item by item, and strings, ints, bools and None kept.
+    """
+    return {name: scenario_to_dict(value) if isinstance(value, Scenario) else _report_value(value)
+            for name, value in report.items()}
 
 
 def write_report(report: dict, path) -> None:

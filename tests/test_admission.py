@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import time
 from functools import reduce
@@ -33,7 +34,7 @@ from spectrumspace import (
 from spectrumspace import admission as admission_module
 from spectrumspace import model
 from spectrumspace.admission import ENTRANT_NETWORK_ID, rights_register
-from spectrumspace.scenario_io import load_document
+from spectrumspace.scenario_io import load_document, parse_document
 
 from helpers import (
     BOUNDS,
@@ -54,6 +55,16 @@ CAMPUS = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "campus.j
 def canonical_link():
     return make_scenario([make_link("a", (50.0, 50.0), (150.0, 50.0), 30.0)],
                          grid=make_grid(12, 1, 100.0))
+
+
+def campus_with_an_entrant_id_taken():
+    """campus.json with bb-tx renamed r-mid:b0 (bb-rx linked to it) and r-mid asking for 2 bands,
+    so r-mid's band-0 entrant would take an observed transmitter's id."""
+    data = json.loads(CAMPUS.read_text())
+    backbone = data["networks"][0]
+    backbone["transmitters"][0]["id"] = backbone["receivers"][0]["linked_tx"] = "r-mid:b0"
+    next(r for r in data["requests"] if r["id"] == "r-mid")["required_bands"] = 2
+    return parse_document(data)
 
 
 def _request(request_id, position, desired=30.0, min_useful=-20.0, bands=(0,),
@@ -241,6 +252,42 @@ class TestAdmitQuantified:
         for requests in ([], doc.requests):
             with pytest.raises(ValueError, match=r"guard margin must be finite and non-negative \(got -1.0\)"):
                 admit(doc.scenario, requests)
+
+    @pytest.mark.parametrize("admit", [
+        lambda scn, reqs: admit_quantified(scn, reqs, 3.0),
+        lambda scn, reqs: admit_osa(scn, reqs, -90.0),
+        lambda scn, reqs: compare_policies(scn, reqs, 3.0, -90.0),
+    ], ids=["quantified", "osa", "compare"])
+    def test_an_entrant_id_that_names_a_transmitter_is_refused(self, admit):
+        doc = campus_with_an_entrant_id_taken()
+        with pytest.raises(ScenarioValidationError) as err:
+            admit(doc.scenario, doc.requests)
+        assert err.value.errors == ["request 'r-mid': entrant id 'r-mid:b0' collides with an existing one"]
+
+    def test_the_register_audits_an_observed_entrant_named_like_its_request(self):
+        # rights_register strips observed transmitters named like entrants before it replays admission
+        doc = campus_with_an_entrant_id_taken()
+        rights_register(doc.scenario, doc.requests, 3.0)
+
+    @pytest.mark.parametrize("admit", [
+        lambda scn, reqs: admit_quantified(scn, reqs, 0.0),
+        lambda scn, reqs: admit_osa(scn, reqs, -90.0),
+        lambda scn, reqs: compare_policies(scn, reqs, 0.0, -90.0),
+        lambda scn, reqs: rights_register(scn, reqs, 0.0),
+    ], ids=["quantified", "osa", "compare", "register"])
+    @pytest.mark.parametrize("order, named", [
+        ("two-band first", "request 'a:b0': id collides with an existing one"),
+        ("two-band last", "request 'a': entrant id 'a:b0' collides with an existing one"),
+    ])
+    def test_a_request_id_that_names_an_earlier_entrant_is_refused(self, admit, order, named):
+        scn = make_scenario([], grid=make_grid(12, 1, 100.0), dims=SpectrumSpaceDims(b_hat=2, t_hat=1))
+        requests = [_request("a", (250.0, 50.0), bands=(0, 1), required=2),
+                    _request("a:b0", (650.0, 50.0))]
+        if order == "two-band last":
+            requests.reverse()
+        with pytest.raises(ScenarioValidationError) as err:
+            admit(scn, requests)
+        assert err.value.errors == [named]
 
     def test_access_request_is_the_model_record(self):
         assert admission_module.AccessRequest is model.AccessRequest is AccessRequest

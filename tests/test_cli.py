@@ -242,6 +242,17 @@ class TestPolicyValidation:
             assert err == f"error: {named}\n"
             assert not out.exists()
 
+    def test_a_negative_tolerance_fails_every_command(self, tmp_path, capsys):
+        # enforce once ran with it and flagged entrants at their caps
+        data = json.loads(CAMPUS.read_text())
+        data["policy"]["tolerance_db"] = -1.0
+        scn = write(tmp_path, data)
+        for command in self.COMMANDS:
+            out = tmp_path / command
+            assert run([command, "--scenario", str(scn), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: policy.tolerance_db: must be non-negative (got -1.0)\n"
+            assert not out.exists()
+
     def test_a_negative_margin_flag_fails_admit_without_requests(self, tmp_path, capsys):
         data = json.loads(CAMPUS.read_text())
         del data["requests"]
@@ -599,6 +610,19 @@ class TestAdmitCommand:
         p_loose = load(loose, "admit.json")["admission"]["outcomes"][0]["powers_dbm"][0]
         p_tight = load(tight, "admit.json")["admission"]["outcomes"][0]["powers_dbm"][0]
         assert p_loose - p_tight == pytest.approx(6.0, abs=1e-9)
+
+    def test_an_entrant_id_taken_by_a_transmitter_exits_1_writing_nothing(self, tmp_path, capsys):
+        # r-mid's band-0 entrant would be named r-mid:b0, the id of an observed transmitter
+        data = json.loads(CAMPUS.read_text())
+        backbone = data["networks"][0]
+        backbone["transmitters"][0]["id"] = backbone["receivers"][0]["linked_tx"] = "r-mid:b0"
+        next(r for r in data["requests"] if r["id"] == "r-mid")["required_bands"] = 2
+        scn = write(tmp_path, data)
+        out = tmp_path / "out"
+        assert run(["admit", "--scenario", str(scn), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: request 'r-mid': entrant id 'r-mid:b0' collides with an existing one\n")
+        assert list(out.iterdir()) == []
 
 
 class TestEnforceCommand:

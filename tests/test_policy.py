@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from spectrumspace import (
     RFNetwork,
     RightsRequest,
     Scenario,
+    ScenarioValidationError,
     SpectrumQuantity,
     SpectrumSpaceDims,
     Transmitter,
@@ -24,6 +26,7 @@ from spectrumspace import (
     opportunity_map,
     price,
 )
+from spectrumspace.scenario_io import load_scenario
 
 from helpers import (
     BOUNDS,
@@ -34,6 +37,9 @@ from helpers import (
     o_lin,
     o_signal_interference,
 )
+
+
+CAMPUS = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "campus.json"
 
 
 def canonical_link():
@@ -163,6 +169,28 @@ class TestDefineRights:
         with pytest.raises(ValueError, match="no time quanta"):
             define_rights(scn, empty, margin_db=0.0)
 
+    @pytest.mark.parametrize("desired, min_useful, named", [
+        (math.nan, -20.0, "request 'e1': desired_dbm must be finite (got nan)"),
+        (0.0, math.nan, "request 'e1': min_useful_dbm must be finite (got nan)"),
+        (0.0, 5.0, "request 'e1': min useful power exceeds desired power "
+                   "(min_useful_dbm 5.0 > desired_dbm 0.0)"),
+    ])
+    def test_a_request_is_checked_as_an_access_request(self, desired, min_useful, named):
+        # a NaN power once gave a NaN cap, and a minimum above the desired power a refusal
+        # blaming an opportunity that is above that minimum
+        request = RightsRequest(tx_id="e1", position=(475.0, 125.0), desired_dbm=desired,
+                                min_useful_dbm=min_useful, band=0, quanta=frozenset({0}))
+        with pytest.raises(ScenarioValidationError) as err:
+            define_rights(load_scenario(CAMPUS), request, margin_db=0.0)
+        assert err.value.errors == [named]
+
+    def test_a_position_given_as_a_list_or_array_is_still_checked_and_granted(self):
+        scn = load_scenario(CAMPUS)
+        for position in ([475.0, 125.0], np.array([475.0, 125.0])):
+            request = RightsRequest(tx_id="e1", position=position, desired_dbm=10.0,
+                                    min_useful_dbm=-20.0, band=0, quanta=frozenset({0}))
+            assert isinstance(define_rights(scn, request, margin_db=0.0), Grant)
+
 
 def _observed(power_dbm, position=(250.0, 50.0), tx_id="e1", band=0, quanta=(0,)):
     tx = Transmitter(id=tx_id, network_id="entrants", position=position,
@@ -210,6 +238,12 @@ class TestEnforce:
         observed = _observed(grant.cap_dbm() + 5.0)
         with pytest.raises(ValueError, match="finite"):
             enforce([grant], observed, tolerance_db=tolerance_db)
+
+    def test_negative_tolerance_rejected(self):
+        # a negative tolerance flagged an entrant transmitting exactly at its cap
+        grant = self._grant()
+        with pytest.raises(ValueError, match=r"tolerance must be finite and non-negative \(got -1.0\)"):
+            enforce([grant], _observed(grant.cap_dbm()), tolerance_db=-1.0)
 
     def test_ungranted_transmitter_reported_against_floor(self):
         observed = _observed(10.0)

@@ -66,6 +66,7 @@ from helpers import (
 
 # the package exports a function named quantify, which hides the module
 quantify_module = importlib.import_module("spectrumspace.quantify")
+admission_module = importlib.import_module("spectrumspace.admission")
 
 
 def canonical_link() -> Scenario:
@@ -957,3 +958,22 @@ class TestWalkMemory:
         sums, building, previous = scn.dims.b_hat * scn.dims.t_hat, 1, 1
         peak = self.peak_fields(lambda: compare_policies(scn, requests, 3.0, -80.0), scn)
         assert peak < sums + building + previous + self.SMALL
+
+    def test_peak_of_each_entrant_union(self):
+        """_entrant_exploitation of each side's augmented scenario holds at most, at once:
+
+        - one sum per slice an entrant is active in: 6 fields, every slice here on both sides;
+        - the consumption field of the entrant being built: 1.
+
+        That is 7 fields, 7.5 with the small arrays. The previous entrant's field is released
+        before the next one's is built; a union that keeps it bound to its loop while the next is
+        built holds 8 on the quantified side (8.28 measured).
+        """
+        scn = crowded_scenario()
+        requests = random_requests(5, scn, n=10)
+        sums, building = scn.dims.b_hat * scn.dims.t_hat, 1
+        sides = {"quantified": admission_module.admit_quantified(scn, requests, 3.0)[1],
+                 "osa": admission_module.admit_osa(scn, requests, -80.0)[1]}
+        peaks = {name: self.peak_fields(lambda: admission_module._entrant_exploitation(augmented), scn)
+                 for name, augmented in sides.items()}
+        assert all(peak < sums + building + self.SMALL for peak in peaks.values()), peaks

@@ -39,6 +39,7 @@ from spectrumspace.scenario_io import (
     parse_document,
     quantity_to_dict,
     record_to_dict,
+    report_to_dict,
     scenario_to_dict,
     write_report,
 )
@@ -265,6 +266,14 @@ class TestParseDocument:
         with pytest.raises(ScenarioValidationError) as err:
             parse_document(data)
         assert err.value.errors == [named]
+
+    def test_a_negative_tolerance_is_refused(self):
+        # enforce flagged an entrant at its cap under a negative tolerance
+        data = json.loads(json.dumps(FULL))
+        data["policy"]["tolerance_db"] = -1.0
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_document(data)
+        assert err.value.errors == ["policy.tolerance_db: must be non-negative (got -1.0)"]
 
     def test_every_policy_problem_is_listed_together(self):
         data = json.loads(json.dumps(FULL))
@@ -790,3 +799,33 @@ class TestRecordToDict:
         assert [type(v) for cap in grant["caps"] for v in (cap["band"], cap["quantum"], *cap["cell"])] \
             == [int] * 8
         assert type(grant["caps"][1]["cap_dbm"]) is float
+
+
+class TestReportToDict:
+    """report_to_dict renders a report's sections as record_to_dict renders a record's fields, and an
+    echoed Scenario in its unrounded document form."""
+
+    def test_a_scenario_echo_stays_unrounded(self):
+        data = json.loads(json.dumps(FULL))
+        data["networks"][1]["transmitters"][0]["tx_power_dbm"] = 1.0 / 3.0
+        scn = parse_document(data).scenario
+        echoed = report_to_dict({"scenario": scn})["scenario"]
+        assert echoed == scenario_to_dict(scn)
+        assert echoed["networks"][1]["transmitters"][0]["tx_power_dbm"] == 1.0 / 3.0
+        assert parse_document(echoed).scenario == scn
+
+    def test_a_float_is_fixed_at_12_digits(self):
+        out = report_to_dict({"command": "admit", "margin_db": 1.0 / 3.0, "tolerance_db": 0.5})
+        assert out == {"command": "admit", "margin_db": 0.333333333333, "tolerance_db": 0.5}
+        assert type(out["margin_db"]) is float
+
+    def test_quantities_and_records_match_record_to_dict(self):
+        quantity = SpectrumQuantity(2.0 / 3.0, {(0, 1): 2.0 / 3.0})
+        report = {"total_spectrum": quantity, "admission": OUTCOME, "grants": [GRANT],
+                  "refusals": (REFUSAL,), "consumed": {"transmitters": {"t": quantity}, "receivers": {}},
+                  "prices": {"transmitters": {"t": 1.0 / 7.0}}}
+        assert _json(report_to_dict(report)) == _json({
+            "total_spectrum": record_to_dict(quantity), "admission": record_to_dict(OUTCOME),
+            "grants": [record_to_dict(GRANT)], "refusals": [record_to_dict(REFUSAL)],
+            "consumed": {"transmitters": {"t": quantity_to_dict(quantity)}, "receivers": {}},
+            "prices": {"transmitters": {"t": format_number(1.0 / 7.0)}}})

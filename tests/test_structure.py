@@ -19,6 +19,10 @@
 - No module imports another module's private (underscore) name.
 - Only ``scenario_io`` imports ``json``: documents and reports are read and
   written there, so no other module builds or dumps JSON by hand.
+- Only ``scenario_io`` calls the report renderers (``format_number``,
+  ``quantity_to_dict``, ``record_to_dict``, ``scenario_to_dict``): every
+  other module hands its results to ``report_to_dict``, so a report's JSON
+  form is decided in one place.
 - ``model``, ``propagation``, ``quantify``, ``scenario_io`` and ``cli`` import
   neither ``admission`` nor ``policy`` when they are imported, so a command
   that does not admit never loads those two modules.
@@ -170,6 +174,18 @@ def test_scenario_io_serializes():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scenario_io.py"], ids=lambda p: p.name)
 def test_only_scenario_io_imports_json(path):
     assert _json_imports(path) == []
+
+
+RENDERERS = ("format_number", "quantity_to_dict", "record_to_dict", "scenario_to_dict")
+
+
+def test_scenario_io_renders_reports():
+    assert all(_calls(PACKAGE / "scenario_io.py", name) for name in RENDERERS)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "scenario_io.py"], ids=lambda p: p.name)
+def test_only_scenario_io_calls_the_report_renderers(path):
+    assert {name: lines for name in RENDERERS if (lines := _calls(path, name))} == {}
 
 
 ADMISSION_MODULES = {"admission", "policy"}
