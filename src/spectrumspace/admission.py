@@ -50,6 +50,8 @@ SINR_TOLERANCE_DB = 1e-6
 
 @dataclass(frozen=True)
 class RequestOutcome:
+    """What one request got: its bands, powers and grants when admitted, its refusals when not."""
+
     request_id: str
     admitted: bool
     bands: tuple[int, ...] = ()
@@ -60,6 +62,9 @@ class RequestOutcome:
 
 @dataclass(frozen=True)
 class AdmissionOutcome:
+    """An admission run: each request's outcome in admission order, how many were admitted, and
+    the spectrum still available once they transmit."""
+
     outcomes: tuple[RequestOutcome, ...]
     admitted_count: int
     post_available: SpectrumQuantity
@@ -67,6 +72,9 @@ class AdmissionOutcome:
 
 @dataclass(frozen=True)
 class PolicySummary:
+    """One policy's side of a comparison: admissions, the spectrum its entrants exploit, and the
+    SINR violations it induced."""
+
     policy: str
     admitted_count: int
     exploited: SpectrumQuantity
@@ -77,6 +85,8 @@ class PolicySummary:
 
 @dataclass(frozen=True)
 class PolicyComparison:
+    """Quantified admission and the sensing baseline, run on identical inputs."""
+
     quantified: PolicySummary
     osa: PolicySummary
 
@@ -298,19 +308,24 @@ def admit_osa(scenario: Scenario, requests, sensitivity_dbm: float) -> tuple[Adm
     return AdmissionOutcome(outcomes, admitted, budget.available_spectrum()), budget.scenario
 
 
-def _entrant_exploitation(scenario: Scenario) -> SpectrumQuantity:
-    """Spectrum consumed by the entrant transmitters, union per cell.
+def _entrant_exploitation(scenario: Scenario, original: Scenario) -> SpectrumQuantity:
+    """Spectrum consumed by the entrants admitted into ``scenario``, union per cell.
 
+    The entrants are the transmitters of the entrant network that
+    ``original``, the scenario before admission, does not hold; an incumbent
+    network that happens to carry the entrant network's id is not counted.
     Each slice sums the consumption of the entrants active in it, starting
     from a copy of the first one's, and clips once; for non-negative terms
     that is bit for bit combine_consumption applied pairwise, since idle
     entrants add 0.0. A slice no entrant is active in keeps their idle view.
     """
     net = scenario.network(ENTRANT_NETWORK_ID)
-    if net is None or not net.transmitters:
+    incumbents = original.all_ids()
+    entrants = [tx for tx in net.transmitters if tx.id not in incumbents] if net is not None else []
+    if not entrants:
         return SpectrumQuantity(0.0, {})
     idle, summed = {}, {}
-    for tx in net.transmitters:
+    for tx in entrants:
         for key, cells in tx_consumption(tx, scenario).slices.items():
             if not tx.active_in(*key):
                 idle.setdefault(key, cells)
@@ -321,8 +336,8 @@ def _entrant_exploitation(scenario: Scenario) -> SpectrumQuantity:
         cells = None  # release this entrant's field before the next one's is built
     for cells in summed.values():
         cells.clip(0.0, scenario.bounds.p_cmax_linear, out=cells)
-    entrants = frozenset(tx.id for tx in net.transmitters)
-    return quantify(ConsumptionSpace(entrants, {**idle, **summed}), scenario.grid, scenario.dims)
+    ids = frozenset(tx.id for tx in entrants)
+    return quantify(ConsumptionSpace(ids, {**idle, **summed}), scenario.grid, scenario.dims)
 
 
 def _sinr_violations(original: Scenario, final: Scenario) -> tuple[int, float]:
@@ -368,7 +383,7 @@ def compare_policies(scenario: Scenario, requests, margin_db: float,
         return PolicySummary(
             policy=name,
             admitted_count=admitted,
-            exploited=_entrant_exploitation(budget.scenario),
+            exploited=_entrant_exploitation(budget.scenario, scenario),
             violation_count=violations,
             violation_total_db=total_db,
             outcomes=outcomes,

@@ -107,10 +107,11 @@ def linear_to_db_in_place(linear: np.ndarray, bounds: PowerBounds) -> np.ndarray
     return np.clip(linear, bounds.p_min_dbm, bounds.p_max_dbm, out=linear)
 
 
-# A float64 field is 8 bytes per cell, and the walks that integrate every
-# slice (available spectrum, denied consumption, a report's receiver charges)
-# hold one field per slice plus about four more: a gain field, a scratch
-# array, a receiver's solo slices and conversion masks. At both limits that is
+# A float64 field is 8 bytes per cell. The opportunity walks (available
+# spectrum, a report's receiver charges) hold one band's slices at a time;
+# denied_consumption's returned space and compare-osa's entrant union hold one
+# field per slice plus a few more: a gain field, a scratch array, the entrant
+# being built and conversion masks. At both limits that is
 # 8 B * 2**20 cells * (508 + 4) fields = 4 GiB, so no valid scenario asks for
 # more; a field alone is at most 8 MiB.
 MAX_CELLS = 2**20
@@ -271,6 +272,9 @@ OMNI = AntennaPattern()
 
 @dataclass(frozen=True)
 class Transmitter:
+    """A transmitter of a network: where it is, its power in dBm, and the band and time quanta it
+    is active in."""
+
     id: str
     network_id: str
     position: tuple[float, float]
@@ -285,6 +289,9 @@ class Transmitter:
 
 @dataclass(frozen=True)
 class Receiver:
+    """A receiver of a network: where it is, the band and quanta it listens in, its SINR threshold
+    ``beta_db`` and noise floor, and the transmitter whose link it receives."""
+
     id: str
     network_id: str
     position: tuple[float, float]
@@ -301,6 +308,8 @@ class Receiver:
 
 @dataclass(frozen=True)
 class RFNetwork:
+    """A network's transmitters and receivers, each in declaration order."""
+
     id: str
     transmitters: tuple[Transmitter, ...] = ()
     receivers: tuple[Receiver, ...] = ()

@@ -87,6 +87,12 @@ class Refusal:
 
 @dataclass(frozen=True)
 class Violation:
+    """A transmitter over what it may radiate in one slice, by more than the tolerance.
+
+    ``granted_dbm`` is the best cap of its grants at its cell, or the power
+    floor when none covers the slice (``grant_id`` None).
+    """
+
     grant_id: str | None
     tx_id: str
     cell: Cell | None

@@ -16,7 +16,8 @@ sums each distinct array once.
 Occupancy is walked band-major (occupancy_maps): a transmitter's received
 field is built once per band and added to every listed quantum it is active
 in, with each slice's sums in the order of its own occupancy_linear.
-Opportunity is walked receiver-major, one entrant gain field per receiver.
+Opportunity is walked band by band and, within a band, receiver-major: one
+entrant gain field per receiver, and one band's caps held at a time.
 LinkBudget._opportunity_fields is the one fold of entrant caps into a grid:
 every opportunity field, joint denial and receiver charge comes from it. A
 receiver's charge, rx_consumption, is the denial of protecting it alone.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -87,6 +88,8 @@ __all__ = [
 
 Slice = tuple[int, int]
 Cell = tuple[int, int]
+# A band's (receiver, entrant gain field) pairs, for LinkBudget._opportunity_fields to fold.
+Gains = Callable[[int], Iterable[tuple[Receiver, np.ndarray]]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,41 +480,45 @@ class LinkBudget:
         """:func:`opportunity_map` of this budget's scenario and protected set."""
         return next(self._opportunity_fields([(band, quantum)]))
 
-    def _opportunity_fields(self, keys: list[Slice], gains: Iterable[tuple[Receiver, np.ndarray]] | None = None
-                            ) -> Iterator[PowerField]:
-        """The opportunity fields of ``keys``, in that order, from one walk over (receiver, entrant
+    def _opportunity_fields(self, keys: list[Slice], gains: Gains | None = None) -> Iterator[PowerField]:
+        """The opportunity fields of ``keys``, in that order, from a walk over (receiver, entrant
         gain field) pairs: the one place entrant caps are folded into a grid.
 
-        ``gains`` defaults to _entrant_gains of the protected receivers active
-        in a listed slice, in declaration order, so each field is built once,
-        as the walk reads it; a receiver that guards no listed slice folds
-        nothing. A protected receiver folds margin / gain into every listed
-        slice it is active in. The first caps of a slice become its array,
-        through np.fmin(inf, caps); a later receiver's are divided into one
-        scratch array, allocated on the first such fold, and folded in with
-        np.fmin. np.fmin is exact, so the fold gives the same bits in any
-        order. The walk runs in this call; each field is finished as it is
+        Each run of keys in one band is folded and its fields finished before
+        the next run's gain fields are built, so the walk holds one band's caps
+        at a time. ``gains(band)`` gives a run's pairs; by default
+        _entrant_gains of the protected receivers active in a listed slice of
+        the band, in declaration order, each field built as it is read. A
+        protected receiver folds margin / gain into every listed slice it is
+        active in; any other receiver folds nothing. The first caps
+        of a slice become its array, through np.fmin(inf, caps); a later
+        receiver's are divided into one scratch array, allocated on the first
+        such fold, and folded in with np.fmin. np.fmin is exact, so the fold
+        gives the same bits in any order. Each field is finished as it is
         read, in the array its caps were folded into.
         """
         scenario = self.scenario
-        budgets = {key: self.slice(*key) for key in keys}
-        folds: dict[str, list[tuple[Slice, float]]] = {}
-        for key, found in budgets.items():
-            for rx, margin in zip(found.receivers, found.margin):
-                folds.setdefault(rx.id, []).append((key, margin))
-        if gains is None:
-            gains = _entrant_gains(scenario, [rx for rx in scenario.receivers() if rx.id in folds])
-        allowed: dict[Slice, np.ndarray] = {}
-        scratch = None
-        for rx, gain in gains:
-            for key, margin in folds.get(rx.id, ()):
-                if key not in allowed:
-                    caps = allowed[key] = _entrant_caps(margin, gain)
-                    np.fmin(np.inf, caps, out=caps)
-                else:
-                    scratch = np.empty_like(gain) if scratch is None else scratch
-                    np.fmin(allowed[key], _entrant_caps(margin, gain, scratch), out=allowed[key])
-        return (_capped_field(key, allowed.pop(key, None), budgets[key], scenario) for key in keys)
+        for band, run in groupby(keys, key=lambda key: key[0]):
+            budgets = {key: self.slice(*key) for key in run}
+            folds: dict[str, list[tuple[Slice, float]]] = {}
+            for key, found in budgets.items():
+                for rx, margin in zip(found.receivers, found.margin):
+                    folds.setdefault(rx.id, []).append((key, margin))
+            pairs = (_entrant_gains(scenario, [rx for rx in scenario.receivers() if rx.id in folds])
+                     if gains is None else gains(band))
+            allowed: dict[Slice, np.ndarray] = {}
+            scratch = None
+            for rx, gain in pairs:
+                for key, margin in folds.get(rx.id, ()):
+                    if key not in allowed:
+                        caps = allowed[key] = _entrant_caps(margin, gain)
+                        np.fmin(np.inf, caps, out=caps)
+                    else:
+                        scratch = np.empty_like(gain) if scratch is None else scratch
+                        np.fmin(allowed[key], _entrant_caps(margin, gain, scratch), out=allowed[key])
+            gain = caps = scratch = None  # release them before this band's fields are finished
+            for key, found in budgets.items():
+                yield _capped_field(key, allowed.pop(key, None), found, scenario)
 
     def opportunity_at_cell(self, band: int, quantum: int, cell: Cell) -> tuple[float, str | None]:
         """:func:`opportunity_at_cell` of this budget's scenario and protected set."""
@@ -556,14 +563,16 @@ def _denied_linear(field: PowerField, bounds: PowerBounds) -> np.ndarray:
 
 
 def _available(fields: Iterable[PowerField], scenario: Scenario) -> SpectrumQuantity:
-    """Just-built opportunity fields integrated above the floor, read one at a time, each
-    converted over its own cells."""
+    """Just-built opportunity fields integrated above the floor, each converted over its own cells
+    and quantified before the next is read; the total adds them in slice order."""
     bounds = scenario.bounds
-    above = {}
+    breakdown = {}
     for field in fields:
         linear = _linear_in_place(field.values_dbm, bounds)
-        above[(field.band, field.quantum)] = np.subtract(linear, bounds.p_min_linear, out=linear)
-    return quantify(ConsumptionSpace(frozenset(), above), scenario.grid)
+        above = {(field.band, field.quantum): np.subtract(linear, bounds.p_min_linear, out=linear)}
+        breakdown.update(quantify(ConsumptionSpace(frozenset(), above), scenario.grid).breakdown)
+        field = linear = above = None  # drop this slice's cells before the next field is built
+    return _totalled(dict(sorted(breakdown.items())))
 
 
 def opportunity_map(scenario: Scenario, band: int, quantum: int, protected=None) -> PowerField:
@@ -654,7 +663,7 @@ def denied_consumption(scenario: Scenario, protected=None) -> ConsumptionSpace:
     return _denial(LinkBudget(scenario, protected))
 
 
-def _denial(budget: LinkBudget, gains: Iterable[tuple[Receiver, np.ndarray]] | None = None) -> ConsumptionSpace:
+def _denial(budget: LinkBudget, gains: Gains | None = None) -> ConsumptionSpace:
     """denied_consumption of ``budget``'s scenario and protected set, its fields folded from
     ``gains`` (LinkBudget._opportunity_fields) when given."""
     scenario = budget.scenario
@@ -694,8 +703,7 @@ def quantify(space: ConsumptionSpace, grid: Grid, dims: SpectrumSpaceDims | None
 
     Each slice contributes sum(cells) * cell_area, converted from mW to W
     once. An array shared by several slices is summed once. The total adds
-    the per-slice breakdown with += in slice order (sum() compensates float
-    sums from Python 3.12, which would change the bits).
+    the per-slice breakdown in slice order (_totalled).
     """
     sums: dict[int, float] = {}
     breakdown: dict[Slice, float] = {}
@@ -708,6 +716,12 @@ def quantify(space: ConsumptionSpace, grid: Grid, dims: SpectrumSpaceDims | None
         if id(arr) not in sums:
             sums[id(arr)] = float(np.sum(arr))
         breakdown[key] = sums[id(arr)] * grid.cell_area / 1000.0
+    return _totalled(breakdown)
+
+
+def _totalled(breakdown: dict[Slice, float]) -> SpectrumQuantity:
+    """Per-slice amounts and their total, added with += in the breakdown's order (sum()
+    compensates float sums from Python 3.12, which would change the bits)."""
     total = 0.0
     for amount in breakdown.values():
         total += amount
@@ -752,20 +766,22 @@ def receiver_accounting(scenario: Scenario, protected) -> tuple[SpectrumQuantity
 
     Returns (available_spectrum(scenario, protected), {rx id: quantify(
     rx_consumption(rx, scenario), grid, dims)}) with the receivers in
-    declaration order. Every receiver, protected or not, has its entrant gain
-    field built once: the walk folds it into the joint fields, then charges
+    declaration order. The walk goes band by band, in declaration order within
+    a band, and every receiver, protected or not, has its entrant gain field
+    built once: the walk folds it into its band's joint fields, then charges
     the receiver's one-receiver denial from it before the next field is built.
     """
     charges: dict[str, SpectrumQuantity] = {}
 
-    def walk() -> Iterator[tuple[Receiver, np.ndarray]]:
-        for rx, gain in _entrant_gains(scenario, scenario.receivers()):
+    def walk(band: int) -> Iterator[tuple[Receiver, np.ndarray]]:
+        for rx, gain in _entrant_gains(scenario, [rx for rx in scenario.receivers() if rx.band == band]):
             yield rx, gain
-            charges[rx.id] = quantify(_denial(LinkBudget(scenario, [rx.id]), [(rx, gain)]),
+            charges[rx.id] = quantify(_denial(LinkBudget(scenario, [rx.id]), lambda _: [(rx, gain)]),
                                       scenario.grid, scenario.dims)
 
-    fields = LinkBudget(scenario, protected)._opportunity_fields(_all_slices(scenario.dims), walk())
-    return _available(fields, scenario), charges
+    fields = LinkBudget(scenario, protected)._opportunity_fields(_all_slices(scenario.dims), walk)
+    available = _available(fields, scenario)
+    return available, {rx.id: charges[rx.id] for rx in scenario.receivers()}
 
 
 def harvest_metrics(estimated: PowerField, truth: PowerField, grid: Grid,

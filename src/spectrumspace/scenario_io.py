@@ -86,6 +86,8 @@ class PolicyParams:
 
 @dataclass(frozen=True)
 class ScenarioDocument:
+    """A parsed scenario file: the validated scenario, its request batch and its policy knobs."""
+
     scenario: Scenario
     requests: tuple[AccessRequest, ...] = ()
     policy: PolicyParams = PolicyParams()

@@ -704,6 +704,19 @@ class TestEntrantUnion:
         assert result.quantified.exploited == union
         assert union.value < quantify(a, final.grid).value + quantify(b, final.grid).value
 
+    def test_an_incumbent_network_named_like_the_entrants_is_not_exploitation(self):
+        # campus.json with its sensors network renamed "entrants": each side's entrants join that
+        # incumbent network, and only they count, so nothing moves from campus.json itself
+        data = json.loads(CAMPUS.read_text())
+        assert data["networks"][1]["id"] == "sensors"
+        data["networks"][1]["id"] = ENTRANT_NETWORK_ID
+        renamed, campus = parse_document(data), load_document(CAMPUS)
+        after = compare_policies(renamed.scenario, renamed.requests, 3.0, -90.0)
+        before = compare_policies(campus.scenario, campus.requests, 3.0, -90.0)
+        for side in ("quantified", "osa"):
+            assert getattr(after, side).outcomes == getattr(before, side).outcomes
+            assert getattr(after, side).exploited == getattr(before, side).exploited
+        assert before.quantified.exploited.value > 0.0 and before.osa.exploited.value > 0.0
 
     def test_slices_no_entrant_is_active_in_stay_idle_views(self, monkeypatch):
         # Both entrants transmit in band 0, quantum 0 only: that slice sums a

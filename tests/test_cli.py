@@ -535,7 +535,8 @@ class TestReportWalk:
         scn = load_scenario(path)
         flag, _ = self.protect(scn, which)
         assert run(["report", "--scenario", str(path), "--out", str(tmp_path), "--protect", flag]) == 0
-        assert built["entrant"] == [rx.position for rx in scn.receivers()]
+        # band by band, in declaration order within a band, each receiver exactly once
+        assert built["entrant"] == [rx.position for rx in sorted(scn.receivers(), key=lambda rx: rx.band)]
         assert sorted(built["tx"]) == sorted(tx.id for tx in scn.transmitters())
 
     @pytest.mark.parametrize("which", ["all", "one network"])

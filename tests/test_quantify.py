@@ -657,9 +657,10 @@ class TestReceiverMajorFields:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_available_spectrum_builds_each_receiver_field_once(self, seed, built):
+        """Band by band, in declaration order within a band, each receiver exactly once."""
         scn = sectored_scenario(seed)
         available_spectrum(scn)
-        assert built == [rx.position for rx in scn.receivers()]
+        assert built == [rx.position for rx in sorted(scn.receivers(), key=lambda rx: rx.band)]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rx_consumption_builds_its_field_once(self, seed, built):
@@ -797,13 +798,14 @@ class TestIdleSlices:
 
 
 class TestFieldMemory:
-    """receiver_accounting holds only the fields its walk needs, not one per receiver.
+    """receiver_accounting holds only the fields its walk needs, not one per receiver or per slice.
 
     A field of this 250 x 250 grid is 8 B * 62,500 cells = 500,000 B. The
-    walk over its six slices holds at most, at once:
+    walk goes band by band over three bands of two quanta, each with two
+    receivers in each quantum, and holds at most, at once:
 
-    - one array per slice, its first receiver's caps with every later
-      receiver's folded in: 6 fields;
+    - one array per slice of the band being walked, its first receiver's
+      caps with every later receiver's folded in: 2 fields;
     - the entrant gain field of the receiver being charged: 1;
     - the scratch array a later receiver's caps are divided into: 1;
     - that receiver's one-receiver denial, one slice per slice it is active
@@ -812,15 +814,15 @@ class TestFieldMemory:
       masks of one byte per cell (the cells on p_min, on p_max, and all
       others): 3/8.
 
-    That is 10.375 fields; the bound adds half a field for the small arrays
-    (cell axes, link budgets) and tracemalloc's own counting, 10.875 in all.
-    A walk that copies a field to convert it, allocates a zero array for an
-    idle slice, or keeps a receiver's charged space while the next gain field
-    is built, holds at least one field more, and a whole-run field cache
-    holds one per receiver.
+    That is 6.375 fields; the bound adds half a field for the small arrays
+    (cell axes, link budgets) and tracemalloc's own counting, 6.875 in all.
+    A walk that holds every slice's caps until the last receiver has folded
+    holds 4 fields more (10.44 measured), one that keeps a band's last
+    finished slice while the next band is walked holds one more (7.44), and
+    a whole-run field cache holds one per receiver.
     """
 
-    SLICES, GAIN, SCRATCH, SOLO, MASKS, SMALL = 6, 1, 1, 2, 3 / 8, 1 / 2
+    SLICES, GAIN, SCRATCH, SOLO, MASKS, SMALL = 2, 1, 1, 2, 3 / 8, 1 / 2
 
     def test_peak_of_the_receiver_walk(self):
         links = [make_link(f"b{band}t{quantum}k{k}", (x, y), (x + 200.0, y), 20.0, band=band,
@@ -906,22 +908,36 @@ class TestWalkMemory:
         assert self.peak_fields(walk, scn) < caps + folded + building + scratch + self.SMALL
 
     def test_peak_of_the_available_spectrum_walk(self):
-        """available_spectrum over all six slices (the quantify command) folds every receiver's caps
-        into one array per slice before it reads any, and holds at most, at once:
+        """available_spectrum over all six slices (the quantify command) walks band by band,
+        folding every receiver of a band into one array per slice before it reads that band's
+        fields, and holds at most, at once:
 
-        - the caps of each slice a receiver is active in: 5 fields, for band 0's three quanta and
-          band 1's quanta 0 and 2 (slice (1, 1) has no receiver, and its p_max field is filled
-          only when it is read, after the fold);
+        - the caps of each slice of band 0 a receiver is active in: 3 fields (band 1 has two,
+          and its fields are folded only after band 0's have been read and dropped);
         - the scratch array a later receiver's caps are divided into: 1;
-        - the entrant gain field being folded: 1.
+        - the entrant gain field last folded in, still bound while the next one is built: 1;
+        - the gain field being built: 1.
 
-        That is 7 fields, 7.5 with the small arrays. The previous receiver's gain field is dropped
-        before a new one's caps are made, and reading turns each slice's caps into mW in place. A
-        walk that keeps every receiver's gain field holds 11.
+        That is 6 fields, 6.5 with the small arrays. A walk that folds every band's caps before
+        it reads any holds 7 (7.02 measured).
         """
         scn = crowded_scenario()
-        caps, scratch, gain = 5, 1, 1
-        assert self.peak_fields(lambda: available_spectrum(scn), scn) < caps + scratch + gain + self.SMALL
+        caps, scratch, folded, building = 3, 1, 1, 1
+        peak = self.peak_fields(lambda: available_spectrum(scn), scn)
+        assert peak < caps + scratch + folded + building + self.SMALL
+
+    def test_peak_of_quantified_admission(self):
+        """admit_quantified on random_requests(5, crowd, n=10) (the admit command) prices each
+        request by point queries, so its fields are those of its closing available_spectrum over
+        the augmented scenario. The entrants are transmitters, so that walk holds the fields of
+        test_peak_of_the_available_spectrum_walk: 6, 6.5 with the small arrays. A walk that
+        folds every band's caps before it reads any holds 7 (7.05 measured).
+        """
+        scn = crowded_scenario()
+        requests = random_requests(5, scn, n=10)
+        caps, scratch, folded, building = 3, 1, 1, 1
+        peak = self.peak_fields(lambda: admission_module.admit_quantified(scn, requests, 3.0), scn)
+        assert peak < caps + scratch + folded + building + self.SMALL
 
     def test_peak_of_the_transmitter_charges(self):
         """quantify(tx_consumption(tx)) for each transmitter in turn, as the report command charges
@@ -974,6 +990,6 @@ class TestWalkMemory:
         sums, building = scn.dims.b_hat * scn.dims.t_hat, 1
         sides = {"quantified": admission_module.admit_quantified(scn, requests, 3.0)[1],
                  "osa": admission_module.admit_osa(scn, requests, -80.0)[1]}
-        peaks = {name: self.peak_fields(lambda: admission_module._entrant_exploitation(augmented), scn)
+        peaks = {name: self.peak_fields(lambda: admission_module._entrant_exploitation(augmented, scn), scn)
                  for name, augmented in sides.items()}
         assert all(peak < sums + building + self.SMALL for peak in peaks.values()), peaks
