@@ -12,11 +12,12 @@ is a model.AccessRequest, re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 
 from .model import (
     AccessRequest,
+    Record,
     RFNetwork,
     Scenario,
     ScenarioValidationError,
@@ -48,8 +49,7 @@ ENTRANT_NETWORK_ID = "entrants"
 SINR_TOLERANCE_DB = 1e-6
 
 
-@dataclass(frozen=True)
-class RequestOutcome:
+class RequestOutcome(Record):
     """What one request got: its bands, powers and grants when admitted, its refusals when not."""
 
     request_id: str
@@ -60,8 +60,7 @@ class RequestOutcome:
     refusals: tuple[Refusal, ...] = ()
 
 
-@dataclass(frozen=True)
-class AdmissionOutcome:
+class AdmissionOutcome(Record):
     """An admission run: each request's outcome in admission order, how many were admitted, and
     the spectrum still available once they transmit."""
 
@@ -70,8 +69,7 @@ class AdmissionOutcome:
     post_available: SpectrumQuantity
 
 
-@dataclass(frozen=True)
-class PolicySummary:
+class PolicySummary(Record):
     """One policy's side of a comparison: admissions, the spectrum its entrants exploit, and the
     SINR violations it induced."""
 
@@ -83,8 +81,7 @@ class PolicySummary:
     outcomes: tuple[RequestOutcome, ...]
 
 
-@dataclass(frozen=True)
-class PolicyComparison:
+class PolicyComparison(Record):
     """Quantified admission and the sensing baseline, run on identical inputs."""
 
     quantified: PolicySummary

@@ -6,12 +6,18 @@ and are aggregated internally in linear milliwatts; ``db_to_linear`` /
 field conversion are the only conversions in the package. All types are
 immutable after validation, so scenarios can be shared freely across
 concurrent evaluation workers.
+
+Every record of the package subclasses ``Record``, which writes the methods
+of a frozen dataclass (``__init__``, ``__eq__``, ``__hash__``, ``__repr__``,
+``__setattr__`` and ``__delattr__``) once, generically over the fields, so
+defining a record compiles no code when its module is imported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import reprlib
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -28,6 +34,7 @@ __all__ = [
     "OMNI",
     "PowerBounds",
     "Receiver",
+    "Record",
     "RFNetwork",
     "Scenario",
     "ScenarioValidationError",
@@ -126,8 +133,90 @@ class ScenarioValidationError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass(frozen=True)
-class PowerBounds:
+class Record:
+    """The base of every record: a dataclass that behaves as a frozen one and compiles no code.
+
+    A subclass declares annotated fields with plain defaults (no ``field()``)
+    and gets what ``@dataclass(frozen=True)`` gives it: ``dataclasses.fields``,
+    ``replace`` and ``asdict`` work, construction takes the fields
+    positionally or by name, ``repr`` lists them, equal fields of one class
+    compare and hash equal, and assigning or deleting an attribute raises
+    FrozenInstanceError. ``class C(Record, eq=False)`` keeps identity
+    equality and hashing instead, for records that hold arrays. Each subclass
+    needs a docstring of its own, or ``dataclass`` computes one from
+    ``inspect.signature`` when the class is defined.
+
+    An instance's ``__dict__`` holds exactly its fields, in field order, so
+    equality, hashing and repr read it directly.
+    """
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(cls, init=False, repr=False, eq=False)
+        own = fields(cls)
+        names = tuple(f.name for f in own)
+        cls._record_fields = names
+        cls._record_defaults = {f.name: f.default for f in own}  # MISSING where a field has none
+        # after i positional arguments: the names a keyword may give, and those one must give
+        cls._record_keywords = [(frozenset(names[i:]), frozenset(f.name for f in own[i:] if f.default is MISSING))
+                                for i in range(len(names) + 1)]
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, /, *args, **kwargs):
+        names, values = self._record_fields, self.__dict__
+        if kwargs or len(args) != len(names):
+            if len(args) > len(names):
+                raise _call_error(type(self), args, kwargs)
+            may, must = self._record_keywords[len(args)]
+            if not must <= kwargs.keys() <= may:
+                raise _call_error(type(self), args, kwargs)
+            values.update(self._record_defaults)
+        values.update(zip(names, args))
+        values.update(kwargs)
+
+    @reprlib.recursive_repr()
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _call_error(cls: type[Record], args: tuple, kwargs: dict) -> TypeError:
+    """The TypeError, message included, that a dataclass ``__init__`` raises for a call it refuses."""
+    names = cls._record_fields
+    required = [name for name in names if cls._record_defaults[name] is MISSING]
+    call = f"{cls.__qualname__}.__init__()"
+    for name in kwargs:
+        if name in names[:len(args)]:
+            return TypeError(f"{call} got multiple values for argument {name!r}")
+        if name not in names:
+            return TypeError(f"{call} got an unexpected keyword argument {name!r}")
+    if len(args) > len(names):
+        most = len(names) + 1
+        takes = most if len(required) == len(names) else f"from {len(required) + 1} to {most}"
+        return TypeError(f"{call} takes {takes} positional arguments but {len(args) + 1} were given")
+    missing = [repr(name) for name in required if name not in names[:len(args)] and name not in kwargs]
+    listed = missing[0] if len(missing) == 1 else \
+        f"{', '.join(missing[:-1])}{',' if len(missing) > 2 else ''} and {missing[-1]}"
+    return TypeError(f"{call} missing {len(missing)} required positional argument"
+                     f"{'s' if len(missing) > 1 else ''}: {listed}")
+
+
+class PowerBounds(Record):
     """Permissible power range at any point.
 
     ``p_min_dbm`` is an arbitrary floor chosen below the thermal noise floor;
@@ -151,8 +240,7 @@ class PowerBounds:
         return self.p_max_linear - self.p_min_linear
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record):
     """Uniform square discretization of the region of interest."""
 
     origin: tuple[float, float]
@@ -224,8 +312,7 @@ def _axis_index(coord: float, origin: float, cell_size: float, n: int) -> int | 
     return math.floor(min((coord - origin) / cell_size, n - 1))
 
 
-@dataclass(frozen=True)
-class SpectrumSpaceDims:
+class SpectrumSpaceDims(Record):
     """Counts of unit frequency bands and unit time quanta.
 
     Band width and quantum duration are descriptive metadata only; every
@@ -242,8 +329,7 @@ OMNI_KIND = "omni"
 SECTORED_KIND = "sectored"
 
 
-@dataclass(frozen=True)
-class AntennaPattern:
+class AntennaPattern(Record):
     """Omnidirectional or ideal-sector gain pattern.
 
     An omni pattern has uniform 0 dB gain. A sectored pattern applies
@@ -270,8 +356,7 @@ class AntennaPattern:
 OMNI = AntennaPattern()
 
 
-@dataclass(frozen=True)
-class Transmitter:
+class Transmitter(Record):
     """A transmitter of a network: where it is, its power in dBm, and the band and time quanta it
     is active in."""
 
@@ -287,8 +372,7 @@ class Transmitter:
         return self.band == band and quantum in self.quanta
 
 
-@dataclass(frozen=True)
-class Receiver:
+class Receiver(Record):
     """A receiver of a network: where it is, the band and quanta it listens in, its SINR threshold
     ``beta_db`` and noise floor, and the transmitter whose link it receives."""
 
@@ -306,8 +390,7 @@ class Receiver:
         return self.band == band and quantum in self.quanta
 
 
-@dataclass(frozen=True)
-class RFNetwork:
+class RFNetwork(Record):
     """A network's transmitters and receivers, each in declaration order."""
 
     id: str
@@ -315,8 +398,7 @@ class RFNetwork:
     receivers: tuple[Receiver, ...] = ()
 
 
-@dataclass(frozen=True)
-class AccessRequest:
+class AccessRequest(Record):
     """An entrant asking for some number of bands at a location.
 
     ``required_bands`` of the ``acceptable_bands`` must be granted or the
@@ -334,8 +416,7 @@ class AccessRequest:
     priority: int = 0
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """The full world: grid, spectrum-space dims, bounds, networks, propagation.
 
     The aggregate of all networks is the RF system; link and network

@@ -9,7 +9,6 @@ values, not exceptions, so a manager can log and move on. The tariff,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .model import (
     AccessRequest,
     PowerBounds,
+    Record,
     Scenario,
     ScenarioValidationError,
     db_to_linear,
@@ -39,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RightsRequest:
+class RightsRequest(Record):
     """What an entrant asks for in one band."""
 
     tx_id: str
@@ -51,8 +50,7 @@ class RightsRequest:
     quanta: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Grant:
+class Grant(Record):
     """Permission to transmit up to a per-cell cap in specific slices."""
 
     grant_id: str
@@ -74,8 +72,7 @@ class Grant:
         return caps.pop()
 
 
-@dataclass(frozen=True)
-class Refusal:
+class Refusal(Record):
     """Why a rights request was not granted. Data, not an error."""
 
     tx_id: str
@@ -85,8 +82,7 @@ class Refusal:
     guarded_opportunity_dbm: float | None = None
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """A transmitter over what it may radiate in one slice, by more than the tolerance.
 
     ``granted_dbm`` is the best cap of its grants at its cell, or the power

@@ -8,11 +8,9 @@ only means replacing this module's lookups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import OMNI, OMNI_KIND, SECTORED_KIND, AntennaPattern, Grid, db_to_linear_in_place
+from .model import OMNI, OMNI_KIND, SECTORED_KIND, AntennaPattern, Grid, Record, db_to_linear_in_place
 
 __all__ = [
     "FREE_SPACE",
@@ -31,8 +29,7 @@ FREE_SPACE = "free-space"
 LOG_DISTANCE = "log-distance"
 
 
-@dataclass(frozen=True)
-class PropagationConfig:
+class PropagationConfig(Record):
     """Parameters of the log-distance path-loss curve.
 
     PL(d) = reference_loss_db + 10 * n * log10(max(d, clamp) / d0).

@@ -26,7 +26,7 @@ receiver's charge, rx_consumption, is the denial of protecting it alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -37,6 +37,7 @@ from .model import (
     Grid,
     PowerBounds,
     Receiver,
+    Record,
     Scenario,
     SpectrumSpaceDims,
     Transmitter,
@@ -92,8 +93,7 @@ Cell = tuple[int, int]
 Gains = Callable[[int], Iterable[tuple[Receiver, np.ndarray]]]
 
 
-@dataclass(frozen=True, eq=False)
-class PowerField:
+class PowerField(Record, eq=False):
     """Per-cell dBm values for one (band, quantum) slice.
 
     ``values_dbm`` has shape (n_y, n_x); row 0 is the minimum-y edge of the
@@ -107,8 +107,7 @@ class PowerField:
     zero_margin_rx_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
-class ConsumptionSpace:
+class ConsumptionSpace(Record, eq=False):
     """Linear mW consumed per cell, per (band, quantum) slice, for an entity set.
 
     Slices with equal cells may share one read-only array.
@@ -118,24 +117,21 @@ class ConsumptionSpace:
     slices: dict[Slice, np.ndarray]
 
 
-@dataclass(frozen=True)
-class SpectrumQuantity:
+class SpectrumQuantity(Record):
     """A spectrum amount in watt square meters, optionally broken down by slice."""
 
     value: float
     breakdown: dict[Slice, float] | None = None
 
 
-@dataclass(frozen=True)
-class PriceSheet:
+class PriceSheet(Record):
     """Linear tariff: currency per W m^2, optionally differentiated by slice."""
 
     rate: float = 0.0
     slice_rates: Mapping[Slice, float] | None = None
 
 
-@dataclass(frozen=True)
-class HarvestMetrics:
+class HarvestMetrics(Record):
     """How well an estimated opportunity field tracked the ground truth."""
 
     recovered: SpectrumQuantity
@@ -283,8 +279,7 @@ def occupancy_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell) -
     return LinkBudget(scenario).occupancy_at_cell(band, quantum, cell)
 
 
-@dataclass(frozen=True)
-class SliceTransmitters:
+class SliceTransmitters(Record):
     """The transmitters active in one (band, quantum) slice, in scenario declaration order.
 
     ``networks`` holds the index of each one's network in the scenario,
@@ -345,14 +340,14 @@ def receiver_margin_linear(scenario: Scenario, rx: Receiver, quantum: int) -> fl
     return _margin(rx, signal, interference)
 
 
-@dataclass
-class SliceBudget:
+class SliceBudget(Record):
     """Link budget of the protected receivers active in one (band, quantum) slice.
 
     ``receivers`` are in scenario declaration order, ``targets`` them prepared
     for gains_db, and ``cells`` the cell each one sits in (None outside the
     grid); ``signal``, ``interference`` and ``margin`` are parallel lists in
-    linear mW.
+    linear mW. Its attributes are fixed; LinkBudget updates those lists in
+    place.
     """
 
     receivers: list[Receiver]

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -29,6 +29,7 @@ from .model import (
     Grid,
     PowerBounds,
     Receiver,
+    Record,
     RFNetwork,
     Scenario,
     ScenarioValidationError,
@@ -73,8 +74,7 @@ class PriceRate(NamedTuple):
     rate: float
 
 
-@dataclass(frozen=True)
-class PolicyParams:
+class PolicyParams(Record):
     """Policy knobs a document may carry; flags override these at the CLI."""
 
     margin_db: float = 0.0
@@ -84,8 +84,7 @@ class PolicyParams:
     price_rates: tuple[PriceRate, ...] = ()
 
 
-@dataclass(frozen=True)
-class ScenarioDocument:
+class ScenarioDocument(Record):
     """A parsed scenario file: the validated scenario, its request batch and its policy knobs."""
 
     scenario: Scenario

@@ -26,6 +26,10 @@
 - ``model``, ``propagation``, ``quantify``, ``scenario_io`` and ``cli`` import
   neither ``admission`` nor ``policy`` when they are imported, so a command
   that does not admit never loads those two modules.
+- Only ``model`` uses ``dataclasses.dataclass``, in ``Record``; every record
+  subclasses it, so no module compiles dataclass methods per class again.
+  Every record has a docstring of its own: without one, ``dataclass`` calls
+  ``inspect.signature`` to write one when the class is defined.
 """
 
 import ast
@@ -220,3 +224,36 @@ def test_the_import_time_rule_sees_admissions_imports():
 @pytest.mark.parametrize("name", ["model", "propagation", "quantify", "scenario_io", "cli"])
 def test_admission_and_policy_load_only_when_used(name):
     assert _import_time_imports(PACKAGE / f"{name}.py") & ADMISSION_MODULES == set()
+
+
+def _dataclass_uses(path: Path) -> list[int]:
+    """Lines that import ``dataclasses.dataclass`` or reach it as an attribute of the module."""
+    return [node.lineno for node in _nodes(path)
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+            and any(a.name == "dataclass" for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "dataclass"
+            and isinstance(node.value, ast.Name) and node.value.id == "dataclasses"]
+
+
+def test_the_dataclass_rule_sees_both_spellings():
+    path = Path(__file__).with_name("test_records.py")
+    assert _dataclass_uses(path)
+    assert _dataclass_uses(PACKAGE / "model.py")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "model.py"], ids=lambda p: p.name)
+def test_only_model_uses_dataclass(path):
+    assert _dataclass_uses(path) == []
+
+
+def _records(path: Path) -> dict[str, bool]:
+    """Each class of ``path`` that subclasses ``Record``, by name: whether it has a docstring."""
+    return {node.name: ast.get_docstring(node) is not None for node in _nodes(path)
+            if isinstance(node, ast.ClassDef) and any(isinstance(base, ast.Name) and base.id == "Record"
+                                                        for base in node.bases)}
+
+
+def test_every_record_has_its_own_docstring():
+    records = {name: documented for path in MODULES for name, documented in _records(path).items()}
+    assert len(records) == 27
+    assert [name for name, documented in records.items() if not documented] == []
