@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, make_dataclass, replace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -196,24 +196,18 @@ class Record:
 
 
 def _call_error(cls: type[Record], args: tuple, kwargs: dict) -> TypeError:
-    """The TypeError, message included, that a dataclass ``__init__`` raises for a call it refuses."""
-    names = cls._record_fields
-    required = [name for name in names if cls._record_defaults[name] is MISSING]
-    call = f"{cls.__qualname__}.__init__()"
-    for name in kwargs:
-        if name in names[:len(args)]:
-            return TypeError(f"{call} got multiple values for argument {name!r}")
-        if name not in names:
-            return TypeError(f"{call} got an unexpected keyword argument {name!r}")
-    if len(args) > len(names):
-        most = len(names) + 1
-        takes = most if len(required) == len(names) else f"from {len(required) + 1} to {most}"
-        return TypeError(f"{call} takes {takes} positional arguments but {len(args) + 1} were given")
-    missing = [repr(name) for name in required if name not in names[:len(args)] and name not in kwargs]
-    listed = missing[0] if len(missing) == 1 else \
-        f"{', '.join(missing[:-1])}{',' if len(missing) > 2 else ''} and {missing[-1]}"
-    return TypeError(f"{call} missing {len(missing)} required positional argument"
-                     f"{'s' if len(missing) > 1 else ''}: {listed}")
+    """The TypeError, message included, that a frozen dataclass with ``cls``'s name, fields and
+    defaults raises for a call ``cls`` refuses. That twin is made on the class's first refused call
+    and kept in the class's own ``__dict__``, so a subclass never reuses its parent's."""
+    twin = cls.__dict__.get("_record_twin")
+    if twin is None:
+        spec = [(f.name, f.type) if f.default is MISSING else (f.name, f.type, f.default) for f in fields(cls)]
+        twin = cls._record_twin = make_dataclass(cls.__qualname__, spec, frozen=True)
+    try:
+        twin(*args, **kwargs)
+    except TypeError as error:
+        return error
+    raise AssertionError(f"{cls.__qualname__} refused a call its dataclass twin accepts")
 
 
 class PowerBounds(Record):

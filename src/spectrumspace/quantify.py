@@ -361,17 +361,18 @@ class SliceBudget(Record):
 class LinkBudget:
     """Per-slice state of a scenario: its active transmitters and its protected receivers' margins.
 
-    Each slice's state is built on first use. ``active`` holds the
-    transmitters active in it, prepared for the point queries that sensing
-    and the links read. ``slice`` holds the protected receivers, prepared
-    once, with their signal, interference and margin computed by link_powers
-    over ``active``: exactly the floats receiver_margin_linear returns.
-    ``add`` moves the budget to a scenario with one more transmitter and
-    drops the ``active`` state of each slice it is active in, to be rebuilt
-    on next use. When that transmitter comes last in declaration order, its
-    received power is the next term of each receiver's sum, so adding it to
-    every built ``slice`` gives, bit for bit, what a rebuild would;
-    otherwise those slices' ``slice`` states are dropped too.
+    The protected receivers are resolved once, in declaration order. Each
+    slice's state is built on first use. ``active`` holds the transmitters
+    active in it, prepared for the point queries that sensing and the links
+    read. ``slice`` holds the protected receivers, prepared once, with their
+    signal, interference and margin computed by link_powers over ``active``:
+    exactly the floats receiver_margin_linear returns. ``add`` moves the
+    budget to a scenario with one more transmitter and drops the ``active``
+    state of each slice it is active in, to be rebuilt on next use. When
+    that transmitter comes last in declaration order, its received power is
+    the next term of each receiver's sum, so adding it to every built
+    ``slice`` gives, bit for bit, what a rebuild would; otherwise those
+    slices' ``slice`` states are dropped too.
 
     Args:
       scenario: validated world.
@@ -387,10 +388,9 @@ class LinkBudget:
         if isinstance(protected, str):
             raise TypeError(f"protected expects a collection of receiver ids, not the string {protected!r}")
         self.scenario = scenario
-        self._wanted = None if protected is None else frozenset(
-            rx.id if isinstance(rx, Receiver) else rx for rx in protected
-        )
-        unknown = sorted(self._wanted - {rx.id for rx in scenario.receivers()}) if self._wanted else []
+        wanted = None if protected is None else {rx.id if isinstance(rx, Receiver) else rx for rx in protected}
+        self._receivers = tuple(rx for rx in scenario.receivers() if wanted is None or rx.id in wanted)
+        unknown = sorted(wanted - {rx.id for rx in self._receivers}) if wanted else []
         if unknown:
             raise ValueError(f"unknown receiver {unknown[0]!r} in the protected set")
         self._active: dict[Slice, SliceTransmitters] = {}
@@ -415,10 +415,7 @@ class LinkBudget:
         if found is None:
             _check_slice(self.scenario.dims, band, quantum)
             grid = self.scenario.grid
-            rxs = [
-                rx for rx in self.scenario.receivers()
-                if (self._wanted is None or rx.id in self._wanted) and rx.active_in(band, quantum)
-            ]
+            rxs = [rx for rx in self._receivers if rx.active_in(band, quantum)]
             cells = [grid.cell_of(rx.position) if grid.contains(rx.position) else None for rx in rxs]
             found = SliceBudget(rxs, prepare_targets(rxs), cells, [], [], [])
             for rx in rxs:
@@ -499,7 +496,7 @@ class LinkBudget:
             for key, found in budgets.items():
                 for rx, margin in zip(found.receivers, found.margin):
                     folds.setdefault(rx.id, []).append((key, margin))
-            pairs = (_entrant_gains(scenario, [rx for rx in scenario.receivers() if rx.id in folds])
+            pairs = (_entrant_gains(scenario, [rx for rx in self._receivers if rx.id in folds])
                      if gains is None else gains(band))
             allowed: dict[Slice, np.ndarray] = {}
             scratch = None
@@ -663,13 +660,13 @@ def _denial(budget: LinkBudget, gains: Gains | None = None) -> ConsumptionSpace:
     ``gains`` (LinkBudget._opportunity_fields) when given."""
     scenario = budget.scenario
     keys = _all_slices(scenario.dims)
-    guarded = [key for key in keys if budget.slice(*key).receivers]
+    guarded = [key for key in keys if any(rx.active_in(*key) for rx in budget._receivers)]
     denied = {
         (field.band, field.quantum): _denied_linear(field, scenario.bounds)
         for field in budget._opportunity_fields(guarded, gains)
     }
     idle = _idle(scenario.grid)
-    ids = frozenset(rx.id for key in guarded for rx in budget.slice(*key).receivers)
+    ids = frozenset(rx.id for rx in budget._receivers if rx.quanta)
     return ConsumptionSpace(ids, {key: denied.get(key, idle) for key in keys})
 
 

@@ -567,7 +567,7 @@ class TestSliceState:
             counts[0 if appended else 1] += len(built)
             if not appended:
                 assert not any(key in budget._active or key in budget._slices for key in keys)
-            fresh = LinkBudget(scenario, budget._wanted)
+            fresh = LinkBudget(scenario, budget._receivers)
             for key in list(budget._active):
                 assert budget.active(*key) == fresh.active(*key)
             for key, found in budget._slices.items():

@@ -671,6 +671,39 @@ class TestReceiverMajorFields:
             assert built == [rx.position]
 
 
+class TestReceiverChargeWork:
+    """A link budget resolves its protected receivers once and builds state only for their slices.
+
+    receiver_accounting reads the receivers R + B + 2 times: once per budget
+    (the joint one and R one-receiver ones), once per band of the receiver
+    walk, and once to order the charges. A one-receiver budget prepares the
+    receiver and the active transmitters of each slice the receiver is
+    active in, and nothing for any other slice.
+    """
+
+    SCENARIOS = [crowded_scenario(), *(random_scenario(seed) for seed in range(4))]
+
+    @pytest.mark.parametrize("scn", SCENARIOS)
+    def test_receiver_accounting_reads_the_receivers_once_per_budget_and_band(self, monkeypatch, scn):
+        reads = []
+        real = Scenario.receivers
+        n_receivers = len(list(scn.receivers()))
+        monkeypatch.setattr(Scenario, "receivers", lambda scenario: reads.append(scenario) or real(scenario))
+        receiver_accounting(scn, None)
+        assert len(reads) == n_receivers + scn.dims.b_hat + 2
+
+    @pytest.mark.parametrize("scn", SCENARIOS)
+    def test_rx_consumption_prepares_targets_for_its_own_slices(self, monkeypatch, scn):
+        prepared = []
+        real = quantify_module.prepare_targets
+        monkeypatch.setattr(quantify_module, "prepare_targets",
+                            lambda items: prepared.append(items) or real(items))
+        for rx in scn.receivers():
+            prepared.clear()
+            rx_consumption(rx, scn)
+            assert len(prepared) == 2 * len(rx.quanta)
+
+
 class TestHarvest:
     def _field(self, linear_above_floor, band=0, quantum=0):
         values = linear_to_db(np.asarray(linear_above_floor, dtype=float)

@@ -142,6 +142,21 @@ class TestParityWithFrozenDataclass:
             assert ours == _error(lambda: call(twin)) and ours[0] is TypeError
 
 
+def test_a_subclass_refuses_calls_by_its_own_fields():
+    """A refused call is described by the class called, even after its parent refused one."""
+    class Parent(Record):
+        """A record with one field."""
+        x: int
+
+    class Child(Parent):
+        """The parent's field and one more."""
+        y: int
+
+    for cls in (Parent, Child, Parent):
+        assert _error(cls) == _error(_twin(cls)) and _error(cls)[0] is TypeError
+    assert _error(Child)[1].endswith("missing 2 required positional arguments: 'x' and 'y'")
+
+
 SRC = Path(importlib.import_module("spectrumspace").__file__).resolve().parents[1]
 # Functions on the package's classes that were compiled from a source string,
 # as ``dataclass`` compiles the methods it generates.
