@@ -488,6 +488,8 @@ def validation_errors(scenario: Scenario) -> list[str]:
                   reference_loss_db=prop.reference_loss_db,
                   min_distance_clamp_m=prop.min_distance_clamp_m)
 
+    _check_integers("grid", errors, n_x=grid.n_x, n_y=grid.n_y)
+    _check_integers("dims", errors, b_hat=dims.b_hat, t_hat=dims.t_hat)
     if grid.cell_size <= 0 or grid.n_x < 1 or grid.n_y < 1:
         errors.append(
             f"grid: non-positive grid dims (cell_size={grid.cell_size}, n_x={grid.n_x}, n_y={grid.n_y})"
@@ -574,9 +576,9 @@ def request_errors(scenario: Scenario, requests) -> list[str]:
     """Every way the requests break their rules in the scenario, not just the first.
 
     A request needs a finite position on the grid and finite powers,
-    min_useful_dbm no more than desired_dbm, between one and all of its
-    acceptable_bands required, some quanta, and bands and quanta in the
-    scenario's range. Request ids are not checked against the scenario's:
+    min_useful_dbm no more than desired_dbm, an integer required_bands
+    between one and the number of its acceptable_bands, some quanta, and
+    integer bands and quanta in the scenario's range. Request ids are not checked against the scenario's:
     admission does that, since a document audited by ``enforce`` names its
     observed entrants after its requests.
     """
@@ -593,6 +595,7 @@ def request_errors(scenario: Scenario, requests) -> list[str]:
         if req.min_useful_dbm > req.desired_dbm:
             errors.append(f"{who}: min useful power exceeds desired power "
                           f"(min_useful_dbm {req.min_useful_dbm} > desired_dbm {req.desired_dbm})")
+        _check_integers(who, errors, required_bands=req.required_bands)
         if not 1 <= req.required_bands <= len(req.acceptable_bands):
             errors.append(f"{who}: required band count out of range (required_bands "
                           f"{req.required_bands} of {len(req.acceptable_bands)} acceptable_bands)")
@@ -616,8 +619,22 @@ def _check_slices(bands, quanta, dims: SpectrumSpaceDims, who: str, errors: list
                   names=("band index", "time quantum")) -> None:
     for name, indices, count in ((names[0], bands, dims.b_hat), (names[1], quanta, dims.t_hat)):
         for i in sorted(indices):
-            if not 0 <= i < count:
+            if not _is_integer(i):
+                errors.append(f"{who}: {name} {i!r} is not an integer")
+            elif not 0 <= i < count:
                 errors.append(f"{who}: {name} {i} out of range [0, {count})")
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool: the parser refuses bools where it wants integers."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integers(who: str, errors: list[str], **values) -> None:
+    """Report every value that is not an integer (see _is_integer)."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            errors.append(f"{who}: {name} must be an integer (got {value!r})")
 
 
 def _check_finite(who: str, errors: list[str], **values) -> None:

@@ -516,6 +516,7 @@ class LinkBudget:
         """:func:`opportunity_at_cell` of this budget's scenario and protected set."""
         bounds = self.scenario.bounds
         center = self.scenario.grid.cell_center(*cell)
+        cell = tuple(cell)  # found.cells holds tuples: a list or array cell would never match one
         found = self.slice(band, quantum)
         if not found.receivers:
             return float(bounds.p_max_dbm), None

@@ -16,7 +16,6 @@ import json
 import math
 import os
 from dataclasses import MISSING, fields, is_dataclass
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -593,83 +592,11 @@ def write_report(report: dict, path) -> None:
     """Serialize a report dict as deterministic JSON.
 
     The bytes are json.dump(report, fh, indent=2, sort_keys=True) and a
-    newline, written by _write_json in bounded chunks.
+    newline; ``path`` is replaced only once the whole report is written.
     """
     with _replacing(path) as fh:
-        _write_json(report, fh)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-# Pieces of JSON text gathered before one write: a few tens of kB.
-_CHUNK_PIECES = 4096
-
-
-def _json_atom(value) -> str | None:
-    """json's spelling of a float, int, bool or None (a dict key unquoted); None for anything else."""
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return None
-
-
-def _write_json(value, fh) -> None:
-    """Write ``value`` to ``fh`` as json.dump(value, fh, indent=2, sort_keys=True) does.
-
-    json.dump with an indent runs json's pure-Python encoder: one generator
-    per container and one write per token. This walk spells every string,
-    number and constant as json does, sorts dict items as json sorts them,
-    and joins its pieces into one write every _CHUNK_PIECES, never into one
-    whole-report string. A value or key json cannot write raises TypeError,
-    as json does; a container that holds itself ends in RecursionError.
-    """
-    pieces: list[str] = []
-    put = pieces.append
-
-    def emit(item, pad: str) -> None:
-        if isinstance(item, str):
-            put(encode_basestring_ascii(item))
-        elif isinstance(item, (dict, list, tuple)):
-            is_dict = isinstance(item, dict)
-            if not item:
-                put("{}" if is_dict else "[]")
-                return
-            inner = pad + "  "
-            put("{" if is_dict else "[")
-            for entry in sorted(item.items()) if is_dict else item:
-                put(inner)
-                if is_dict:
-                    key, entry = entry
-                    text = key if isinstance(key, str) else _json_atom(key)
-                    if text is None:
-                        raise TypeError(f"keys must be str, int, float, bool or None, "
-                                        f"not {key.__class__.__name__}")
-                    put(encode_basestring_ascii(text))
-                    put(": ")
-                emit(entry, inner)
-                put(",")
-            pieces[-1] = pad + ("}" if is_dict else "]")
-        else:
-            text = _json_atom(item)
-            if text is None:
-                raise TypeError(f"Object of type {item.__class__.__name__} is not JSON serializable")
-            put(text)
-        if len(pieces) >= _CHUNK_PIECES:
-            fh.write("".join(pieces))
-            pieces.clear()
-
-    emit(value, "\n")
-    fh.write("".join(pieces))
 
 
 @contextlib.contextmanager

@@ -231,6 +231,39 @@ class TestValidation:
         assert "band count must be >= 1" in text
         assert "time-quantum count must be >= 1" in text
 
+    @pytest.mark.parametrize("bad", [12.5, 3.0, True])
+    @pytest.mark.parametrize("owner,field", [("grid", "n_x"), ("grid", "n_y"), ("dims", "b_hat"), ("dims", "t_hat")])
+    def test_counts_must_be_integers(self, owner, field, bad):
+        # Grid(n_x=12.5) used to validate clean and crash later in numpy.
+        scn = make_scenario([make_link("a", (50.0, 50.0), (150.0, 50.0), 10.0)])
+        part = dataclasses.replace(getattr(scn, owner), **{field: bad})
+        assert f"{owner}: {field} must be an integer (got {bad!r})" in validation_errors(
+            dataclasses.replace(scn, **{owner: part}))
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0, True])
+    @pytest.mark.parametrize("entity", ["transmitter", "receiver"])
+    def test_bands_and_quanta_must_be_integers(self, entity, bad):
+        # A quantum of 0.5 used to validate clean and leave its entity silently never active.
+        net = make_link("a", (50.0, 50.0), (150.0, 50.0), 10.0)
+        valid = make_scenario([net])
+        field = entity + "s"
+        who = f"{entity} {getattr(net, field)[0].id!r}"
+
+        def errors(**changes):
+            changed = dataclasses.replace(getattr(net, field)[0], **changes)
+            network = dataclasses.replace(net, **{field: (changed,)})
+            return validation_errors(dataclasses.replace(valid, networks=(network,)))
+
+        assert errors(quanta=frozenset({bad})) == [f"{who}: time quantum {bad!r} is not an integer"]
+        assert f"{who}: band index {bad!r} is not an integer" in errors(band=bad)
+
+    def test_numpy_integers_are_integers(self):
+        net = make_link("a", (50.0, 50.0), (150.0, 50.0), 10.0, band=np.int64(1),
+                        quanta=(np.int64(0), np.int32(1)))
+        scn = make_scenario([net], grid=make_grid(np.int64(12), np.int16(3), 100.0),
+                            dims=SpectrumSpaceDims(b_hat=np.int64(2), t_hat=np.uint8(2)))
+        assert validation_errors(scn) == []
+
     def test_bad_pattern_and_propagation(self):
         tx = Transmitter(id="t", network_id="n", position=(0.0, 0.0), tx_power_dbm=0.0,
                          band=0, quanta=frozenset({0}),
@@ -346,7 +379,9 @@ class TestRequestErrors:
 
     def test_a_valid_request_and_an_id_shared_with_the_scenario_pass(self):
         scn = self.scenario()
-        assert request_errors(scn, [self.request(), self.request(request_id="a-tx")]) == []
+        numpy_ints = self.request(request_id="r3", acceptable_bands=frozenset({np.int64(1)}),
+                                  quanta=frozenset({np.int32(1)}))
+        assert request_errors(scn, [self.request(), self.request(request_id="a-tx"), numpy_ints]) == []
 
     @pytest.mark.parametrize("changes, named", [
         ({"position": (-10.0, 50.0)}, "position (-10.0, 50.0) outside grid extent"),
@@ -361,6 +396,10 @@ class TestRequestErrors:
         ({"acceptable_bands": frozenset({0, 2})}, "acceptable_bands: band index 2 out of range [0, 2)"),
         ({"acceptable_bands": frozenset({-1, 0})}, "acceptable_bands: band index -1 out of range"),
         ({"quanta": frozenset({0, 5})}, "quanta: time quantum 5 out of range [0, 2)"),
+        ({"acceptable_bands": frozenset({0.5})}, "acceptable_bands: band index 0.5 is not an integer"),
+        ({"acceptable_bands": frozenset({True})}, "acceptable_bands: band index True is not an integer"),
+        ({"quanta": frozenset({0, 1.0})}, "quanta: time quantum 1.0 is not an integer"),
+        ({"required_bands": 1.5, "acceptable_bands": frozenset({0, 1})}, "required_bands must be an integer (got 1.5)"),
     ])
     def test_each_rule_names_the_request_and_its_field(self, changes, named):
         errors = request_errors(self.scenario(), [self.request(), self.request(request_id="r2", **changes)])

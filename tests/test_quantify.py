@@ -230,6 +230,20 @@ class TestCellQueries:
         with pytest.raises(ValueError, match="not a cell of the 12x12 grid"):
             budget.opportunity_at_cell(0, 0, cell)
 
+    def test_list_and_array_cells_answer_as_the_map_does(self):
+        # Reports write a cell as a list. On a receiver's own cell a list used to miss the
+        # hosting check and get the entrant cap, and a numpy array raised an ambiguity error.
+        scn = crowded_scenario()
+        budget = LinkBudget(scn)
+        cells = {scn.grid.cell_of(rx.position) for rx in scn.receivers()}
+        for band in range(scn.dims.b_hat):
+            for quantum in range(scn.dims.t_hat):
+                field = opportunity_map(scn, band, quantum).values_dbm
+                for ix, iy in sorted(cells):
+                    for cell in ((ix, iy), [ix, iy], np.array([ix, iy])):
+                        value, _ = budget.opportunity_at_cell(band, quantum, cell)
+                        assert value == field[iy, ix]
+
 
 class TestSinrAndMargin:
     def test_canonical_link_sinr(self):

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -694,7 +695,7 @@ def _json_dump_bytes(tree):
 
 
 class TestReportWriter:
-    """write_report writes json.dump(report, indent=2, sort_keys=True)'s bytes without json's encoder."""
+    """write_report writes json.dump(report, indent=2, sort_keys=True)'s bytes and a newline."""
 
     @given(tree=_json_trees(JSON_ATOMS) | _json_trees(JSON_ATOMS | UNSUPPORTED))
     @example(tree={"b": [(), {}, [[]]], "a": {1.5: -0.0, 2.0: 5e-324}, "\u00e9\n": "\x00\u2028\ud800"})
@@ -712,7 +713,7 @@ class TestReportWriter:
         write_report(tree, path)
         assert path.read_bytes() == expected
 
-    def test_writes_in_chunks(self):
+    def test_writes_in_chunks(self, monkeypatch):
         # A long report goes out in several writes, none of them the whole text.
         writes = []
 
@@ -721,10 +722,16 @@ class TestReportWriter:
                 writes.append(len(text))
                 return super().write(text)
 
-        report = {"rows": [{"band": i, "value": i / 7.0} for i in range(5000)]}
         out = Recording()
-        scenario_io._write_json(report, out)
-        assert (out.getvalue() + "\n").encode() == _json_dump_bytes(report)
+
+        @contextlib.contextmanager
+        def recording(path):
+            yield out
+
+        monkeypatch.setattr(scenario_io, "_replacing", recording)
+        report = {"rows": [{"band": i, "value": i / 7.0} for i in range(5000)]}
+        write_report(report, "unused.json")
+        assert out.getvalue().encode() == _json_dump_bytes(report)
         assert len(writes) > 10 and max(writes) < sum(writes) / 10
 
 
