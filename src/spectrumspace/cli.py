@@ -146,6 +146,7 @@ def _dispatch(args, doc: ScenarioDocument) -> int:
                   else (opportunity_map(scenario, b, q, protected) for b, q in keys))
         for field in fields:
             export_field(field, os.path.join(args.out, f"{command}_b{field.band}_q{field.quantum}.csv"))
+            field = None  # drop the written field before the next one is built
         return 0
 
     report = {"command": command, "scenario": scenario}

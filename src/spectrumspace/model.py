@@ -16,6 +16,7 @@ defining a record compiles no code when its module is imported.
 from __future__ import annotations
 
 import math
+import numbers
 import reprlib
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, make_dataclass, replace
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -278,10 +279,10 @@ class Grid(Record):
     def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
         """The center of cell (ix, iy): the one check every cell query passes.
 
-        Raises ValueError unless both indices are integers in [0, n_x) x [0, n_y).
+        Raises ValueError unless both indices are integers (not bools) in
+        [0, n_x) x [0, n_y).
         """
-        if not (isinstance(ix, (int, np.integer)) and isinstance(iy, (int, np.integer))
-                and 0 <= ix < self.n_x and 0 <= iy < self.n_y):
+        if not (_is_integer(ix) and _is_integer(iy) and 0 <= ix < self.n_x and 0 <= iy < self.n_y):
             raise ValueError(f"cell {(ix, iy)!r} is not a cell of the {self.n_x}x{self.n_y} grid")
         x0, y0 = self.origin
         return (x0 + (ix + 0.5) * self.cell_size, y0 + (iy + 0.5) * self.cell_size)
@@ -474,56 +475,59 @@ def resolve(entity, lookup, kind: str):
 
 
 def validation_errors(scenario: Scenario) -> list[str]:
-    """Collect every invariant violation in the scenario, not just the first."""
+    """Collect every invariant violation in the scenario, not just the first.
+
+    A value that is not a number, a number that is not finite and a count
+    that is not an integer are each reported once: the range checks of their
+    record skip them rather than compare them.
+    """
     from .propagation import FREE_SPACE, LOG_DISTANCE
 
     errors: list[str] = []
     grid, dims, bounds, prop = scenario.grid, scenario.dims, scenario.bounds, scenario.propagation
-    _check_finite("grid", errors, origin=grid.origin, cell_size=grid.cell_size)
-    _check_finite("dims", errors, band_width_hz=dims.band_width_hz,
-                  quantum_duration_s=dims.quantum_duration_s)
-    _check_finite("bounds", errors, p_max_dbm=bounds.p_max_dbm, p_min_dbm=bounds.p_min_dbm)
-    _check_finite("propagation", errors, path_loss_exponent=prop.path_loss_exponent,
-                  reference_distance_m=prop.reference_distance_m,
-                  reference_loss_db=prop.reference_loss_db,
-                  min_distance_clamp_m=prop.min_distance_clamp_m)
+    sized = _check_finite("grid", errors, grid, "origin", "cell_size")
+    _check_finite("dims", errors, dims, "band_width_hz", "quantum_duration_s")
+    bounded = _check_finite("bounds", errors, bounds, "p_max_dbm", "p_min_dbm")
+    propagates = _check_finite("propagation", errors, prop, "path_loss_exponent", "reference_distance_m",
+                               "reference_loss_db", "min_distance_clamp_m")
 
-    _check_integers("grid", errors, n_x=grid.n_x, n_y=grid.n_y)
-    _check_integers("dims", errors, b_hat=dims.b_hat, t_hat=dims.t_hat)
-    if grid.cell_size <= 0 or grid.n_x < 1 or grid.n_y < 1:
+    sized &= _check_integers("grid", errors, grid, "n_x", "n_y")
+    counted = _check_integers("dims", errors, dims, "b_hat", "t_hat")
+    if sized and (grid.cell_size <= 0 or grid.n_x < 1 or grid.n_y < 1):
         errors.append(
             f"grid: non-positive grid dims (cell_size={grid.cell_size}, n_x={grid.n_x}, n_y={grid.n_y})"
         )
-    if dims.b_hat < 1:
+    if counted and dims.b_hat < 1:
         errors.append(f"dims: band count must be >= 1 (got {dims.b_hat})")
-    if dims.t_hat < 1:
+    if counted and dims.t_hat < 1:
         errors.append(f"dims: time-quantum count must be >= 1 (got {dims.t_hat})")
-    if min(grid.n_x, grid.n_y) >= 1 and grid.n_x * grid.n_y > MAX_CELLS:
+    if sized and min(grid.n_x, grid.n_y) >= 1 and grid.n_x * grid.n_y > MAX_CELLS:
         errors.append(
             f"grid: n_x * n_y = {grid.n_x} * {grid.n_y} cells per slice exceeds the limit of {MAX_CELLS}"
         )
-    if min(dims.b_hat, dims.t_hat) >= 1 and dims.b_hat * dims.t_hat > MAX_SLICES:
+    if counted and min(dims.b_hat, dims.t_hat) >= 1 and dims.b_hat * dims.t_hat > MAX_SLICES:
         errors.append(
             f"dims: bands * quanta = {dims.b_hat} * {dims.t_hat} slices exceeds the limit of {MAX_SLICES}"
         )
-    if not bounds.p_max_dbm > bounds.p_min_dbm:
+    if bounded and not bounds.p_max_dbm > bounds.p_min_dbm:
         errors.append(
             f"bounds: p_max ({bounds.p_max_dbm} dBm) must exceed p_min ({bounds.p_min_dbm} dBm)"
         )
 
     if prop.model not in (FREE_SPACE, LOG_DISTANCE):
         errors.append(f"propagation: unknown model {prop.model!r}")
-    if prop.model == LOG_DISTANCE and prop.path_loss_exponent < 1.0:
+    if propagates and prop.model == LOG_DISTANCE and prop.path_loss_exponent < 1.0:
         errors.append(
             f"propagation: path_loss_exponent must be >= 1 (got {prop.path_loss_exponent})"
         )
-    if prop.reference_distance_m <= 0:
+    if propagates and prop.reference_distance_m <= 0:
         errors.append("propagation: reference_distance_m must be positive")
-    if prop.min_distance_clamp_m <= 0:
+    if propagates and prop.min_distance_clamp_m <= 0:
         errors.append("propagation: min_distance_clamp_m must be positive")
 
     seen: set[str] = set()
-    for name in _all_names(scenario):
+    for name in (entity.id for net in scenario.networks
+                 for entity in (net, *net.transmitters, *net.receivers)):
         if name in seen:
             errors.append(f"duplicate id {name!r}")
         seen.add(name)
@@ -531,23 +535,23 @@ def validation_errors(scenario: Scenario) -> list[str]:
     for net in scenario.networks:
         tx_ids = {tx.id: tx for tx in net.transmitters}
         for tx in net.transmitters:
-            _check_finite(f"transmitter {tx.id!r}", errors, position=tx.position,
-                          tx_power_dbm=tx.tx_power_dbm)
+            powered = _check_finite(f"transmitter {tx.id!r}", errors, tx, "position",
+                                    "tx_power_dbm") and bounded
             _check_pattern(tx.pattern, f"transmitter {tx.id!r}", errors)
-            if tx.tx_power_dbm > bounds.p_max_dbm:
+            if powered and tx.tx_power_dbm > bounds.p_max_dbm:
                 errors.append(
                     f"transmitter {tx.id!r}: power above p_max ({tx.tx_power_dbm} > {bounds.p_max_dbm} dBm)"
                 )
-            if tx.tx_power_dbm < bounds.p_min_dbm:
+            if powered and tx.tx_power_dbm < bounds.p_min_dbm:
                 errors.append(
                     f"transmitter {tx.id!r}: power below p_min ({tx.tx_power_dbm} < {bounds.p_min_dbm} dBm)"
                 )
             _check_slices((tx.band,), tx.quanta, dims, f"transmitter {tx.id!r}", errors)
         for rx in net.receivers:
-            _check_finite(f"receiver {rx.id!r}", errors, position=rx.position,
-                          beta_db=rx.beta_db, noise_floor_dbm=rx.noise_floor_dbm)
+            finite = _check_finite(f"receiver {rx.id!r}", errors, rx, "position", "beta_db",
+                                   "noise_floor_dbm")
             _check_pattern(rx.pattern, f"receiver {rx.id!r}", errors)
-            if not rx.beta_db > 0:
+            if finite and not rx.beta_db > 0:
                 errors.append(f"receiver {rx.id!r}: beta_db must be positive (got {rx.beta_db})")
             _check_slices((rx.band,), rx.quanta, dims, f"receiver {rx.id!r}", errors)
             linked = tx_ids.get(rx.linked_tx_id)
@@ -585,18 +589,17 @@ def request_errors(scenario: Scenario, requests) -> list[str]:
     errors: list[str] = []
     for req in requests:
         who = f"request {req.request_id!r}"
-        _check_finite(who, errors, position=req.position, desired_dbm=req.desired_dbm,
-                      min_useful_dbm=req.min_useful_dbm)
-        if all(map(math.isfinite, req.position)):
+        if _check_finite(who, errors, req, "position"):
             try:
                 scenario.grid.cell_of(req.position)
             except ValueError as exc:
                 errors.append(f"{who}: {exc}")
-        if req.min_useful_dbm > req.desired_dbm:
+        if (_check_finite(who, errors, req, "desired_dbm", "min_useful_dbm")
+                and req.min_useful_dbm > req.desired_dbm):
             errors.append(f"{who}: min useful power exceeds desired power "
                           f"(min_useful_dbm {req.min_useful_dbm} > desired_dbm {req.desired_dbm})")
-        _check_integers(who, errors, required_bands=req.required_bands)
-        if not 1 <= req.required_bands <= len(req.acceptable_bands):
+        if _check_integers(who, errors, req, "required_bands") and not (
+                1 <= req.required_bands <= len(req.acceptable_bands)):
             errors.append(f"{who}: required band count out of range (required_bands "
                           f"{req.required_bands} of {len(req.acceptable_bands)} acceptable_bands)")
         if not req.quanta:
@@ -606,22 +609,14 @@ def request_errors(scenario: Scenario, requests) -> list[str]:
     return errors
 
 
-def _all_names(scenario: Scenario) -> Iterator[str]:
-    for net in scenario.networks:
-        yield net.id
-        for tx in net.transmitters:
-            yield tx.id
-        for rx in net.receivers:
-            yield rx.id
-
-
 def _check_slices(bands, quanta, dims: SpectrumSpaceDims, who: str, errors: list[str],
                   names=("band index", "time quantum")) -> None:
     for name, indices, count in ((names[0], bands, dims.b_hat), (names[1], quanta, dims.t_hat)):
-        for i in sorted(indices):
+        # grouped by type, so that sorted() never compares a string with a number
+        for i in sorted(indices, key=lambda i: (type(i).__name__, i)):
             if not _is_integer(i):
                 errors.append(f"{who}: {name} {i!r} is not an integer")
-            elif not 0 <= i < count:
+            elif _is_integer(count) and not 0 <= i < count:
                 errors.append(f"{who}: {name} {i} out of range [0, {count})")
 
 
@@ -630,29 +625,39 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_integers(who: str, errors: list[str], **values) -> None:
-    """Report every value that is not an integer (see _is_integer)."""
-    for name, value in values.items():
+def _check_integers(who: str, errors: list[str], record, *names) -> bool:
+    """Report every named field of ``record`` that is not an integer (see _is_integer); True when
+    none is."""
+    count = len(errors)
+    for name in names:
+        value = getattr(record, name)
         if not _is_integer(value):
             errors.append(f"{who}: {name} must be an integer (got {value!r})")
+    return len(errors) == count
 
 
-def _check_finite(who: str, errors: list[str], **values) -> None:
-    """Report every value (a number or a tuple of numbers) that is NaN or infinite.
+def _check_finite(who: str, errors: list[str], record, *names) -> bool:
+    """Report every named field of ``record`` (a number or a tuple of numbers) that is not a
+    number, or NaN or infinite; True when none is.
 
     Comparisons with NaN are false, so a non-finite number would otherwise
     slip past every range check below and poison the fields downstream.
     """
-    for name, value in values.items():
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+    count = len(errors)
+    for name in names:
+        value = getattr(record, name)
+        parts = value if isinstance(value, tuple) else (value,)
+        if not all(isinstance(part, numbers.Real) for part in parts):
+            errors.append(f"{who}: {name} must be a number (got {value!r})")
+        elif not all(map(math.isfinite, parts)):
             errors.append(f"{who}: {name} must be finite (got {value!r})")
+    return len(errors) == count
 
 
 def _check_pattern(pattern: AntennaPattern, who: str, errors: list[str]) -> None:
-    _check_finite(f"{who} pattern", errors, boresight_deg=pattern.boresight_deg,
-                  beamwidth_deg=pattern.beamwidth_deg, main_gain_db=pattern.main_gain_db,
-                  back_gain_db=pattern.back_gain_db)
+    finite = _check_finite(f"{who} pattern", errors, pattern, "boresight_deg", "beamwidth_deg",
+                           "main_gain_db", "back_gain_db")
     if pattern.kind not in (OMNI_KIND, SECTORED_KIND):
         errors.append(f"{who}: unknown antenna kind {pattern.kind!r}")
-    elif pattern.kind == SECTORED_KIND and not 0 < pattern.beamwidth_deg <= 360:
+    elif finite and pattern.kind == SECTORED_KIND and not 0 < pattern.beamwidth_deg <= 360:
         errors.append(f"{who}: beamwidth_deg must be in (0, 360] (got {pattern.beamwidth_deg})")

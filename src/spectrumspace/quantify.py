@@ -20,7 +20,13 @@ Opportunity is walked band by band and, within a band, receiver-major: one
 entrant gain field per receiver, and one band's caps held at a time.
 LinkBudget._opportunity_fields is the one fold of entrant caps into a grid:
 every opportunity field, joint denial and receiver charge comes from it. A
-receiver's charge, rx_consumption, is the denial of protecting it alone.
+receiver's charge, rx_consumption, is the denial of protecting it alone;
+receiver_accounting charges it one slice at a time.
+
+Every walk drops a full-grid array as soon as its last reader is done: a
+gain or received field once it is folded in, a network's sums once they are
+added, a finished field once it is read. No walk holds the previous field
+while it builds the next.
 """
 
 from __future__ import annotations
@@ -240,8 +246,10 @@ def _occupancy_walk(scenario: Scenario, keys: list[Slice]) -> Iterator[tuple[Sli
                 received = _received_field(tx, scenario)
                 for q in listed:
                     sums[q] = sums[q] + received if q in sums else received
+                received = None  # release it before the next transmitter's field is built
             for q, net_sum in sums.items():
                 totals[q] += net_sum
+            sums = net_sum = None  # release the network's fields before the next one's are built
         for q in quanta:
             yield (band, q), totals.pop(q)
 
@@ -272,6 +280,7 @@ def occupancy_maps(scenario: Scenario, keys: Iterable[Slice]) -> Iterator[PowerF
     builds a transmitter's field once per run of keys in its band."""
     for key, total in _occupancy_walk(scenario, list(keys)):
         yield PowerField(*key, linear_to_db_in_place(total, scenario.bounds))
+        total = None  # the reader may drop the field before the next one is built
 
 
 def occupancy_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell) -> float:
@@ -478,7 +487,8 @@ class LinkBudget:
 
         Each run of keys in one band is folded and its fields finished before
         the next run's gain fields are built, so the walk holds one band's caps
-        at a time. ``gains(band)`` gives a run's pairs; by default
+        at a time, and each gain field is dropped once it is folded, before
+        the next is built. ``gains(band)`` gives a run's pairs; by default
         _entrant_gains of the protected receivers active in a listed slice of
         the band, in declaration order, each field built as it is read. A
         protected receiver folds margin / gain into every listed slice it is
@@ -508,7 +518,8 @@ class LinkBudget:
                     else:
                         scratch = np.empty_like(gain) if scratch is None else scratch
                         np.fmin(allowed[key], _entrant_caps(margin, gain, scratch), out=allowed[key])
-            gain = caps = scratch = None  # release them before this band's fields are finished
+                gain = None  # release it before the next one is built
+            caps = scratch = None  # release them before this band's fields are finished
             for key, found in budgets.items():
                 yield _capped_field(key, allowed.pop(key, None), found, scenario)
 
@@ -530,7 +541,7 @@ class LinkBudget:
 
     def available_spectrum(self) -> SpectrumQuantity:
         """:func:`available_spectrum` of this budget's scenario and protected set."""
-        return _available(self._opportunity_fields(_all_slices(self.scenario.dims)), self.scenario)
+        return _integrated(self._opportunity_fields(_all_slices(self.scenario.dims)), self.scenario)
 
 
 def _capped_field(key: Slice, allowed: np.ndarray | None, found: SliceBudget, scenario: Scenario) -> PowerField:
@@ -548,23 +559,24 @@ def _capped_field(key: Slice, allowed: np.ndarray | None, found: SliceBudget, sc
     return PowerField(*key, values, zero_margin)
 
 
-def _denied_linear(field: PowerField, bounds: PowerBounds) -> np.ndarray:
-    """p_max minus a just-built opportunity field, in mW over its own cells: what it denies to
-    entrants per cell."""
+def _linear_cells(field: PowerField, bounds: PowerBounds, denied: bool) -> np.ndarray:
+    """A just-built opportunity field in mW over its own cells, per cell what it denies to entrants
+    (p_max minus it) when ``denied``, else what it leaves open to them (it minus p_min)."""
     linear = _linear_in_place(field.values_dbm, bounds)
-    return np.subtract(bounds.p_max_linear, linear, out=linear)
+    if denied:
+        return np.subtract(bounds.p_max_linear, linear, out=linear)
+    return np.subtract(linear, bounds.p_min_linear, out=linear)
 
 
-def _available(fields: Iterable[PowerField], scenario: Scenario) -> SpectrumQuantity:
-    """Just-built opportunity fields integrated above the floor, each converted over its own cells
-    and quantified before the next is read; the total adds them in slice order."""
-    bounds = scenario.bounds
-    breakdown = {}
+def _integrated(fields: Iterable[PowerField], scenario: Scenario, denied=False, keys=()) -> SpectrumQuantity:
+    """Just-built opportunity fields' _linear_cells quantified, each converted over its own cells
+    and summed before the next is read. A slice of ``keys`` no field covers adds 0.0, as an idle
+    slice does in quantify; the total adds the slices in slice order."""
+    breakdown = dict.fromkeys(keys, 0.0)
     for field in fields:
-        linear = _linear_in_place(field.values_dbm, bounds)
-        above = {(field.band, field.quantum): np.subtract(linear, bounds.p_min_linear, out=linear)}
-        breakdown.update(quantify(ConsumptionSpace(frozenset(), above), scenario.grid).breakdown)
-        field = linear = above = None  # drop this slice's cells before the next field is built
+        cells = {(field.band, field.quantum): _linear_cells(field, scenario.bounds, denied)}
+        breakdown.update(quantify(ConsumptionSpace(frozenset(), cells), scenario.grid).breakdown)
+        field = cells = None  # drop this slice's cells before the next field is built
     return _totalled(dict(sorted(breakdown.items())))
 
 
@@ -616,8 +628,8 @@ def aggregate_opportunity(scenario: Scenario, position: tuple[float, float],
     entries = [(band, q, budget.opportunity_at_cell(band, q, cell)[0])
                for band in range(dims.b_hat) for q in quantum_list]
     entries.sort(key=lambda e: (-e[2], e[0], e[1]))
-    return entries, _available((PowerField(band, q, np.array([[value]])) for band, q, value in entries),
-                               replace(scenario, grid=replace(grid, n_x=1, n_y=1)))
+    return entries, _integrated((PowerField(band, q, np.array([[value]])) for band, q, value in entries),
+                                replace(scenario, grid=replace(grid, n_x=1, n_y=1)))
 
 
 def tx_consumption(tx, scenario: Scenario) -> ConsumptionSpace:
@@ -653,18 +665,12 @@ def denied_consumption(scenario: Scenario, protected=None) -> ConsumptionSpace:
     opportunity field. A slice no protected receiver is active in denies
     nothing.
     """
-    return _denial(LinkBudget(scenario, protected))
-
-
-def _denial(budget: LinkBudget, gains: Gains | None = None) -> ConsumptionSpace:
-    """denied_consumption of ``budget``'s scenario and protected set, its fields folded from
-    ``gains`` (LinkBudget._opportunity_fields) when given."""
-    scenario = budget.scenario
+    budget = LinkBudget(scenario, protected)
     keys = _all_slices(scenario.dims)
     guarded = [key for key in keys if any(rx.active_in(*key) for rx in budget._receivers)]
     denied = {
-        (field.band, field.quantum): _denied_linear(field, scenario.bounds)
-        for field in budget._opportunity_fields(guarded, gains)
+        (field.band, field.quantum): _linear_cells(field, scenario.bounds, True)
+        for field in budget._opportunity_fields(guarded)
     }
     idle = _idle(scenario.grid)
     ids = frozenset(rx.id for rx in budget._receivers if rx.quanta)
@@ -762,18 +768,26 @@ def receiver_accounting(scenario: Scenario, protected) -> tuple[SpectrumQuantity
     declaration order. The walk goes band by band, in declaration order within
     a band, and every receiver, protected or not, has its entrant gain field
     built once: the walk folds it into its band's joint fields, then charges
-    the receiver's one-receiver denial from it before the next field is built.
+    the receiver's one-receiver denial from it, one slice at a time (each
+    slice's caps folded, finished, turned into denial and summed before the
+    next slice's are folded), and drops it before the next field is built.
     """
     charges: dict[str, SpectrumQuantity] = {}
+    keys = _all_slices(scenario.dims)
+
+    def solo_fields(rx: Receiver, gain: np.ndarray) -> Iterator[PowerField]:
+        solo = LinkBudget(scenario, [rx.id])
+        for key in keys:
+            if rx.active_in(*key):
+                yield from solo._opportunity_fields([key], lambda _: [(rx, gain)])
 
     def walk(band: int) -> Iterator[tuple[Receiver, np.ndarray]]:
         for rx, gain in _entrant_gains(scenario, [rx for rx in scenario.receivers() if rx.band == band]):
             yield rx, gain
-            charges[rx.id] = quantify(_denial(LinkBudget(scenario, [rx.id]), lambda _: [(rx, gain)]),
-                                      scenario.grid, scenario.dims)
+            charges[rx.id] = _integrated(solo_fields(rx, gain), scenario, True, keys)
+            gain = None  # release it before the next one is built
 
-    fields = LinkBudget(scenario, protected)._opportunity_fields(_all_slices(scenario.dims), walk)
-    available = _available(fields, scenario)
+    available = _integrated(LinkBudget(scenario, protected)._opportunity_fields(keys, walk), scenario)
     return available, {rx.id: charges[rx.id] for rx in scenario.receivers()}
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 from spectrumspace import (
     LinkBudget,
+    SpectrumSpaceDims,
     available_spectrum,
     occupancy_map,
     opportunity_map,
@@ -29,7 +31,16 @@ from spectrumspace.scenario_io import (
     scenario_to_dict,
 )
 
-from helpers import o_available, o_field_csv, o_rx_consumption_value, random_scenario, sectored_scenario
+from helpers import (
+    make_grid,
+    make_link,
+    make_scenario,
+    o_available,
+    o_field_csv,
+    o_rx_consumption_value,
+    random_scenario,
+    sectored_scenario,
+)
 
 quantify_module = importlib.import_module("spectrumspace.quantify")
 
@@ -401,6 +412,71 @@ class TestRasterBytes:
         for b, q in slices:
             written = (out / f"{command}_b{b}_q{q}.csv").read_bytes()
             assert written == o_field_csv(field_of(scn, b, q))
+
+
+class TestCommandMemory:
+    """The raster commands hold no written field while they build the next one.
+
+    The document has raster-wide's shape: a 250 x 250 grid of 40 m cells,
+    three bands of two quanta, and networks of one link each, one per band
+    in quanta {0, 1}, {0} and {1}. A field is 8 B * 62,500 cells = 500,000 B.
+    Each command runs in process, once to warm up and once under tracemalloc.
+    Each bound adds half a field for the small arrays: the gain kernel's
+    broadcast buffers (0.26 field), the parsed document and the parser (0.13),
+    and the CSV writer's block buffers, which are never live at the peak.
+    """
+
+    SMALL = 1 / 2
+
+    @pytest.fixture(scope="class")
+    def document(self, tmp_path_factory):
+        links = [make_link(f"b{band}q{k}", (1500.0 + 3000.0 * k, 1500.0 + 3000.0 * band),
+                           (1800.0 + 3000.0 * k, 1500.0 + 3000.0 * band), 20.0, band=band, quanta=quanta)
+                 for band in range(3) for k, quanta in enumerate([(0, 1), (0,), (1,)])]
+        scn = make_scenario(links, grid=make_grid(250, 250, 40.0), dims=SpectrumSpaceDims(b_hat=3, t_hat=2))
+        return write(tmp_path_factory.mktemp("memory"), scenario_to_dict(scn))
+
+    @staticmethod
+    def peak_fields(document, command) -> float:
+        argv = [command, "--scenario", str(document), "--out", str(document.parent / "out")]
+        assert run(argv) == 0
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * 250 * 250)
+
+    def test_peak_of_the_occupancy_command(self, document):
+        """occupancy walks band by band, both quanta of a band listed, and holds at most, at once:
+
+        - one total per quantum of the band: 2 fields;
+        - the received field of the transmitter being built, each earlier one folded into the
+          totals and dropped: 1.
+
+        That is 3 fields, 3.5 with the small arrays (3.44 measured). A command that keeps the
+        field it last wrote (the walk's last total, converted in place) and a walk that keeps
+        the field last folded in, each while the next is built, hold one more each (5.44
+        measured with both).
+        """
+        totals, building = 2, 1
+        assert self.peak_fields(document, "occupancy") < totals + building + self.SMALL
+
+    def test_peak_of_the_opportunity_command(self, document):
+        """opportunity builds one slice's field at a time, two receivers active in each slice, and
+        holds at most, at once:
+
+        - the slice's caps, its first receiver's with the second's folded in: 1 field;
+        - the second receiver's entrant gain field, the first's already dropped: 1;
+        - the scratch array the second receiver's caps are divided into: 1.
+
+        That is 3 fields, 3.5 with the small arrays (3.14 measured). A command that keeps the
+        field it last wrote while the next is built, and a walk that keeps the first gain field
+        while the second is built, hold one more each (4.41 measured with both).
+        """
+        caps, gain, scratch = 1, 1, 1
+        assert self.peak_fields(document, "opportunity") < caps + gain + scratch + self.SMALL
 
 
 class TestQuantifyCommand:

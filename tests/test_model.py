@@ -62,7 +62,8 @@ class TestGrid:
         assert grid.cell_center(0, 0) == (50.0, 50.0)
         assert grid.cell_center(9, 4) == (950.0, 450.0)
 
-    @pytest.mark.parametrize("cell", [(10, 0), (0, 5), (-1, 0), (500, 500), (1.5, 2), (2, 1.0)])
+    @pytest.mark.parametrize("cell", [(10, 0), (0, 5), (-1, 0), (500, 500), (1.5, 2), (2, 1.0), (True, 0),
+                                      (0, False)])
     def test_cell_center_refuses_a_cell_the_grid_does_not_have(self, cell):
         with pytest.raises(ValueError, match="not a cell of the 10x5 grid"):
             make_grid(10, 5, 100.0).cell_center(*cell)
@@ -231,21 +232,23 @@ class TestValidation:
         assert "band count must be >= 1" in text
         assert "time-quantum count must be >= 1" in text
 
-    @pytest.mark.parametrize("bad", [12.5, 3.0, True])
+    @pytest.mark.parametrize("bad", [12.5, 3.0, True, "3"])
     @pytest.mark.parametrize("owner,field", [("grid", "n_x"), ("grid", "n_y"), ("dims", "b_hat"), ("dims", "t_hat")])
     def test_counts_must_be_integers(self, owner, field, bad):
-        # Grid(n_x=12.5) used to validate clean and crash later in numpy.
+        # Grid(n_x=12.5) used to validate clean and crash later in numpy; Grid(n_x="3") raised
+        # TypeError in a range check instead of being reported.
         scn = make_scenario([make_link("a", (50.0, 50.0), (150.0, 50.0), 10.0)])
         part = dataclasses.replace(getattr(scn, owner), **{field: bad})
-        assert f"{owner}: {field} must be an integer (got {bad!r})" in validation_errors(
-            dataclasses.replace(scn, **{owner: part}))
+        assert validation_errors(dataclasses.replace(scn, **{owner: part})) == [
+            f"{owner}: {field} must be an integer (got {bad!r})"]
 
-    @pytest.mark.parametrize("bad", [0.5, 0.0, True])
+    @pytest.mark.parametrize("bad", [0.5, 0.0, True, "1"])
     @pytest.mark.parametrize("entity", ["transmitter", "receiver"])
     def test_bands_and_quanta_must_be_integers(self, entity, bad):
-        # A quantum of 0.5 used to validate clean and leave its entity silently never active.
+        # A quantum of 0.5 used to validate clean and leave its entity silently never active;
+        # quanta {2, "1"} raised TypeError when sorted for the report.
         net = make_link("a", (50.0, 50.0), (150.0, 50.0), 10.0)
-        valid = make_scenario([net])
+        valid = make_scenario([net], dims=SpectrumSpaceDims(t_hat=3))
         field = entity + "s"
         who = f"{entity} {getattr(net, field)[0].id!r}"
 
@@ -254,7 +257,7 @@ class TestValidation:
             network = dataclasses.replace(net, **{field: (changed,)})
             return validation_errors(dataclasses.replace(valid, networks=(network,)))
 
-        assert errors(quanta=frozenset({bad})) == [f"{who}: time quantum {bad!r} is not an integer"]
+        assert errors(quanta=frozenset({2, bad})) == [f"{who}: time quantum {bad!r} is not an integer"]
         assert f"{who}: band index {bad!r} is not an integer" in errors(band=bad)
 
     def test_numpy_integers_are_integers(self):
@@ -286,7 +289,7 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError):
             validate_scenario(scn)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1"])
     @pytest.mark.parametrize("owner,field", [
         ("grid", "origin"), ("grid", "cell_size"),
         ("dims", "band_width_hz"), ("dims", "quantum_duration_s"),
@@ -320,7 +323,11 @@ class TestValidation:
                                 receivers=(parts["receiver"],)),),
         )
         errors = validation_errors(scn)
-        assert any(e.startswith(entity) and f"{field} must be finite" in e for e in errors), errors
+        if isinstance(bad, str):  # one error: no range check compares a value of the wrong type
+            assert len(errors) == 1 and errors[0].startswith(entity), errors
+            assert errors[0].endswith(f": {field} must be a number (got {value!r})")
+        else:
+            assert any(e.startswith(entity) and f"{field} must be finite" in e for e in errors), errors
 
     def test_scenario_is_immutable(self):
         scn = _two_link_scenario()
@@ -400,6 +407,11 @@ class TestRequestErrors:
         ({"acceptable_bands": frozenset({True})}, "acceptable_bands: band index True is not an integer"),
         ({"quanta": frozenset({0, 1.0})}, "quanta: time quantum 1.0 is not an integer"),
         ({"required_bands": 1.5, "acceptable_bands": frozenset({0, 1})}, "required_bands must be an integer (got 1.5)"),
+        ({"position": ("250", 50.0)}, "position must be a number (got ('250', 50.0))"),
+        ({"desired_dbm": "20"}, "desired_dbm must be a number (got '20')"),
+        ({"required_bands": "1"}, "required_bands must be an integer (got '1')"),
+        ({"acceptable_bands": frozenset({0, "1"})}, "acceptable_bands: band index '1' is not an integer"),
+        ({"quanta": frozenset({0, "1"})}, "quanta: time quantum '1' is not an integer"),
     ])
     def test_each_rule_names_the_request_and_its_field(self, changes, named):
         errors = request_errors(self.scenario(), [self.request(), self.request(request_id="r2", **changes)])
