@@ -118,10 +118,10 @@ def linear_to_db_in_place(linear: np.ndarray, bounds: PowerBounds) -> np.ndarray
 # A float64 field is 8 bytes per cell. The opportunity walks (available
 # spectrum, a report's receiver charges) hold one band's slices at a time;
 # denied_consumption's returned space and compare-osa's entrant union hold one
-# field per slice plus a few more: a gain field, a scratch array, the entrant
-# being built and conversion masks. At both limits that is
-# 8 B * 2**20 cells * (508 + 4) fields = 4 GiB, so no valid scenario asks for
-# more; a field alone is at most 8 MiB.
+# field per slice plus a few more: a gain field, the entrant being built and
+# conversion masks (a fold's temporary is a few rows, never a field). At both
+# limits that is under 8 B * 2**20 cells * (508 + 4) fields = 4 GiB, so no
+# valid scenario asks for more; a field alone is at most 8 MiB.
 MAX_CELLS = 2**20
 MAX_SLICES = 508
 

@@ -26,7 +26,8 @@ receiver_accounting charges it one slice at a time.
 Every walk drops a full-grid array as soon as its last reader is done: a
 gain or received field once it is folded in, a network's sums once they are
 added, a finished field once it is read. No walk holds the previous field
-while it builds the next.
+while it builds the next, and none allocates a full-grid scratch: a later
+receiver's caps are folded in a few rows at a time.
 """
 
 from __future__ import annotations
@@ -146,10 +147,11 @@ class HarvestMetrics(Record):
 
 
 def _check_slice(dims: SpectrumSpaceDims, band: int, quantum: int) -> None:
-    if not 0 <= band < dims.b_hat:
-        raise ValueError(f"band index {band} out of range [0, {dims.b_hat})")
-    if not 0 <= quantum < dims.t_hat:
-        raise ValueError(f"time quantum {quantum} out of range [0, {dims.t_hat})")
+    for name, i, count in (("band index", band, dims.b_hat), ("time quantum", quantum, dims.t_hat)):
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"{name} {i!r} is not an integer")
+        if not 0 <= i < count:
+            raise ValueError(f"{name} {i} out of range [0, {count})")
 
 
 def _all_slices(dims: SpectrumSpaceDims) -> list[Slice]:
@@ -179,27 +181,15 @@ def _linear_in_place(values: np.ndarray, bounds: PowerBounds) -> np.ndarray:
     return values
 
 
-def _field_linear(field: PowerField, bounds: PowerBounds) -> np.ndarray:
-    """A dBm field in linear mW, exact on the power bounds: _linear_in_place on a copy."""
-    return _linear_in_place(np.array(field.values_dbm, dtype=float), bounds)
-
-
-def _clipped_dbm(linear, bounds: PowerBounds) -> np.ndarray:
-    """Linear mW in dBm, clipped to the power bounds: linear_to_db_in_place on a copy, so a cell
-    follows a field's rule."""
-    return linear_to_db_in_place(np.array(linear, dtype=float), bounds)
-
-
-def _entrant_caps(margin, gain, out=None):
-    """margin / gain, into ``out`` when given: the most (mW) an entrant may radiate before a
-    receiver hits its threshold.
+def _entrant_caps(margin, gain):
+    """margin / gain: the most (mW) an entrant may radiate before a receiver hits its threshold.
 
     A zero gain gives inf, or NaN when the margin is 0 too. Both callers fold
     the caps with np.fmin, starting from inf, and np.fmin skips NaN, so a
     receiver that no entrant power reaches sets no cap.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(margin, gain, out=out)
+        return np.divide(margin, gain)
 
 
 def _entrant_gains(scenario: Scenario, receivers: Iterable[Receiver]) -> Iterator[tuple[Receiver, np.ndarray]]:
@@ -407,9 +397,9 @@ class LinkBudget:
 
     def active(self, band: int, quantum: int) -> SliceTransmitters:
         """The transmitters active in one slice, of every network, with their targets prepared."""
+        _check_slice(self.scenario.dims, band, quantum)
         found = self._active.get((band, quantum))
         if found is None:
-            _check_slice(self.scenario.dims, band, quantum)
             pairs = [(i, tx) for i, net in enumerate(self.scenario.networks) for tx in net.transmitters
                      if tx.active_in(band, quantum)]
             txs = tuple(tx for _, tx in pairs)
@@ -420,9 +410,9 @@ class LinkBudget:
 
     def slice(self, band: int, quantum: int) -> SliceBudget:
         """The budget of one slice; receivers inactive in it impose no constraint."""
+        _check_slice(self.scenario.dims, band, quantum)
         found = self._slices.get((band, quantum))
         if found is None:
-            _check_slice(self.scenario.dims, band, quantum)
             grid = self.scenario.grid
             rxs = [rx for rx in self._receivers if rx.active_in(band, quantum)]
             cells = [grid.cell_of(rx.position) if grid.contains(rx.position) else None for rx in rxs]
@@ -475,11 +465,7 @@ class LinkBudget:
             for _, power in run:
                 net_sum += power
             total += net_sum
-        return float(_clipped_dbm(total, self.scenario.bounds))
-
-    def opportunity_map(self, band: int, quantum: int) -> PowerField:
-        """:func:`opportunity_map` of this budget's scenario and protected set."""
-        return next(self._opportunity_fields([(band, quantum)]))
+        return float(linear_to_db_in_place(np.array(total), self.scenario.bounds))
 
     def _opportunity_fields(self, keys: list[Slice], gains: Gains | None = None) -> Iterator[PowerField]:
         """The opportunity fields of ``keys``, in that order, from a walk over (receiver, entrant
@@ -494,10 +480,12 @@ class LinkBudget:
         protected receiver folds margin / gain into every listed slice it is
         active in; any other receiver folds nothing. The first caps
         of a slice become its array, through np.fmin(inf, caps); a later
-        receiver's are divided into one scratch array, allocated on the first
-        such fold, and folded in with np.fmin. np.fmin is exact, so the fold
-        gives the same bits in any order. Each field is finished as it is
-        read, in the array its caps were folded into.
+        receiver's are folded in a few rows (about 4,096 cells) at a time,
+        each block's caps divided into a temporary of that many rows and
+        folded in with np.fmin, so no fold allocates a second full-grid
+        array. np.divide and np.fmin are elementwise and exact, so the fold
+        gives the same bits in any order and any block size. Each field is
+        finished as it is read, in the array its caps were folded into.
         """
         scenario = self.scenario
         for band, run in groupby(keys, key=lambda key: key[0]):
@@ -509,17 +497,17 @@ class LinkBudget:
             pairs = (_entrant_gains(scenario, [rx for rx in self._receivers if rx.id in folds])
                      if gains is None else gains(band))
             allowed: dict[Slice, np.ndarray] = {}
-            scratch = None
             for rx, gain in pairs:
+                rows = max(1, 4096 // gain.shape[1])
                 for key, margin in folds.get(rx.id, ()):
                     if key not in allowed:
                         caps = allowed[key] = _entrant_caps(margin, gain)
                         np.fmin(np.inf, caps, out=caps)
                     else:
-                        scratch = np.empty_like(gain) if scratch is None else scratch
-                        np.fmin(allowed[key], _entrant_caps(margin, gain, scratch), out=allowed[key])
-                gain = None  # release it before the next one is built
-            caps = scratch = None  # release them before this band's fields are finished
+                        for y in range(0, len(gain), rows):
+                            block = allowed[key][y:y + rows]
+                            np.fmin(block, _entrant_caps(margin, gain[y:y + rows]), out=block)
+                gain = caps = block = None  # release them before the next gain field is built
             for key, found in budgets.items():
                 yield _capped_field(key, allowed.pop(key, None), found, scenario)
 
@@ -537,7 +525,8 @@ class LinkBudget:
         gains = gains_db(center, OMNI, found.targets, self.scenario.propagation)
         caps = np.fmin(np.inf, _entrant_caps(np.array(found.margin), db_to_linear(gains)))
         i = int(np.argmin(caps))
-        return float(_clipped_dbm(caps[i], bounds)), found.receivers[i].id if caps[i] < np.inf else None
+        return (float(linear_to_db_in_place(np.array(caps[i]), bounds)),
+                found.receivers[i].id if caps[i] < np.inf else None)
 
     def available_spectrum(self) -> SpectrumQuantity:
         """:func:`available_spectrum` of this budget's scenario and protected set."""
@@ -597,7 +586,7 @@ def opportunity_map(scenario: Scenario, band: int, quantum: int, protected=None)
       protected: a collection of receiver ids or Receiver objects, never a
         bare id string; None protects all.
     """
-    return LinkBudget(scenario, protected).opportunity_map(band, quantum)
+    return next(LinkBudget(scenario, protected)._opportunity_fields([(band, quantum)]))
 
 
 def opportunity_at_cell(scenario: Scenario, band: int, quantum: int, cell: Cell,
@@ -623,10 +612,12 @@ def aggregate_opportunity(scenario: Scenario, position: tuple[float, float],
     """
     grid, dims = scenario.grid, scenario.dims
     cell = grid.cell_of(position)
-    quantum_list = list(range(dims.t_hat)) if quanta is None else sorted(quanta)
+    quantum_list = list(range(dims.t_hat) if quanta is None else quanta)
+    for q in quantum_list:
+        _check_slice(dims, 0, q)  # before set() drops a bool equal to a listed integer
     budget = LinkBudget(scenario, protected)
     entries = [(band, q, budget.opportunity_at_cell(band, q, cell)[0])
-               for band in range(dims.b_hat) for q in quantum_list]
+               for band in range(dims.b_hat) for q in sorted(set(quantum_list))]
     entries.sort(key=lambda e: (-e[2], e[0], e[1]))
     return entries, _integrated((PowerField(band, q, np.array([[value]])) for band, q, value in entries),
                                 replace(scenario, grid=replace(grid, n_x=1, n_y=1)))
@@ -685,15 +676,9 @@ def combine_consumption(a: ConsumptionSpace, b: ConsumptionSpace, bounds: PowerB
     """
     slices: dict[Slice, np.ndarray] = {}
     for key in sorted(set(a.slices) | set(b.slices)):
-        arr_a = a.slices.get(key)
-        arr_b = b.slices.get(key)
-        if arr_a is None:
-            combined = arr_b.copy()
-        elif arr_b is None:
-            combined = arr_a.copy()
-        else:
-            combined = arr_a + arr_b
-        slices[key] = np.clip(combined, 0.0, bounds.p_cmax_linear)
+        arr_a, arr_b = a.slices.get(key), b.slices.get(key)
+        combined = arr_b if arr_a is None else arr_a if arr_b is None else arr_a + arr_b
+        slices[key] = np.clip(combined, 0.0, bounds.p_cmax_linear)  # a new array, never a slice's own
     return ConsumptionSpace(a.entity_ids | b.entity_ids, slices)
 
 
@@ -809,8 +794,8 @@ def harvest_metrics(estimated: PowerField, truth: PowerField, grid: Grid,
             f"shape mismatch: {estimated.values_dbm.shape} vs {truth.values_dbm.shape}"
         )
     key = (estimated.band, estimated.quantum)
-    est = _field_linear(estimated, bounds) - bounds.p_min_linear
-    tru = _field_linear(truth, bounds) - bounds.p_min_linear
+    est = _linear_in_place(estimated.values_dbm.astype(float), bounds) - bounds.p_min_linear
+    tru = _linear_in_place(truth.values_dbm.astype(float), bounds) - bounds.p_min_linear
 
     def q(cells: np.ndarray) -> SpectrumQuantity:
         return quantify(ConsumptionSpace(frozenset(), {key: cells}), grid)

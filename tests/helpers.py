@@ -16,6 +16,7 @@ from spectrumspace import (
     AccessRequest,
     AntennaPattern,
     Grid,
+    LinkBudget,
     PowerBounds,
     PropagationConfig,
     Receiver,
@@ -23,6 +24,7 @@ from spectrumspace import (
     Scenario,
     SpectrumSpaceDims,
     Transmitter,
+    linear_to_db,
     validate_scenario,
 )
 
@@ -321,6 +323,50 @@ def o_occupancy_linear(scn: Scenario, band: int, quantum: int) -> np.ndarray:
                 net_sum += 10.0 ** ((tx.tx_power_dbm + o_tx_field(tx, scn.grid, scn.propagation)) / 10.0)
         total += net_sum
     return total
+
+
+def o_opportunity_field(scn: Scenario, band: int, quantum: int, protected_ids=None) -> np.ndarray:
+    """opportunity_map's cells, bit for bit: each cell's entrant caps folded in a straight loop.
+
+    Per cell, the lowest margin / gain over the slice's protected receivers,
+    in Python floats (division is correctly rounded, as numpy's is); a zero
+    gain sets no cap. The gains are o_entrant_field's and the margins the
+    link budget's, since o_margin_lin matches those only to rounding. The
+    caps are turned into clipped dBm as one array, and every cell hosting a
+    protected receiver is p_min.
+    """
+    b = scn.bounds
+    found = LinkBudget(scn, protected_ids).slice(band, quantum)
+    if not found.receivers:
+        return np.full((scn.grid.n_y, scn.grid.n_x), float(b.p_max_dbm))
+    gains = [o_entrant_field(rx.position, rx.pattern, scn.grid, scn.propagation).tolist()
+             for rx in found.receivers]
+    caps = []
+    for iy in range(scn.grid.n_y):
+        row = []
+        for ix in range(scn.grid.n_x):
+            best = math.inf
+            for margin, gain in zip(found.margin, gains):
+                if gain[iy][ix] != 0.0:
+                    best = min(best, margin / gain[iy][ix])
+            row.append(best)
+        caps.append(row)
+    values = np.clip(linear_to_db(np.array(caps)), b.p_min_dbm, b.p_max_dbm)
+    for cell in found.cells:
+        if cell is not None:
+            values[cell[1], cell[0]] = b.p_min_dbm
+    return values
+
+
+def o_slice_quantity(field_dbm: np.ndarray, scn: Scenario, denied: bool) -> float:
+    """One slice's W*m^2 from an opportunity field: its cells in mW, each bound cell as the bound's
+    own linear value, less p_min (or taken from p_max when ``denied``), summed by numpy."""
+    b = scn.bounds
+    linear = 10.0 ** (field_dbm / 10.0)
+    linear[field_dbm == b.p_min_dbm] = b.p_min_linear
+    linear[field_dbm == b.p_max_dbm] = b.p_max_linear
+    cells = b.p_max_linear - linear if denied else linear - b.p_min_linear
+    return float(np.sum(cells)) * scn.grid.cell_area / 1000.0
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -371,6 +371,15 @@ class TestAggregateOpportunity:
         entries, _ = aggregate_opportunity(scn, (250.0, 50.0), quanta=[2])
         assert [(b, q) for b, q, _ in entries] == [(0, 2)]
 
+    def test_a_quantum_listed_twice_is_one_slice(self):
+        # listed twice, a quantum used to give each of its slices two entries, while the quantity
+        # counted each slice once
+        scn = make_scenario([make_link("a", (50.0, 50.0), (150.0, 50.0), 30.0)],
+                            grid=make_grid(12, 1, 100.0), dims=SpectrumSpaceDims(b_hat=2, t_hat=2))
+        entries, quantity = aggregate_opportunity(scn, (250.0, 50.0), quanta=[0, 0])
+        assert sorted((b, q) for b, q, _ in entries) == [(0, 0), (1, 0)]
+        assert (entries, quantity) == aggregate_opportunity(scn, (250.0, 50.0), quanta=[0])
+
     def test_position_outside_grid_rejected(self):
         scn = make_scenario([], grid=make_grid(12, 1, 100.0))
         with pytest.raises(ValueError, match="outside grid extent"):

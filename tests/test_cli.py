@@ -421,9 +421,10 @@ class TestCommandMemory:
     three bands of two quanta, and networks of one link each, one per band
     in quanta {0, 1}, {0} and {1}. A field is 8 B * 62,500 cells = 500,000 B.
     Each command runs in process, once to warm up and once under tracemalloc.
-    Each bound adds half a field for the small arrays: the gain kernel's
-    broadcast buffers (0.26 field), the parsed document and the parser (0.13),
-    and the CSV writer's block buffers, which are never live at the peak.
+    Each bound adds half a field for the small arrays (the opportunity command
+    counts them): the gain kernel's broadcast buffers (0.26 field), the parsed
+    document and the parser (0.13), the opportunity fold's block (0.07), and
+    the CSV writer's block buffers, which are never live at the peak.
     """
 
     SMALL = 1 / 2
@@ -468,15 +469,36 @@ class TestCommandMemory:
         holds at most, at once:
 
         - the slice's caps, its first receiver's with the second's folded in: 1 field;
-        - the second receiver's entrant gain field, the first's already dropped: 1;
-        - the scratch array the second receiver's caps are divided into: 1.
+        - the second receiver's entrant gain field, the first's already dropped: 1.
 
-        That is 3 fields, 3.5 with the small arrays (3.14 measured). A command that keeps the
-        field it last wrote while the next is built, and a walk that keeps the first gain field
-        while the second is built, hold one more each (4.41 measured with both).
+        The second receiver's caps are folded in a few rows at a time through a temporary of
+        about 4,096 cells, so no full-grid scratch is held. That is 2 fields, and 2.41 measured:
+        half a field for the small arrays would leave less than 0.1 field of slack, so this bound
+        counts them: the broadcast buffers (0.26), the document and the parser (0.13) and the
+        fold's block (0.07), 0.46 in all, rounded up to 3/4 field. A fold that divides the second
+        receiver's caps into a full-grid scratch holds one field more (3.14 measured), and a
+        command that keeps the field it last wrote while the next is built, and a walk that keeps
+        the first gain field while the second is built, one more each (4.41 measured with all
+        three).
         """
-        caps, gain, scratch = 1, 1, 1
-        assert self.peak_fields(document, "opportunity") < caps + gain + scratch + self.SMALL
+        caps, gain, small = 1, 1, 3 / 4
+        assert self.peak_fields(document, "opportunity") < caps + gain + small
+
+    def test_peak_of_the_report_command(self, document):
+        """report charges every transmitter and receiver, and its receiver walk (the raster-wide
+        workload's peak) holds at most, at once:
+
+        - one array per slice of the band being walked, its first receiver's caps with the
+          second's folded in: 2 fields;
+        - the entrant gain field of the receiver being charged: 1;
+        - that receiver's one-receiver denial, one slice at a time: 1;
+        - while that slice turns from dBm into mW, three boolean masks of one byte per cell: 3/8.
+
+        That is 4.375 fields, 4.875 with the small arrays (4.58 measured). A fold that divides a
+        later receiver's caps into a full-grid scratch holds one field more (5.58 measured).
+        """
+        slices, gain, solo, masks = 2, 1, 1, 3 / 8
+        assert self.peak_fields(document, "report") < slices + gain + solo + masks + self.SMALL
 
 
 class TestQuantifyCommand:

@@ -15,7 +15,6 @@ from hypothesis import example, given, strategies as st
 
 from spectrumspace import (
     PowerBounds,
-    PowerField,
     PropagationConfig,
     SpectrumSpaceDims,
     available_spectrum,
@@ -154,7 +153,6 @@ def test_in_place_mw_conversion_is_the_copying_formula(p_max, p_min, n_y, n_x, r
     owned = values.copy()
     assert quantify_module._linear_in_place(owned, bounds) is owned
     assert same_bits(owned, expected)
-    assert same_bits(quantify_module._field_linear(PowerField(0, 0, values), bounds), expected)
 
 
 @given(**quarter_db_bounds, **field_shapes)

@@ -17,6 +17,7 @@ from spectrumspace import (
     available_spectrum,
     occupancy_at_cell,
     occupancy_map,
+    opportunity_map,
 )
 
 from helpers import make_grid, o_limiting_rx, random_scenario, sectored_scenario
@@ -31,7 +32,7 @@ def test_every_cell_equals_its_field_cell(seed, make):
     for band in range(scn.dims.b_hat):
         for quantum in range(scn.dims.t_hat):
             occupancy = occupancy_map(scn, band, quantum).values_dbm
-            opportunity = budget.opportunity_map(band, quantum).values_dbm
+            opportunity = opportunity_map(scn, band, quantum).values_dbm
             for iy, ix in np.ndindex(occupancy.shape):
                 assert occupancy_at_cell(scn, band, quantum, (ix, iy)) == occupancy[iy, ix]
                 value, limiting = budget.opportunity_at_cell(band, quantum, (ix, iy))

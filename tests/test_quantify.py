@@ -201,6 +201,60 @@ class TestOccupancy:
         assert scn.network("host").transmitters[0].active_in(0, 1)
 
 
+def two_by_two_link() -> Scenario:
+    """canonical_link's link, active in both quanta, in a space of two bands and two quanta, so a
+    bool or float index equal to 0 or 1 names a slice that exists."""
+    return make_scenario([make_link("a", (50.0, 50.0), (150.0, 50.0), 30.0, quanta=(0, 1))],
+                         grid=make_grid(12, 1, 100.0), dims=SpectrumSpaceDims(b_hat=2, t_hat=2))
+
+
+class TestSliceIndices:
+    """A band or quantum is an int or numpy integer, never a bool or a float, as the model's
+    validation reports one: a float used to match no slice and a bool to pass as 0 or 1, so a
+    query answered for a slice that does not exist (p_max everywhere, an SINR of -inf) or
+    labelled its field with the bool."""
+
+    QUERIES = {
+        "occupancy_map band True": lambda scn: occupancy_map(scn, True, 0),
+        "occupancy_map quantum 0.0": lambda scn: occupancy_map(scn, 0, 0.0),
+        "occupancy_at_cell band False": lambda scn: occupancy_at_cell(scn, False, 0, (0, 0)),
+        "opportunity_map quantum 0.5": lambda scn: opportunity_map(scn, 0, 0.5),
+        "opportunity_map band 1.0": lambda scn: opportunity_map(scn, 1.0, 0),
+        "opportunity_at_cell quantum True": lambda scn: opportunity_at_cell(scn, 0, True, (3, 0)),
+        "aggregate_opportunity quanta [0.5]": lambda scn: aggregate_opportunity(scn, (350.0, 50.0), [0.5]),
+        "aggregate_opportunity quanta [1, True]": lambda scn: aggregate_opportunity(scn, (350.0, 50.0), [1, True]),
+        "sinr_db quantum 0.5": lambda scn: sinr_db(scn, scn.receiver("a-rx"), 0.5),
+        "receiver_margin_linear quantum True": lambda scn: receiver_margin_linear(scn, scn.receiver("a-rx"), True),
+        "quantify with dims, key (0, True)": lambda scn: quantify(
+            ConsumptionSpace(frozenset(), {(0, True): np.zeros((1, 12))}), scn.grid, scn.dims),
+    }
+
+    @pytest.mark.parametrize("name", QUERIES)
+    def test_a_non_integer_index_is_refused(self, name):
+        with pytest.raises(ValueError, match="(band index|time quantum) .* is not an integer"):
+            self.QUERIES[name](two_by_two_link())
+
+    def test_a_built_slice_is_not_reached_through_a_bool(self):
+        # (0, True) == (0, 1) as a dict key, so a budget that has built slice (0, 1) must check
+        # the index before it looks the slice up
+        budget = LinkBudget(two_by_two_link())
+        budget.slice(0, 1)
+        budget.active(0, 1)
+        for query in (budget.slice, budget.active, lambda b, q: budget.opportunity_at_cell(b, q, (3, 0))):
+            with pytest.raises(ValueError, match="time quantum True is not an integer"):
+                query(0, True)
+
+    def test_numpy_integers_are_slice_indices(self):
+        scn = two_by_two_link()
+        field = opportunity_map(scn, np.int64(1), np.int32(1))
+        assert (field.band, field.quantum) == (1, 1)
+        assert same_bits(field.values_dbm, opportunity_map(scn, 1, 1).values_dbm)
+        assert sinr_db(scn, scn.receiver("a-rx"), np.int8(1)) == sinr_db(scn, scn.receiver("a-rx"), 1)
+        occupancy = occupancy_map(scn, np.int16(0), np.uint8(1))
+        assert (occupancy.band, occupancy.quantum) == (0, 1)
+        assert same_bits(occupancy.values_dbm, occupancy_map(scn, 0, 1).values_dbm)
+
+
 class TestCellQueries:
     """A cell query answers only for a cell of its grid: integer indices in [0, n_x) x [0, n_y).
     A cell past an edge, or a fractional one, used to get the number of a point no map has."""
@@ -854,24 +908,26 @@ class TestFieldMemory:
     - one array per slice of the band being walked, its first receiver's
       caps with every later receiver's folded in: 2 fields;
     - the entrant gain field of the receiver being charged: 1;
-    - the scratch array a later receiver's caps are divided into: 1;
     - that receiver's one-receiver denial, charged one slice at a time (its
       caps folded, finished, turned into denial and summed before the next
       slice's are folded): 1;
     - while that slice turns from dBm into mW, three boolean masks of one
       byte per cell (the cells on p_min, on p_max, and all others): 3/8.
 
-    That is 5.375 fields; the bound adds half a field for the small arrays
-    (cell axes, link budgets) and tracemalloc's own counting, 5.875 in all
-    (5.44 measured).
-    A charge that folds both slices of a two-quanta receiver before it
-    converts either holds one field more (6.44 measured), a walk that holds
-    every slice's caps until the last receiver has folded holds 4 more, one
-    that keeps a band's last finished slice while the next band is walked
-    holds one more, and a whole-run field cache holds one per receiver.
+    A later receiver's caps are folded in a few rows at a time, through a
+    temporary of about 4,096 cells (0.07 field), so no full-grid scratch is
+    held. That is 4.375 fields; the bound adds half a field for the small
+    arrays (cell axes, link budgets, the fold's block) and tracemalloc's own
+    counting, 4.875 in all (4.44 measured). A fold that divides a later
+    receiver's caps into a full-grid scratch holds one field more (5.44
+    measured), a charge that folds both slices of a two-quanta receiver
+    before it converts either holds one more, a walk that holds every
+    slice's caps until the last receiver has folded holds 4 more, one that
+    keeps a band's last finished slice while the next band is walked holds
+    one more, and a whole-run field cache holds one per receiver.
     """
 
-    SLICES, GAIN, SCRATCH, SOLO, MASKS, SMALL = 2, 1, 1, 1, 3 / 8, 1 / 2
+    SLICES, GAIN, SOLO, MASKS, SMALL = 2, 1, 1, 3 / 8, 1 / 2
 
     def test_peak_of_the_receiver_walk(self):
         links = [make_link(f"b{band}t{quantum}k{k}", (x, y), (x + 200.0, y), 20.0, band=band,
@@ -887,7 +943,7 @@ class TestFieldMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = self.SLICES + self.GAIN + self.SCRATCH + self.SOLO + self.MASKS + self.SMALL
+        bound = self.SLICES + self.GAIN + self.SOLO + self.MASKS + self.SMALL
         assert peak / field_bytes < bound
 
 
@@ -898,7 +954,9 @@ class TestWalkMemory:
     A field of its 250 x 250 grid is 8 B * 62,500 cells = 500,000 B. Each walk's fields are
     dropped as they are read, as the occupancy and opportunity commands write and drop them. Each
     bound adds half a field for the small arrays and the gain kernel's broadcast buffers (numpy's
-    two 8,192-element buffers, 0.26 field here).
+    two 8,192-element buffers, 0.26 field here); in the opportunity walks that includes the block
+    of about 4,096 cells (0.07 field) a later receiver's caps are folded through, a few rows at a
+    time, so no walk holds a full-grid scratch.
     """
 
     SMALL = 1 / 2
@@ -939,23 +997,23 @@ class TestWalkMemory:
         """opportunity_map over each slice in turn holds at most, at once:
 
         - the slice's caps, its first receiver's with every later one's folded in: 1 field;
-        - the gain field being built, the one last folded in already dropped: 1;
-        - the scratch array a later receiver's caps are divided into: 1.
+        - the gain field being built, the one last folded in already dropped: 1.
 
-        That is 3 fields, 3.5 with the small arrays. A walk that keeps the gain field last folded
-        in bound while the next one is built holds 4 (4.29 measured), one that keeps every
-        receiver's gain field holds 6 in slice (0, 1), where four receivers are active, and one
-        that keeps a slice's field while the next is built holds at least 4.
+        That is 2 fields, 2.5 with the small arrays (2.29 measured). A fold that divides a later
+        receiver's caps into a full-grid scratch holds 3 (3.29 measured), a walk that also keeps
+        the gain field last folded in bound while the next one is built holds 4 (4.29), one that
+        keeps every receiver's gain field holds 5 in slice (0, 1), where four receivers are
+        active, and one that keeps a slice's field while the next is built holds at least 3.
         """
         scn = crowded_scenario()
         keys = [(b, q) for b in range(scn.dims.b_hat) for q in range(scn.dims.t_hat)]
-        caps, building, scratch = 1, 1, 1
+        caps, building = 1, 1
 
         def walk():
             for key in keys:
                 opportunity_map(scn, *key)
 
-        assert self.peak_fields(walk, scn) < caps + building + scratch + self.SMALL
+        assert self.peak_fields(walk, scn) < caps + building + self.SMALL
 
     def test_peak_of_the_available_spectrum_walk(self):
         """available_spectrum over all six slices (the quantify command) walks band by band,
@@ -964,31 +1022,32 @@ class TestWalkMemory:
 
         - the caps of each slice of band 0 a receiver is active in: 3 fields (band 1 has two,
           and its fields are folded only after band 0's have been read and dropped);
-        - the scratch array a later receiver's caps are divided into: 1;
         - the gain field being built, the one last folded in already dropped: 1.
 
-        That is 5 fields, 5.5 with the small arrays. A walk that keeps the gain field last folded
-        in bound while the next one is built holds 6 (6.29 measured), and one that folds every
-        band's caps before it reads any holds at least 6.
+        That is 4 fields, 4.5 with the small arrays (4.29 measured). A fold that divides a later
+        receiver's caps into a full-grid scratch holds 5 (5.29 measured), a walk that also keeps
+        the gain field last folded in bound while the next one is built holds 6 (6.29), and one
+        that folds every band's caps before it reads any holds at least 5.
         """
         scn = crowded_scenario()
-        caps, scratch, building = 3, 1, 1
+        caps, building = 3, 1
         peak = self.peak_fields(lambda: available_spectrum(scn), scn)
-        assert peak < caps + scratch + building + self.SMALL
+        assert peak < caps + building + self.SMALL
 
     def test_peak_of_quantified_admission(self):
         """admit_quantified on random_requests(5, crowd, n=10) (the admit command) prices each
         request by point queries, so its fields are those of its closing available_spectrum over
         the augmented scenario. The entrants are transmitters, so that walk holds the fields of
-        test_peak_of_the_available_spectrum_walk: 5, 5.5 with the small arrays. A walk that
-        keeps the gain field last folded in bound while the next one is built holds 6 (6.33
-        measured).
+        test_peak_of_the_available_spectrum_walk: 4, 4.5 with the small arrays (4.33 measured).
+        A fold that divides a later receiver's caps into a full-grid scratch holds 5 (5.33
+        measured), and a walk that also keeps the gain field last folded in bound while the next
+        one is built holds 6 (6.33).
         """
         scn = crowded_scenario()
         requests = random_requests(5, scn, n=10)
-        caps, scratch, building = 3, 1, 1
+        caps, building = 3, 1
         peak = self.peak_fields(lambda: admission_module.admit_quantified(scn, requests, 3.0), scn)
-        assert peak < caps + scratch + building + self.SMALL
+        assert peak < caps + building + self.SMALL
 
     def test_peak_of_the_transmitter_charges(self):
         """quantify(tx_consumption(tx)) for each transmitter in turn, as the report command charges
@@ -1012,19 +1071,19 @@ class TestWalkMemory:
         entrant union (_entrant_exploitation), which holds at most, at once:
 
         - one sum per slice an entrant is active in: 6 fields, every slice here on both sides;
-        - the consumption field of the entrant being built: 1;
-        - the previous entrant's field, still bound to the union's loop while the next is built,
-          when that entrant is active in the last slice: 1.
+        - the consumption field of the entrant being built, the previous entrant's released: 1.
 
-        That is 8 fields, 8.5 with the small arrays. The two sides run one after the other, so
-        their peaks do not add. A union that keeps every entrant's field until it sums them holds
-        18 on the quantified side's 12 entrants, and one that allocates idle slices holds more.
+        That is 7 fields, 7.5 with the small arrays (7.36 measured). The two sides run one after
+        the other, so their peaks do not add. A union that keeps the previous entrant's field
+        bound to its loop while the next is built holds 8 (8.28 measured), one that keeps every
+        entrant's field until it sums them holds 18 on the quantified side's 12 entrants, and one
+        that allocates idle slices holds more.
         """
         scn = crowded_scenario()
         requests = random_requests(5, scn, n=10)
-        sums, building, previous = scn.dims.b_hat * scn.dims.t_hat, 1, 1
+        sums, building = scn.dims.b_hat * scn.dims.t_hat, 1
         peak = self.peak_fields(lambda: compare_policies(scn, requests, 3.0, -80.0), scn)
-        assert peak < sums + building + previous + self.SMALL
+        assert peak < sums + building + self.SMALL
 
     def test_peak_of_each_entrant_union(self):
         """_entrant_exploitation of each side's augmented scenario holds at most, at once:
