@@ -12,6 +12,7 @@ is a model.AccessRequest, re-exported here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import replace
 from functools import partial
 
@@ -22,6 +23,7 @@ from .model import (
     Scenario,
     ScenarioValidationError,
     Transmitter,
+    check_non_negative,
     request_errors,
 )
 from .policy import Grant, Refusal, RightsRequest, define_rights
@@ -96,16 +98,17 @@ def _check_inputs(scenario: Scenario, requests, margin_db: float | None = None,
                   sensitivity_dbm: float | None = None) -> None:
     """The entry points' prologue, run before any request is walked.
 
-    Raises ValueError when a given guard margin is negative or not finite, or
-    a given sensing threshold is not finite; then ScenarioValidationError
+    Raises ValueError when a given guard margin is not a finite, non-negative
+    number or a given threshold not a finite one; then ScenarioValidationError
     listing every request_errors entry, and every request id or entrant id
     that collides with a scenario id or an earlier request's ids. A request
     that needs more than one band can take one entrant id per acceptable
     band (``<id>:b<band>``); a one-band request's entrant takes its own id.
     """
-    if margin_db is not None and not (math.isfinite(margin_db) and margin_db >= 0):
-        raise ValueError(f"guard margin must be finite and non-negative (got {margin_db})")
-    if sensitivity_dbm is not None and not math.isfinite(sensitivity_dbm):
+    if margin_db is not None:
+        check_non_negative("guard margin", margin_db)
+    if sensitivity_dbm is not None and not (isinstance(sensitivity_dbm, numbers.Real)
+                                            and math.isfinite(sensitivity_dbm)):
         raise ValueError(f"sensing threshold must be finite (got {sensitivity_dbm})")
     errors = request_errors(scenario, requests)
     taken = scenario.all_ids()
@@ -248,7 +251,7 @@ def admit_quantified(scenario: Scenario, requests, margin_db: float,
       (outcome, scenario augmented with the admitted entrants).
 
     Raises:
-      ValueError: the margin is negative or not finite.
+      ValueError: the margin is not a finite, non-negative number.
     """
     _check_inputs(scenario, requests, margin_db)
     budget = LinkBudget(scenario, protected)
@@ -271,7 +274,7 @@ def rights_register(observed: Scenario, requests, margin_db: float,
       (grants, refusals), both in admission order.
 
     Raises:
-      ValueError: the margin is negative or not finite.
+      ValueError: the margin is not a finite, non-negative number.
     """
     entrant_ids = {_entrant_id(req, band) for req in requests for band in req.acceptable_bands}
     baseline = replace(observed, networks=tuple(
@@ -295,7 +298,7 @@ def admit_osa(scenario: Scenario, requests, sensitivity_dbm: float) -> tuple[Adm
     first. Admitted entrants join the scenario for subsequent decisions.
 
     Raises:
-      ValueError: the threshold is not finite.
+      ValueError: the threshold is not a finite number.
     """
     _check_inputs(scenario, requests, sensitivity_dbm=sensitivity_dbm)
     # Sensing reads only the slices' active transmitters, so this budget
@@ -370,7 +373,7 @@ def compare_policies(scenario: Scenario, requests, margin_db: float,
     side computes the spectrum left available after admission.
 
     Raises:
-      ValueError: the margin is negative or not finite, or the threshold is not finite.
+      ValueError: the margin is not a finite, non-negative number, or the threshold not a finite one.
     """
     _check_inputs(scenario, requests, margin_db, sensitivity_dbm)
 

@@ -71,24 +71,22 @@ _TENS = np.full(4096, 10.0)
 _TENS.flags.writeable = False
 
 
-def db_to_linear_in_place(db: np.ndarray, where=True) -> np.ndarray:
+def db_to_linear_in_place(db: np.ndarray) -> np.ndarray:
     """db_to_linear of a float array the caller owns, written over it and returned.
 
-    The package's one np.power call. Only cells where ``where`` (True, or a
-    bool array of db's shape) holds are raised; the rest keep db / 10. An
-    array of one block or less takes one call, a larger C-contiguous one runs
-    block by block over its flat view, and any other takes the scalar base.
+    The package's one np.power call: one call up to one block, block by block
+    over a larger C-contiguous array's flat view, and the scalar base otherwise.
     """
     np.divide(db, 10.0, out=db)
     if db.size <= _TENS.size:
         tens = _TENS[:db.size]
-        return np.power(tens if db.ndim == 1 else tens.reshape(db.shape), db, out=db, where=where)
+        return np.power(tens if db.ndim == 1 else tens.reshape(db.shape), db, out=db)
     if not db.flags.c_contiguous:
-        return np.power(10.0, db, out=db, where=where)
-    flat, free = db.reshape(-1), np.broadcast_to(where, db.shape).reshape(-1)
+        return np.power(10.0, db, out=db)
+    flat = db.reshape(-1)
     for start in range(0, flat.size, _TENS.size):
         block = flat[start:start + _TENS.size]
-        np.power(_TENS[:block.size], block, out=block, where=free[start:start + _TENS.size])
+        np.power(_TENS[:block.size], block, out=block)
     return db
 
 
@@ -546,14 +544,14 @@ def validation_errors(scenario: Scenario) -> list[str]:
                 errors.append(
                     f"transmitter {tx.id!r}: power below p_min ({tx.tx_power_dbm} < {bounds.p_min_dbm} dBm)"
                 )
-            _check_slices((tx.band,), tx.quanta, dims, f"transmitter {tx.id!r}", errors)
+            check_slices((tx.band,), tx.quanta, dims, f"transmitter {tx.id!r}: ", errors)
         for rx in net.receivers:
             finite = _check_finite(f"receiver {rx.id!r}", errors, rx, "position", "beta_db",
                                    "noise_floor_dbm")
             _check_pattern(rx.pattern, f"receiver {rx.id!r}", errors)
             if finite and not rx.beta_db > 0:
                 errors.append(f"receiver {rx.id!r}: beta_db must be positive (got {rx.beta_db})")
-            _check_slices((rx.band,), rx.quanta, dims, f"receiver {rx.id!r}", errors)
+            check_slices((rx.band,), rx.quanta, dims, f"receiver {rx.id!r}: ", errors)
             linked = tx_ids.get(rx.linked_tx_id)
             if linked is None:
                 errors.append(f"receiver {rx.id!r}: dangling link {rx.linked_tx_id!r}")
@@ -604,20 +602,27 @@ def request_errors(scenario: Scenario, requests) -> list[str]:
                           f"{req.required_bands} of {len(req.acceptable_bands)} acceptable_bands)")
         if not req.quanta:
             errors.append(f"{who}: no time quanta requested")
-        _check_slices(req.acceptable_bands, req.quanta, scenario.dims, who, errors,
-                      ("acceptable_bands: band index", "quanta: time quantum"))
+        check_slices(req.acceptable_bands, req.quanta, scenario.dims, f"{who}: ", errors,
+                     ("acceptable_bands: band index", "quanta: time quantum"))
     return errors
 
 
-def _check_slices(bands, quanta, dims: SpectrumSpaceDims, who: str, errors: list[str],
-                  names=("band index", "time quantum")) -> None:
+def check_slices(bands, quanta, dims: SpectrumSpaceDims, who: str, errors: list[str],
+                 names=("band index", "time quantum")) -> None:
+    # who carries its own separator ("" or "receiver 'r': "): each message starts with it as is
     for name, indices, count in ((names[0], bands, dims.b_hat), (names[1], quanta, dims.t_hat)):
         # grouped by type, so that sorted() never compares a string with a number
         for i in sorted(indices, key=lambda i: (type(i).__name__, i)):
             if not _is_integer(i):
-                errors.append(f"{who}: {name} {i!r} is not an integer")
+                errors.append(f"{who}{name} {i!r} is not an integer")
             elif _is_integer(count) and not 0 <= i < count:
-                errors.append(f"{who}: {name} {i} out of range [0, {count})")
+                errors.append(f"{who}{name} {i} out of range [0, {count})")
+
+
+def check_non_negative(what: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite, non-negative real number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be finite and non-negative (got {value})")
 
 
 def _is_integer(value) -> bool:

@@ -8,7 +8,6 @@ values, not exceptions, so a manager can log and move on. The tariff,
 
 from __future__ import annotations
 
-import math
 from typing import Mapping
 
 import numpy as np
@@ -19,6 +18,7 @@ from .model import (
     Record,
     Scenario,
     ScenarioValidationError,
+    check_non_negative,
     db_to_linear,
     request_errors,
     resolve,
@@ -60,9 +60,7 @@ class Grant(Record):
     issued_at: int = 0
 
     def cap_at(self, band: int, quantum: int, cell: Cell | None) -> float | None:
-        if cell is None:
-            return None
-        return self.caps_dbm.get((band, quantum), {}).get(cell)
+        return None if cell is None else self.caps_dbm.get((band, quantum), {}).get(tuple(cell))
 
     def cap_dbm(self) -> float:
         """The grant's one cap; ValueError unless all its caps are one value, as define_rights issues."""
@@ -102,10 +100,9 @@ class Violation(Record):
 def apply_guard_margin(opportunity: PowerField, margin_db: float, bounds: PowerBounds) -> PowerField:
     """Back every cell off by a safety margin, never dropping below the floor.
 
-    Raises ValueError for a margin that is negative or not finite.
+    Raises ValueError for a margin that is not a finite, non-negative number.
     """
-    if not math.isfinite(margin_db) or margin_db < 0:
-        raise ValueError(f"guard margin must be finite and non-negative (got {margin_db})")
+    check_non_negative("guard margin", margin_db)
     values = np.maximum(bounds.p_min_dbm, opportunity.values_dbm - margin_db)
     return PowerField(opportunity.band, opportunity.quantum, values, opportunity.zero_margin_rx_ids)
 
@@ -128,14 +125,13 @@ def define_rights(scenario: Scenario, request: RightsRequest, margin_db: float,
       Grant or Refusal.
 
     Raises:
-      ValueError: the margin is negative or not finite.
+      ValueError: the margin is not a finite, non-negative number.
       ScenarioValidationError: the request breaks a rule of model.request_errors
         as the one-band AccessRequest it describes: a position off the grid,
         a power that is not finite, a minimum useful power above the desired
         one, no quanta, or a band or quantum out of range.
     """
-    if not math.isfinite(margin_db) or margin_db < 0:
-        raise ValueError(f"guard margin must be finite and non-negative (got {margin_db})")
+    check_non_negative("guard margin", margin_db)
     errors = request_errors(scenario, [AccessRequest(
         request.tx_id, tuple(request.position), request.desired_dbm, request.min_useful_dbm,
         1, frozenset({request.band}), request.quanta)])
@@ -184,10 +180,9 @@ def enforce(grants, observed: Scenario, tolerance_db: float = 0.5) -> list[Viola
     is reported against the power floor. A grantee that is absent from the
     observed scenario is simply compliant.
 
-    Raises ValueError for a tolerance that is negative or not finite.
+    Raises ValueError for a tolerance that is not a finite, non-negative number.
     """
-    if not (math.isfinite(tolerance_db) and tolerance_db >= 0):
-        raise ValueError(f"tolerance must be finite and non-negative (got {tolerance_db})")
+    check_non_negative("tolerance", tolerance_db)
     by_tx: dict[str, list[Grant]] = {}
     for grant in grants:
         by_tx.setdefault(grant.grantee_tx_id, []).append(grant)

@@ -7,11 +7,11 @@ consumption; all sums happen in linear milliwatts.
 
 Each integrated field is finished in the array its linear caps were folded
 into: clipped to dBm in place (model.linear_to_db_in_place), then back to mW
-in place by model.db_to_linear_in_place, the one array 10 ** (x / 10),
-computed only on cells off the power bounds and the bounds' own linear values
-copied into the rest. The floats are those of converting on copies. A slice
-an entity is idle in is a read-only, zero-stride view of 0.0, and quantify()
-sums each distinct array once.
+in place by model.db_to_linear_in_place, the one array 10 ** (x / 10), with
+the bounds' own linear values copied over the cells on a power bound. The
+floats are those of converting on copies. A slice an entity is idle in is a
+read-only, zero-stride view of 0.0, and quantify() sums each distinct array
+once.
 
 Occupancy is walked band-major (occupancy_maps): a transmitter's received
 field is built once per band and added to every listed quantum it is active
@@ -48,6 +48,7 @@ from .model import (
     Scenario,
     SpectrumSpaceDims,
     Transmitter,
+    check_slices,
     db_to_linear,
     db_to_linear_in_place,
     linear_to_db,
@@ -147,11 +148,10 @@ class HarvestMetrics(Record):
 
 
 def _check_slice(dims: SpectrumSpaceDims, band: int, quantum: int) -> None:
-    for name, i, count in (("band index", band, dims.b_hat), ("time quantum", quantum, dims.t_hat)):
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise ValueError(f"{name} {i!r} is not an integer")
-        if not 0 <= i < count:
-            raise ValueError(f"{name} {i} out of range [0, {count})")
+    errors: list[str] = []
+    check_slices((band,), (quantum,), dims, "", errors)
+    if errors:
+        raise ValueError(errors[0])
 
 
 def _all_slices(dims: SpectrumSpaceDims) -> list[Slice]:
@@ -167,15 +167,12 @@ def _linear_in_place(values: np.ndarray, bounds: PowerBounds) -> np.ndarray:
     """A float dBm field the caller owns, in linear mW over itself, exact on the power bounds.
 
     numpy's ** may round 10 ** (x / 10) one ulp away from the Python float **
-    of PowerBounds, so ** skips the cells equal to a bound and they take that
-    bound's linear value. Every other cell gets db_to_linear_in_place's
+    of PowerBounds, so the cells equal to a bound are overwritten with that
+    bound's linear value. Every other cell keeps db_to_linear_in_place's
     10 ** (x / 10), bit for bit db_to_linear.
     """
-    at_min = values == bounds.p_min_dbm
-    at_max = values == bounds.p_max_dbm
-    free = np.logical_or(at_min, at_max)
-    np.logical_not(free, out=free)
-    db_to_linear_in_place(values, where=free)
+    at_min, at_max = values == bounds.p_min_dbm, values == bounds.p_max_dbm
+    db_to_linear_in_place(values)
     np.copyto(values, bounds.p_min_linear, where=at_min)
     np.copyto(values, bounds.p_max_linear, where=at_max)
     return values

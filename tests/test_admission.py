@@ -241,6 +241,20 @@ class TestAdmitQuantified:
             with pytest.raises(ValueError, match=f"{label} must be finite"):
                 admit(canonical_link(), requests, value)
 
+    @pytest.mark.parametrize("value", ["a", 1j, [0.0]], ids=["str", "complex", "list"])
+    @pytest.mark.parametrize("admit, label", [
+        (lambda scn, reqs, value: admit_quantified(scn, reqs, value), "guard margin"),
+        (lambda scn, reqs, value: rights_register(scn, reqs, value), "guard margin"),
+        (lambda scn, reqs, value: admit_osa(scn, reqs, value), "sensing threshold"),
+        (lambda scn, reqs, value: compare_policies(scn, reqs, value, -90.0), "guard margin"),
+        (lambda scn, reqs, value: compare_policies(scn, reqs, 0.0, value), "sensing threshold"),
+    ], ids=["quantified", "register", "osa", "compare-margin", "compare-threshold"])
+    def test_every_entry_point_refuses_a_value_that_is_not_a_number(self, admit, label, value):
+        # math.isfinite used to leak its own TypeError ("must be real number, not str")
+        for requests in ([_request("r1", (250.0, 50.0))], []):
+            with pytest.raises(ValueError, match=f"{label} must be finite"):
+                admit(canonical_link(), requests, value)
+
     @pytest.mark.parametrize("admit", [
         lambda scn, reqs: admit_quantified(scn, reqs, -1.0),
         lambda scn, reqs: rights_register(scn, reqs, -1.0),

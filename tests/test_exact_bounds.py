@@ -98,12 +98,12 @@ def test_perfect_harvest_recovers_exactly_the_available_spectrum(seed):
 
 # The edges of an integrated field run over arrays the walk already owns:
 # linear_to_db_in_place turns folded caps into clipped dBm, and the quantify
-# module's _linear_in_place turns that dBm back into mW, skipping ** on every
-# cell that sits on a bound (np.power(..., where=)). A masked ufunc hands the
-# inner loop only the runs of cells between bound cells, so these properties
-# feed it bound and free runs of every length from 1 to 17 at varied offsets:
-# they fail on any CPU where the masked loop rounds a cell differently from
-# the unmasked call the fields were pinned with.
+# module's _linear_in_place turns that dBm back into mW, then copies each
+# bound's exact linear value over the cells that sit on it
+# (np.copyto(..., where=)). These properties feed it bound and free runs of
+# every length from 1 to 17 at varied offsets, so every bound cell is
+# overwritten and every free cell keeps the ** of the unmasked call the
+# fields were pinned with.
 
 SPECIAL = (np.nan, np.inf, -np.inf, -0.0)
 RUN_KINDS = ("min", "max", "free")
@@ -174,19 +174,19 @@ def test_in_place_dbm_conversion_is_the_clipped_formula(p_max, p_min, n_y, n_x, 
 # model.db_to_linear_in_place is the package's one array 10 ** (x / 10). It
 # feeds np.power a contiguous base block of 10.0 instead of the scalar, block
 # by block over a large array's flat view. These properties pin it to the
-# scalar-base call bit for bit, masked or not, across the block edges; any CPU
-# whose power loop rounds a contiguous base differently fails them.
+# scalar-base call bit for bit across the block edges; any CPU whose power
+# loop rounds a contiguous base differently fails them.
 
 BLOCK = model._TENS.size
 BLOCK_EDGES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 62_500]
 HUGE = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 4000.0, -4000.0)
 
 
-def scalar_base(db: np.ndarray, where=True) -> np.ndarray:
-    """np.power(10.0, db / 10) on a copy, masked cells left at db / 10."""
+def scalar_base(db: np.ndarray) -> np.ndarray:
+    """np.power(10.0, db / 10) on a copy."""
     out = db / 10.0
     with np.errstate(over="ignore"):
-        return np.power(10.0, out, out=out, where=where)
+        return np.power(10.0, out, out=out)
 
 
 def kernel_cells(size: int, seed: int) -> np.ndarray:
@@ -199,25 +199,22 @@ def kernel_cells(size: int, seed: int) -> np.ndarray:
 
 
 @given(size=st.sampled_from(BLOCK_EDGES) | st.integers(0, 3 * BLOCK + 7),
-       rows=st.sampled_from([1, 2, 5, 250]), masked=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(size=62_500, rows=250, masked=True, seed=0)
-@example(size=62_500, rows=250, masked=False, seed=0)
-@example(size=BLOCK + 1, rows=1, masked=False, seed=0)
-@example(size=BLOCK + 1, rows=1, masked=True, seed=0)
-@example(size=BLOCK, rows=1, masked=False, seed=0)
-@example(size=BLOCK - 1, rows=1, masked=True, seed=0)
-@example(size=1, rows=1, masked=False, seed=0)
-@example(size=0, rows=1, masked=False, seed=0)
-def test_block_kernel_is_the_scalar_base_call(size, rows, masked, seed):
+       rows=st.sampled_from([1, 2, 5, 250]), seed=st.integers(0, 2**32 - 1))
+@example(size=62_500, rows=250, seed=0)
+@example(size=BLOCK + 1, rows=1, seed=0)
+@example(size=BLOCK, rows=1, seed=0)
+@example(size=BLOCK - 1, rows=1, seed=0)
+@example(size=1, rows=1, seed=0)
+@example(size=0, rows=1, seed=0)
+def test_block_kernel_is_the_scalar_base_call(size, rows, seed):
     cells = kernel_cells(size, seed)
     shape = (rows, size // rows) if size % rows == 0 and rows > 1 else (size,)
     cells = cells.reshape(shape)
-    where = np.random.default_rng(seed + 1).integers(0, 2, shape).astype(bool) if masked else True
 
     owned = cells.copy()
     with np.errstate(over="ignore"):
-        assert model.db_to_linear_in_place(owned, where=where) is owned
-    assert same_bits(owned, scalar_base(cells, where))
+        assert model.db_to_linear_in_place(owned) is owned
+    assert same_bits(owned, scalar_base(cells))
 
 
 @pytest.mark.parametrize("make", [
@@ -225,17 +222,15 @@ def test_block_kernel_is_the_scalar_base_call(size, rows, masked, seed):
     lambda a: a.T,               # Fortran order, larger than a block
     lambda a: a[:3, ::7],        # strided, within one block
 ], ids=["strided", "transposed", "small strided"])
-@pytest.mark.parametrize("masked", [False, True])
-def test_non_contiguous_arrays_are_converted_where_they_lie(make, masked):
+def test_non_contiguous_arrays_are_converted_where_they_lie(make):
     base = kernel_cells(100 * 91, 7).reshape(100, 91)
     before = base.copy()
     view = make(base)
     assert not view.flags.c_contiguous
-    where = np.random.default_rng(8).integers(0, 2, view.shape).astype(bool) if masked else True
-    expected = scalar_base(make(before), where)
+    expected = scalar_base(make(before))
 
     with np.errstate(over="ignore"):
-        assert model.db_to_linear_in_place(view, where=where) is view
+        assert model.db_to_linear_in_place(view) is view
     assert same_bits(make(base), expected)
     untouched = np.ones(base.shape, dtype=bool)
     make(untouched)[...] = False

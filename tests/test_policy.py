@@ -82,6 +82,12 @@ class TestGuardMargin:
         with pytest.raises(ValueError, match="finite"):
             apply_guard_margin(field, margin_db, BOUNDS)
 
+    @pytest.mark.parametrize("margin_db", ["a", None, 1j])
+    def test_a_margin_that_is_not_a_number_is_rejected(self, margin_db):
+        field = PowerField(0, 0, np.zeros((1, 1)))
+        with pytest.raises(ValueError, match=r"guard margin must be finite and non-negative \(got "):
+            apply_guard_margin(field, margin_db, BOUNDS)
+
     def test_larger_margin_never_leaves_more_available(self):
         scn = canonical_link()
         field = opportunity_map(scn, 0, 0)
@@ -184,6 +190,13 @@ class TestDefineRights:
             define_rights(load_scenario(CAMPUS), request, margin_db=0.0)
         assert err.value.errors == [named]
 
+    @pytest.mark.parametrize("margin_db", ["a", None, 1j])
+    def test_a_margin_that_is_not_a_number_is_rejected(self, margin_db):
+        request = RightsRequest(tx_id="e1", position=(250.0, 50.0), desired_dbm=30.0,
+                                min_useful_dbm=0.0, band=0, quanta=frozenset({0}))
+        with pytest.raises(ValueError, match=r"guard margin must be finite and non-negative \(got "):
+            define_rights(canonical_link(), request, margin_db=margin_db)
+
     def test_a_position_given_as_a_list_or_array_is_still_checked_and_granted(self):
         scn = load_scenario(CAMPUS)
         for position in ([475.0, 125.0], np.array([475.0, 125.0])):
@@ -239,6 +252,13 @@ class TestEnforce:
         with pytest.raises(ValueError, match="finite"):
             enforce([grant], observed, tolerance_db=tolerance_db)
 
+    @pytest.mark.parametrize("tolerance_db", ["a", None, 1j])
+    def test_a_tolerance_that_is_not_a_number_is_rejected(self, tolerance_db):
+        # math.isfinite used to leak its own TypeError, also with no grant to audit
+        for grants in ([self._grant()], []):
+            with pytest.raises(ValueError, match=r"tolerance must be finite and non-negative \(got "):
+                enforce(grants, _observed(0.0), tolerance_db=tolerance_db)
+
     def test_negative_tolerance_rejected(self):
         # a negative tolerance flagged an entrant transmitting exactly at its cap
         grant = self._grant()
@@ -279,6 +299,19 @@ class TestEnforce:
         assert flagged["e1"].grant_id is None
         assert flagged["e1"].granted_dbm == BOUNDS.p_min_dbm
         assert flagged["e1"].cell == (3, 0)
+
+    def test_a_cell_given_as_a_list_or_array_is_the_tuple_cell(self):
+        # a list or array cell used to raise "unhashable type" instead of reading the cap
+        scn = load_scenario(CAMPUS)
+        request = RightsRequest(tx_id="e1", position=(475.0, 125.0), desired_dbm=18.0,
+                                min_useful_dbm=-20.0, band=0, quanta=frozenset({0}))
+        grant = define_rights(scn, request, margin_db=0.0)
+        cell = scn.grid.cell_of(request.position)
+        assert grant.cap_at(0, 0, cell) == 18.0
+        for same in (list(cell), np.array(cell)):
+            assert grant.cap_at(0, 0, same) == 18.0
+            assert grant.cap_at(0, 1, same) is None
+        assert grant.cap_at(0, 0, [cell[0] + 1, cell[1]]) is None
 
     def test_best_cap_among_overlapping_grants_wins(self):
         lenient = Grant(grant_id="g-hi", grantee_tx_id="e1",

@@ -41,7 +41,7 @@ from spectrumspace import (
     tx_consumption,
 )
 from spectrumspace.propagation import link_gain_db
-from spectrumspace.model import linear_to_db_in_place
+from spectrumspace.model import linear_to_db_in_place, validation_errors
 from spectrumspace.quantify import link_powers, occupancy_maps
 
 from helpers import (
@@ -243,6 +243,21 @@ class TestSliceIndices:
         for query in (budget.slice, budget.active, lambda b, q: budget.opportunity_at_cell(b, q, (3, 0))):
             with pytest.raises(ValueError, match="time quantum True is not an integer"):
                 query(0, True)
+
+    @pytest.mark.parametrize("b_hat", [2.0, 2.5, "2"])
+    def test_a_count_that_is_not_an_integer_bounds_no_index(self, b_hat):
+        # One slice rule, model.check_slices: validation reports such a count once and the range
+        # checks skip it. So does quantify's key check, which the only caller that can pass such
+        # dims unvalidated reaches; an index that is not an integer is still refused.
+        dims = SpectrumSpaceDims(b_hat=b_hat, t_hat=2)
+        grid = make_grid(1, 1, 1.0)
+        assert quantify(ConsumptionSpace(frozenset(), {(5, 0): np.ones((1, 1))}), grid, dims).value == 0.001
+        with pytest.raises(ValueError, match="band index 0.5 is not an integer"):
+            quantify(ConsumptionSpace(frozenset(), {(0.5, 0): np.ones((1, 1))}), grid, dims)
+        with pytest.raises(ValueError, match=r"time quantum 2 out of range \[0, 2\)"):
+            quantify(ConsumptionSpace(frozenset(), {(5, 2): np.ones((1, 1))}), grid, dims)
+        assert validation_errors(replace(two_by_two_link(), dims=dims)) == [
+            f"dims: b_hat must be an integer (got {b_hat!r})"]
 
     def test_numpy_integers_are_slice_indices(self):
         scn = two_by_two_link()

@@ -13,10 +13,16 @@
   call ``_entrant_caps``: entrant caps are folded into a grid in one place, so
   a second fold (a solo-denial path beside the joint one) cannot come back.
 - ``np.power`` appears only in ``model.db_to_linear_in_place``, so every
-  array 10 ** x goes through one conversion kernel.
+  array 10 ** x goes through one conversion kernel, and it takes no
+  ``where=`` mask: cells on a power bound get their exact value in one place,
+  ``quantify._linear_in_place``.
 - No module calls the builtin ``sum``: from Python 3.12 it compensates float
   sums, so totals are added with ``+=`` in a stated order (``np.sum`` is fine).
 - No module imports another module's private (underscore) name.
+- Each refusal rule is written in one line of the package: a guard margin or
+  tolerance that is not a finite, non-negative number (``model.check_non_negative``),
+  and a band or quantum that is not an integer or out of range
+  (``model.check_slices``).
 - Only ``scenario_io`` imports ``json``: documents and reports are read and
   written there, so no other module builds or dumps JSON by hand.
 - Only ``scenario_io`` calls the report renderers (``format_number``,
@@ -148,6 +154,17 @@ def _numpy_power_uses(path: Path) -> list[str]:
     return found
 
 
+def _masked_power_calls(path: Path) -> list[int]:
+    """Lines that call anything named ``power`` with a ``where`` keyword."""
+    return [node.lineno for node in _nodes(path) if isinstance(node, ast.Call) and _called_name(node) == "power"
+            and any(keyword.arg == "where" for keyword in node.keywords)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_np_power_takes_no_mask(path):
+    assert _masked_power_calls(path) == []
+
+
 def test_np_power_is_called_only_in_the_conversion_kernel():
     uses = {path.name: _numpy_power_uses(path) for path in MODULES}
     kernel = uses.pop("model.py")
@@ -158,6 +175,17 @@ def test_np_power_is_called_only_in_the_conversion_kernel():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_name_is_imported_across_modules(path):
     assert _private_imports(path) == []
+
+
+REFUSALS = ("must be finite and non-negative (got", "{name} {i!r} is not an integer",
+            "{name} {i} out of range [0, {count})")
+
+
+@pytest.mark.parametrize("template", REFUSALS)
+def test_each_refusal_rule_is_written_once(template):
+    lines = [f"{path.name}:{number}" for path in MODULES
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if template in line]
+    assert len(lines) == 1, lines
 
 
 def _json_imports(path: Path) -> list[int]:
