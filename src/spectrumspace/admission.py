@@ -94,19 +94,15 @@ def _order(requests) -> list[AccessRequest]:
     return sorted(requests, key=lambda r: (r.priority, r.request_id))
 
 
-def _check_inputs(scenario: Scenario, requests, margin_db: float | None = None,
-                  sensitivity_dbm: float | None = None) -> None:
-    """The entry points' prologue, run before any request is walked.
+def _check_inputs(scenario: Scenario, requests, sensitivity_dbm: float | None = None) -> None:
+    """The entry points' prologue, run before any request is walked, after any guard margin's check.
 
-    Raises ValueError when a given guard margin is not a finite, non-negative
-    number or a given threshold not a finite one; then ScenarioValidationError
+    Raises ValueError when a given threshold is not a finite number; then ScenarioValidationError
     listing every request_errors entry, and every request id or entrant id
     that collides with a scenario id or an earlier request's ids. A request
     that needs more than one band can take one entrant id per acceptable
     band (``<id>:b<band>``); a one-band request's entrant takes its own id.
     """
-    if margin_db is not None:
-        check_non_negative("guard margin", margin_db)
     if sensitivity_dbm is not None and not (isinstance(sensitivity_dbm, numbers.Real)
                                             and math.isfinite(sensitivity_dbm)):
         raise ValueError(f"sensing threshold must be finite (got {sensitivity_dbm})")
@@ -253,7 +249,8 @@ def admit_quantified(scenario: Scenario, requests, margin_db: float,
     Raises:
       ValueError: the margin is not a finite, non-negative number.
     """
-    _check_inputs(scenario, requests, margin_db)
+    check_non_negative("guard margin", margin_db)
+    _check_inputs(scenario, requests)
     budget = LinkBudget(scenario, protected)
     outcomes, admitted = _admit_in_order(budget, requests, partial(_rights_offer, margin_db))
     return AdmissionOutcome(outcomes, admitted, budget.available_spectrum()), budget.scenario
@@ -281,7 +278,8 @@ def rights_register(observed: Scenario, requests, margin_db: float,
         replace(net, transmitters=tuple(tx for tx in net.transmitters if tx.id not in entrant_ids))
         for net in observed.networks
     ))
-    _check_inputs(baseline, requests, margin_db)
+    check_non_negative("guard margin", margin_db)
+    _check_inputs(baseline, requests)
     outcomes, _ = _admit_in_order(LinkBudget(baseline, protected), requests,
                                   partial(_rights_offer, margin_db))
     grants = [grant for o in outcomes for grant in o.grants]
@@ -300,7 +298,7 @@ def admit_osa(scenario: Scenario, requests, sensitivity_dbm: float) -> tuple[Adm
     Raises:
       ValueError: the threshold is not a finite number.
     """
-    _check_inputs(scenario, requests, sensitivity_dbm=sensitivity_dbm)
+    _check_inputs(scenario, requests, sensitivity_dbm)
     # Sensing reads only the slices' active transmitters, so this budget
     # computes no margin before available_spectrum.
     budget = LinkBudget(scenario)
@@ -375,7 +373,8 @@ def compare_policies(scenario: Scenario, requests, margin_db: float,
     Raises:
       ValueError: the margin is not a finite, non-negative number, or the threshold not a finite one.
     """
-    _check_inputs(scenario, requests, margin_db, sensitivity_dbm)
+    check_non_negative("guard margin", margin_db)
+    _check_inputs(scenario, requests, sensitivity_dbm)
 
     def summary(name: str, budget: LinkBudget, offer) -> PolicySummary:
         outcomes, admitted = _admit_in_order(budget, requests, offer)

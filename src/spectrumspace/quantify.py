@@ -21,7 +21,7 @@ entrant gain field per receiver, and one band's caps held at a time.
 LinkBudget._opportunity_fields is the one fold of entrant caps into a grid:
 every opportunity field, joint denial and receiver charge comes from it. A
 receiver's charge, rx_consumption, is the denial of protecting it alone;
-receiver_accounting charges it one slice at a time.
+receiver_accounting folds it from the all-receiver budget, slice by slice.
 
 Every walk drops a full-grid array as soon as its last reader is done: a
 gain or received field once it is folded in, a network's sums once they are
@@ -474,8 +474,9 @@ class LinkBudget:
         the next is built. ``gains(band)`` gives a run's pairs; by default
         _entrant_gains of the protected receivers active in a listed slice of
         the band, in declaration order, each field built as it is read. A
-        protected receiver folds margin / gain into every listed slice it is
-        active in; any other receiver folds nothing. The first caps
+        protected receiver the pairs yield folds margin / gain into every
+        listed slice it is active in; any other receiver folds nothing and is
+        neither capped nor marked. The first caps
         of a slice become its array, through np.fmin(inf, caps); a later
         receiver's are folded in a few rows (about 4,096 cells) at a time,
         each block's caps divided into a temporary of that many rows and
@@ -496,7 +497,7 @@ class LinkBudget:
             allowed: dict[Slice, np.ndarray] = {}
             for rx, gain in pairs:
                 rows = max(1, 4096 // gain.shape[1])
-                for key, margin in folds.get(rx.id, ()):
+                for key, margin in folds.pop(rx.id, ()):
                     if key not in allowed:
                         caps = allowed[key] = _entrant_caps(margin, gain)
                         np.fmin(np.inf, caps, out=caps)
@@ -506,7 +507,8 @@ class LinkBudget:
                             np.fmin(block, _entrant_caps(margin, gain[y:y + rows]), out=block)
                 gain = caps = block = None  # release them before the next gain field is built
             for key, found in budgets.items():
-                yield _capped_field(key, allowed.pop(key, None), found, scenario)
+                folded = [e for e in zip(found.receivers, found.cells, found.margin) if e[0].id not in folds]
+                yield _capped_field(key, allowed.pop(key, None), folded, scenario)
 
     def opportunity_at_cell(self, band: int, quantum: int, cell: Cell) -> tuple[float, str | None]:
         """:func:`opportunity_at_cell` of this budget's scenario and protected set."""
@@ -530,18 +532,18 @@ class LinkBudget:
         return _integrated(self._opportunity_fields(_all_slices(self.scenario.dims)), self.scenario)
 
 
-def _capped_field(key: Slice, allowed: np.ndarray | None, found: SliceBudget, scenario: Scenario) -> PowerField:
-    """An opportunity field from the entrant caps of ``found``'s receivers folded into ``allowed``
-    (None when there are none): clipped dBm over ``allowed`` itself, p_min on every cell hosting one
-    of them, and the ids of those with zero margin."""
+def _capped_field(key: Slice, allowed: np.ndarray | None, folded: list, scenario: Scenario) -> PowerField:
+    """An opportunity field from the caps of the ``folded`` (receiver, cell, margin) entries folded
+    into ``allowed`` (None when there are none): clipped dBm over ``allowed`` itself, p_min on every
+    cell hosting one of them, and the ids of those with zero margin."""
     grid, bounds = scenario.grid, scenario.bounds
     if allowed is None:
         return PowerField(*key, np.full((grid.n_y, grid.n_x), float(bounds.p_max_dbm)))
     values = linear_to_db_in_place(allowed, bounds)
-    for cell in found.cells:
+    for _, cell, _ in folded:
         if cell is not None:
             values[cell[1], cell[0]] = bounds.p_min_dbm
-    zero_margin = tuple(rx.id for rx, margin in zip(found.receivers, found.margin) if margin == 0.0)
+    zero_margin = tuple(rx.id for rx, _, margin in folded if margin == 0.0)
     return PowerField(*key, values, zero_margin)
 
 
@@ -750,18 +752,19 @@ def receiver_accounting(scenario: Scenario, protected) -> tuple[SpectrumQuantity
     declaration order. The walk goes band by band, in declaration order within
     a band, and every receiver, protected or not, has its entrant gain field
     built once: the walk folds it into its band's joint fields, then charges
-    the receiver's one-receiver denial from it, one slice at a time (each
-    slice's caps folded, finished, turned into denial and summed before the
-    next slice's are folded), and drops it before the next field is built.
+    its one-receiver denial from it through the all-receiver budget, one slice
+    at a time (each slice's caps folded, finished, turned into denial and summed
+    before the next is folded), and drops it before the next field is built.
     """
     charges: dict[str, SpectrumQuantity] = {}
     keys = _all_slices(scenario.dims)
+    joint = LinkBudget(scenario, protected)
+    everyone = joint if protected is None else LinkBudget(scenario)
 
     def solo_fields(rx: Receiver, gain: np.ndarray) -> Iterator[PowerField]:
-        solo = LinkBudget(scenario, [rx.id])
         for key in keys:
             if rx.active_in(*key):
-                yield from solo._opportunity_fields([key], lambda _: [(rx, gain)])
+                yield from everyone._opportunity_fields([key], lambda _: [(rx, gain)])
 
     def walk(band: int) -> Iterator[tuple[Receiver, np.ndarray]]:
         for rx, gain in _entrant_gains(scenario, [rx for rx in scenario.receivers() if rx.band == band]):
@@ -769,7 +772,7 @@ def receiver_accounting(scenario: Scenario, protected) -> tuple[SpectrumQuantity
             charges[rx.id] = _integrated(solo_fields(rx, gain), scenario, True, keys)
             gain = None  # release it before the next one is built
 
-    available = _integrated(LinkBudget(scenario, protected)._opportunity_fields(keys, walk), scenario)
+    available = _integrated(joint._opportunity_fields(keys, walk), scenario)
     return available, {rx.id: charges[rx.id] for rx in scenario.receivers()}
 
 

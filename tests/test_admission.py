@@ -268,6 +268,18 @@ class TestAdmitQuantified:
                 admit(doc.scenario, requests)
 
     @pytest.mark.parametrize("admit", [
+        lambda scn, reqs: admit_quantified(scn, reqs, None),
+        lambda scn, reqs: rights_register(scn, reqs, None),
+        lambda scn, reqs: compare_policies(scn, reqs, None, -90.0),
+    ], ids=["quantified", "register", "compare"])
+    def test_every_entry_point_refuses_a_none_margin(self, admit):
+        # None is a margin like any other, not "no margin given": refused also with no requests
+        doc = load_document(CAMPUS)
+        for requests in ([], doc.requests):
+            with pytest.raises(ValueError, match=r"guard margin must be finite and non-negative \(got None\)"):
+                admit(doc.scenario, requests)
+
+    @pytest.mark.parametrize("admit", [
         lambda scn, reqs: admit_quantified(scn, reqs, 3.0),
         lambda scn, reqs: admit_osa(scn, reqs, -90.0),
         lambda scn, reqs: compare_policies(scn, reqs, 3.0, -90.0),

@@ -492,12 +492,12 @@ class TestCommandMemory:
           second's folded in: 2 fields;
         - the entrant gain field of the receiver being charged: 1;
         - that receiver's one-receiver denial, one slice at a time: 1;
-        - while that slice turns from dBm into mW, three boolean masks of one byte per cell: 3/8.
+        - while that slice turns from dBm into mW, two boolean masks of one byte per cell: 2/8.
 
-        That is 4.375 fields, 4.875 with the small arrays (4.58 measured). A fold that divides a
-        later receiver's caps into a full-grid scratch holds one field more (5.58 measured).
+        That is 4.25 fields, 4.75 with the small arrays (4.44 measured). A fold that divides a
+        later receiver's caps into a full-grid scratch holds one field more (5.45 measured).
         """
-        slices, gain, solo, masks = 2, 1, 1, 3 / 8
+        slices, gain, solo, masks = 2, 1, 1, 2 / 8
         assert self.peak_fields(document, "report") < slices + gain + solo + masks + self.SMALL
 
 

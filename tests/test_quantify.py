@@ -40,7 +40,7 @@ from spectrumspace import (
     total_spectrum,
     tx_consumption,
 )
-from spectrumspace.propagation import link_gain_db
+from spectrumspace.propagation import entrant_gain_field_linear, link_gain_db
 from spectrumspace.model import linear_to_db_in_place, validation_errors
 from spectrumspace.quantify import link_powers, occupancy_maps
 
@@ -757,10 +757,13 @@ class TestReceiverMajorFields:
 class TestReceiverChargeWork:
     """A link budget resolves its protected receivers once and builds state only for their slices.
 
-    receiver_accounting reads the receivers R + B + 2 times: once per budget
-    (the joint one and R one-receiver ones), once per band of the receiver
-    walk, and once to order the charges. A one-receiver budget prepares the
-    receiver and the active transmitters of each slice the receiver is
+    receiver_accounting charges every receiver through the one budget that
+    holds its slice entries, so its work does not grow with the receiver
+    count: with everything protected it reads the receivers B + 2 times (once
+    for its one budget, once per band of the receiver walk, and once to order
+    the charges) and prepares targets and computes link powers exactly as
+    available_spectrum does. A one-receiver budget, rx_consumption's, prepares
+    the receiver and the active transmitters of each slice the receiver is
     active in, and nothing for any other slice.
     """
 
@@ -770,10 +773,25 @@ class TestReceiverChargeWork:
     def test_receiver_accounting_reads_the_receivers_once_per_budget_and_band(self, monkeypatch, scn):
         reads = []
         real = Scenario.receivers
-        n_receivers = len(list(scn.receivers()))
         monkeypatch.setattr(Scenario, "receivers", lambda scenario: reads.append(scenario) or real(scenario))
         receiver_accounting(scn, None)
-        assert len(reads) == n_receivers + scn.dims.b_hat + 2
+        assert len(reads) == scn.dims.b_hat + 2
+
+    @pytest.mark.parametrize("scn", SCENARIOS)
+    def test_receiver_accounting_builds_the_state_available_spectrum_builds(self, monkeypatch, scn):
+        """The same prepare_targets calls (by the ids prepared) and link_powers calls (by receiver), in
+        the same order."""
+        calls = []
+        prepare, powers = quantify_module.prepare_targets, quantify_module.link_powers
+        monkeypatch.setattr(quantify_module, "prepare_targets",
+                            lambda items: calls.append([item.id for item in items]) or prepare(items))
+        monkeypatch.setattr(quantify_module, "link_powers",
+                            lambda rx, *args: calls.append(rx.id) or powers(rx, *args))
+        available_spectrum(scn)
+        alone = list(calls)
+        calls.clear()
+        receiver_accounting(scn, None)
+        assert calls == alone
 
     @pytest.mark.parametrize("scn", SCENARIOS)
     def test_rx_consumption_prepares_targets_for_its_own_slices(self, monkeypatch, scn):
@@ -785,6 +803,23 @@ class TestReceiverChargeWork:
             prepared.clear()
             rx_consumption(rx, scn)
             assert len(prepared) == 2 * len(rx.quanta)
+
+    def test_a_receiver_the_walk_leaves_out_neither_caps_nor_marks_the_field(self):
+        """A budget over a healthy and a hopeless (zero-margin) receiver, walked with only the
+        healthy one's gain field, gives the healthy one's solo field: the hopeless one's cell is
+        not floored and its id is not flagged."""
+        scn = make_scenario([make_link("a", (150.0, 150.0), (250.0, 150.0), 20.0),
+                             make_link("z", (750.0, 850.0), (850.0, 850.0), -60.0)],
+                            grid=make_grid(10, 10, 100.0))
+        healthy, hopeless = scn.receiver("a-rx"), scn.receiver("z-rx")
+        assert opportunity_map(scn, 0, 0).zero_margin_rx_ids == (hopeless.id,)
+        gain = entrant_gain_field_linear(healthy.position, healthy.pattern, scn.grid, scn.propagation)
+        field = next(LinkBudget(scn)._opportunity_fields([(0, 0)], lambda _: [(healthy, gain)]))
+        solo = opportunity_map(scn, 0, 0, [healthy.id])
+        assert field.zero_margin_rx_ids == solo.zero_margin_rx_ids == ()
+        assert np.array_equal(field.values_dbm, solo.values_dbm)
+        ix, iy = scn.grid.cell_of(hopeless.position)
+        assert field.values_dbm[iy, ix] > BOUNDS.p_min_dbm
 
 
 class TestHarvest:
@@ -926,15 +961,15 @@ class TestFieldMemory:
     - that receiver's one-receiver denial, charged one slice at a time (its
       caps folded, finished, turned into denial and summed before the next
       slice's are folded): 1;
-    - while that slice turns from dBm into mW, three boolean masks of one
-      byte per cell (the cells on p_min, on p_max, and all others): 3/8.
+    - while that slice turns from dBm into mW, two boolean masks of one
+      byte per cell (the cells on p_min and on p_max): 2/8.
 
     A later receiver's caps are folded in a few rows at a time, through a
     temporary of about 4,096 cells (0.07 field), so no full-grid scratch is
-    held. That is 4.375 fields; the bound adds half a field for the small
+    held. That is 4.25 fields; the bound adds half a field for the small
     arrays (cell axes, link budgets, the fold's block) and tracemalloc's own
-    counting, 4.875 in all (4.44 measured). A fold that divides a later
-    receiver's caps into a full-grid scratch holds one field more (5.44
+    counting, 4.75 in all (4.30 measured). A fold that divides a later
+    receiver's caps into a full-grid scratch holds one field more (5.30
     measured), a charge that folds both slices of a two-quanta receiver
     before it converts either holds one more, a walk that holds every
     slice's caps until the last receiver has folded holds 4 more, one that
@@ -942,7 +977,7 @@ class TestFieldMemory:
     one more, and a whole-run field cache holds one per receiver.
     """
 
-    SLICES, GAIN, SOLO, MASKS, SMALL = 2, 1, 1, 3 / 8, 1 / 2
+    SLICES, GAIN, SOLO, MASKS, SMALL = 2, 1, 1, 2 / 8, 1 / 2
 
     def test_peak_of_the_receiver_walk(self):
         links = [make_link(f"b{band}t{quantum}k{k}", (x, y), (x + 200.0, y), 20.0, band=band,
