@@ -94,18 +94,20 @@ def _order(requests) -> list[AccessRequest]:
     return sorted(requests, key=lambda r: (r.priority, r.request_id))
 
 
-def _check_inputs(scenario: Scenario, requests, sensitivity_dbm: float | None = None) -> None:
-    """The entry points' prologue, run before any request is walked, after any guard margin's check.
-
-    Raises ValueError when a given threshold is not a finite number; then ScenarioValidationError
-    listing every request_errors entry, and every request id or entrant id
-    that collides with a scenario id or an earlier request's ids. A request
-    that needs more than one band can take one entrant id per acceptable
-    band (``<id>:b<band>``); a one-band request's entrant takes its own id.
-    """
-    if sensitivity_dbm is not None and not (isinstance(sensitivity_dbm, numbers.Real)
-                                            and math.isfinite(sensitivity_dbm)):
+def _check_threshold(sensitivity_dbm) -> None:
+    """Raise ValueError unless the sensing threshold is a finite real number; None is refused too."""
+    if not (isinstance(sensitivity_dbm, numbers.Real) and math.isfinite(sensitivity_dbm)):
         raise ValueError(f"sensing threshold must be finite (got {sensitivity_dbm})")
+
+
+def _check_inputs(scenario: Scenario, requests) -> None:
+    """The entry points' prologue, run before any request is walked, after their number checks.
+
+    Raises ScenarioValidationError listing every request_errors entry, and every request id or
+    entrant id that collides with a scenario id or an earlier request's ids. A request that needs
+    more than one band can take one entrant id per acceptable band (``<id>:b<band>``); a one-band
+    request's entrant takes its own id.
+    """
     errors = request_errors(scenario, requests)
     taken = scenario.all_ids()
     for req in requests:
@@ -154,7 +156,8 @@ def _realize(scenario: Scenario, req: AccessRequest, band: int,
     return scenario.with_network(RFNetwork(id=ENTRANT_NETWORK_ID, transmitters=(tx,))), tx
 
 
-def _admit_in_order(budget: LinkBudget, requests, offer) -> tuple[tuple[RequestOutcome, ...], int]:
+def _admit_in_order(budget: LinkBudget, requests,
+                    offer) -> tuple[tuple[RequestOutcome, ...], int, tuple[Transmitter, ...]]:
     """Admission of already checked requests, highest priority first.
 
     ``offer(budget, req, band, issued)`` prices one acceptable band against
@@ -165,10 +168,11 @@ def _admit_in_order(budget: LinkBudget, requests, offer) -> tuple[tuple[RequestO
     requests admitted so far.
 
     Returns:
-      (outcomes in admission order, admitted count); ``budget`` ends on the
-      augmented scenario.
+      (outcomes in admission order, admitted count, the realized entrants in
+      admission order); ``budget`` ends on the augmented scenario.
     """
     outcomes: list[RequestOutcome] = []
+    entrants: list[Transmitter] = []
     issued = 0
     for req in _order(requests):
         offers: list[tuple[float, int, float, Grant | None]] = []
@@ -184,7 +188,9 @@ def _admit_in_order(budget: LinkBudget, requests, offer) -> tuple[tuple[RequestO
             offers.sort(key=lambda item: item[:2])
             chosen = offers[: req.required_bands]
             for _, band, power, _ in chosen:
-                budget.add(*_realize(budget.scenario, req, band, power))
+                scenario, tx = _realize(budget.scenario, req, band, power)
+                budget.add(scenario, tx)
+                entrants.append(tx)
             issued += 1
             outcomes.append(RequestOutcome(
                 request_id=req.request_id,
@@ -199,7 +205,7 @@ def _admit_in_order(budget: LinkBudget, requests, offer) -> tuple[tuple[RequestO
                 admitted=False,
                 refusals=tuple(refusals),
             ))
-    return tuple(outcomes), issued
+    return tuple(outcomes), issued, tuple(entrants)
 
 
 def _rights_offer(margin_db: float, budget: LinkBudget, req: AccessRequest, band: int,
@@ -252,7 +258,7 @@ def admit_quantified(scenario: Scenario, requests, margin_db: float,
     check_non_negative("guard margin", margin_db)
     _check_inputs(scenario, requests)
     budget = LinkBudget(scenario, protected)
-    outcomes, admitted = _admit_in_order(budget, requests, partial(_rights_offer, margin_db))
+    outcomes, admitted, _ = _admit_in_order(budget, requests, partial(_rights_offer, margin_db))
     return AdmissionOutcome(outcomes, admitted, budget.available_spectrum()), budget.scenario
 
 
@@ -280,8 +286,7 @@ def rights_register(observed: Scenario, requests, margin_db: float,
     ))
     check_non_negative("guard margin", margin_db)
     _check_inputs(baseline, requests)
-    outcomes, _ = _admit_in_order(LinkBudget(baseline, protected), requests,
-                                  partial(_rights_offer, margin_db))
+    outcomes = _admit_in_order(LinkBudget(baseline, protected), requests, partial(_rights_offer, margin_db))[0]
     grants = [grant for o in outcomes for grant in o.grants]
     refusals = [refusal for o in outcomes for refusal in o.refusals]
     return grants, refusals
@@ -298,28 +303,23 @@ def admit_osa(scenario: Scenario, requests, sensitivity_dbm: float) -> tuple[Adm
     Raises:
       ValueError: the threshold is not a finite number.
     """
-    _check_inputs(scenario, requests, sensitivity_dbm)
+    _check_threshold(sensitivity_dbm)
+    _check_inputs(scenario, requests)
     # Sensing reads only the slices' active transmitters, so this budget
     # computes no margin before available_spectrum.
     budget = LinkBudget(scenario)
-    outcomes, admitted = _admit_in_order(budget, requests, partial(_sensing_offer, sensitivity_dbm))
+    outcomes, admitted, _ = _admit_in_order(budget, requests, partial(_sensing_offer, sensitivity_dbm))
     return AdmissionOutcome(outcomes, admitted, budget.available_spectrum()), budget.scenario
 
 
-def _entrant_exploitation(scenario: Scenario, original: Scenario) -> SpectrumQuantity:
-    """Spectrum consumed by the entrants admitted into ``scenario``, union per cell.
+def _entrant_exploitation(scenario: Scenario, entrants) -> SpectrumQuantity:
+    """Spectrum consumed by ``entrants``, the transmitters a walk realized in ``scenario``, union per cell.
 
-    The entrants are the transmitters of the entrant network that
-    ``original``, the scenario before admission, does not hold; an incumbent
-    network that happens to carry the entrant network's id is not counted.
-    Each slice sums the consumption of the entrants active in it, starting
-    from a copy of the first one's, and clips once; for non-negative terms
-    that is bit for bit combine_consumption applied pairwise, since idle
-    entrants add 0.0. A slice no entrant is active in keeps their idle view.
+    An incumbent network that carries the entrant network's id holds none of them, so is not counted.
+    Each slice sums the consumption of the entrants active in it, starting from a copy of the first
+    one's, and clips once; for non-negative terms that is bit for bit combine_consumption applied
+    pairwise, since idle entrants add 0.0. A slice no entrant is active in keeps their idle view.
     """
-    net = scenario.network(ENTRANT_NETWORK_ID)
-    incumbents = original.all_ids()
-    entrants = [tx for tx in net.transmitters if tx.id not in incumbents] if net is not None else []
     if not entrants:
         return SpectrumQuantity(0.0, {})
     idle, summed = {}, {}
@@ -374,15 +374,16 @@ def compare_policies(scenario: Scenario, requests, margin_db: float,
       ValueError: the margin is not a finite, non-negative number, or the threshold not a finite one.
     """
     check_non_negative("guard margin", margin_db)
-    _check_inputs(scenario, requests, sensitivity_dbm)
+    _check_threshold(sensitivity_dbm)
+    _check_inputs(scenario, requests)
 
     def summary(name: str, budget: LinkBudget, offer) -> PolicySummary:
-        outcomes, admitted = _admit_in_order(budget, requests, offer)
+        outcomes, admitted, entrants = _admit_in_order(budget, requests, offer)
         violations, total_db = _sinr_violations(scenario, budget.scenario)
         return PolicySummary(
             policy=name,
             admitted_count=admitted,
-            exploited=_entrant_exploitation(budget.scenario, scenario),
+            exploited=_entrant_exploitation(budget.scenario, entrants),
             violation_count=violations,
             violation_total_db=total_db,
             outcomes=outcomes,

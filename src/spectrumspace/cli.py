@@ -11,7 +11,7 @@ import math
 import os
 import sys
 
-from .model import Scenario, ScenarioValidationError
+from .model import Scenario
 from .quantify import (
     PriceSheet,
     available_spectrum,
@@ -25,7 +25,6 @@ from .quantify import (
 )
 from .scenario_io import (
     ScenarioDocument,
-    ScenarioFormatError,
     export_field,
     load_document,
     report_to_dict,
@@ -94,7 +93,7 @@ def run(argv) -> int:
         doc = load_document(args.scenario)
         os.makedirs(args.out, exist_ok=True)
         return _dispatch(args, doc)
-    except (ScenarioFormatError, ScenarioValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

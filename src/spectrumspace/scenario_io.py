@@ -34,6 +34,7 @@ from .model import (
     ScenarioValidationError,
     SpectrumSpaceDims,
     Transmitter,
+    check_slices,
     request_errors,
     validate_scenario,
 )
@@ -380,9 +381,7 @@ def _policy_errors(scenario: Scenario, policy: PolicyParams) -> list[str]:
     dims, first = scenario.dims, {}
     for i, (band, quantum, rate) in enumerate(policy.price_rates):
         who = f"policy.price_rates[{i}]"
-        for name, index, count in (("band", band, dims.b_hat), ("quantum", quantum, dims.t_hat)):
-            if not 0 <= index < count:
-                errors.append(f"{who}.{name}: {index} out of range [0, {count})")
+        check_slices((band,), (quantum,), dims, f"{who}.", errors, ("band:", "quantum:"))
         if rate < 0:
             errors.append(f"{who}.rate: must be non-negative (got {rate})")
         earlier = first.setdefault((band, quantum), i)

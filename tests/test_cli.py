@@ -194,6 +194,12 @@ class TestExitCodes:
         assert "must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_an_option_that_is_not_a_number_is_usage(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["admit", "--scenario", str(CAMPUS), "--out", str(out), "--margin-db", "abc"]) == 1
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRequestValidation:
     """A document whose requests break a rule is refused by every command, before any output."""

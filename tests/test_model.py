@@ -278,6 +278,28 @@ class TestValidation:
         assert "beamwidth_deg must be in (0, 360]" in text
         assert "unknown model 'two-ray'" in text
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"path_loss_exponent": 0.5}, "propagation: path_loss_exponent must be >= 1 (got 0.5)"),
+        ({"reference_distance_m": 0.0}, "propagation: reference_distance_m must be positive"),
+        ({"min_distance_clamp_m": -1.0}, "propagation: min_distance_clamp_m must be positive"),
+    ], ids=["exponent", "reference", "clamp"])
+    def test_each_propagation_rule_is_named(self, changes, message):
+        scn = dataclasses.replace(_two_link_scenario(), propagation=dataclasses.replace(PROP, **changes))
+        assert validation_errors(scn) == [message]
+
+    def test_power_below_p_min_is_named(self):
+        scn = dataclasses.replace(_two_link_scenario(),
+                                  networks=(make_link("bb", (50.0, 50.0), (150.0, 50.0), -1000.0),))
+        assert validation_errors(scn) == ["transmitter 'bb-tx': power below p_min (-1000.0 < -125.0 dBm)"]
+
+    def test_an_unknown_antenna_kind_is_named(self):
+        # the document parser refuses this kind first, so only a scenario built in code reaches the rule
+        scn = dataclasses.replace(_two_link_scenario(), networks=(
+            make_link("a", (50.0, 50.0), (150.0, 50.0), 10.0, tx_pattern=AntennaPattern(kind="dish")),))
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(scn)
+        assert err.value.errors == ["transmitter 'a-tx': unknown antenna kind 'dish'"]
+
     def test_nan_power_is_rejected(self):
         # NaN compares false with both power bounds. Before the finiteness
         # check this scenario validated clean, its occupancy was NaN and its

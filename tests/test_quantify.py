@@ -1150,6 +1150,7 @@ class TestWalkMemory:
         sums, building = scn.dims.b_hat * scn.dims.t_hat, 1
         sides = {"quantified": admission_module.admit_quantified(scn, requests, 3.0)[1],
                  "osa": admission_module.admit_osa(scn, requests, -80.0)[1]}
-        peaks = {name: self.peak_fields(lambda: admission_module._entrant_exploitation(augmented, scn), scn)
+        peaks = {name: self.peak_fields(lambda: admission_module._entrant_exploitation(
+                     augmented, augmented.network("entrants").transmitters), scn)
                  for name, augmented in sides.items()}
         assert all(peak < sums + building + self.SMALL for peak in peaks.values()), peaks

@@ -463,6 +463,13 @@ class TestLoadDocument:
         with pytest.raises(ScenarioFormatError, match=r"twice\.json: duplicate key 'priority'"):
             load_document(path)
 
+    def test_an_integer_literal_past_the_digit_limit_is_a_format_error(self, tmp_path):
+        # json.loads raises a bare ValueError past the interpreter's 4,300-digit limit
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(MINIMAL).replace('"n_x": 12', '"n_x": ' + "1" * 5000))
+        with pytest.raises(ScenarioFormatError, match=r"long\.json: an integer literal is too long to parse"):
+            load_document(path)
+
 
 class TestExportField:
     def test_single_cell_raster(self, tmp_path):
