@@ -12,7 +12,6 @@ is a model.AccessRequest, re-exported here.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import replace
 from functools import partial
 
@@ -24,6 +23,7 @@ from .model import (
     ScenarioValidationError,
     Transmitter,
     check_non_negative,
+    is_number,
     request_errors,
 )
 from .policy import Grant, Refusal, RightsRequest, define_rights
@@ -95,8 +95,8 @@ def _order(requests) -> list[AccessRequest]:
 
 
 def _check_threshold(sensitivity_dbm) -> None:
-    """Raise ValueError unless the sensing threshold is a finite real number; None is refused too."""
-    if not (isinstance(sensitivity_dbm, numbers.Real) and math.isfinite(sensitivity_dbm)):
+    """Raise ValueError unless the sensing threshold is a finite number (see is_number)."""
+    if not (is_number(sensitivity_dbm) and math.isfinite(sensitivity_dbm)):
         raise ValueError(f"sensing threshold must be finite (got {sensitivity_dbm})")
 
 
@@ -109,7 +109,7 @@ def _check_inputs(scenario: Scenario, requests) -> None:
     request's entrant takes its own id.
     """
     errors = request_errors(scenario, requests)
-    taken = scenario.all_ids()
+    taken = set(scenario.ids())
     for req in requests:
         who = f"request {req.request_id!r}"
         if req.request_id in taken:

@@ -257,16 +257,19 @@ class Grid(Record):
         return (x0, y0, x0 + self.n_x * self.cell_size, y0 + self.n_y * self.cell_size)
 
     def contains(self, position: tuple[float, float]) -> bool:
-        x_min, y_min, x_max, y_max = self.extent
-        return x_min <= position[0] <= x_max and y_min <= position[1] <= y_max
+        try:
+            self.cell_of(position)
+        except ValueError:
+            return False
+        return True
 
     def cell_of(self, position: tuple[float, float]) -> tuple[int, int]:
         """Map a position to its (ix, iy) cell index.
 
         Interior boundaries follow the floor convention; a point on the
         outer upper edge, or whose floor rounds up onto it, belongs to the
-        last interior cell. Raises ValueError exactly for the positions
-        ``contains`` rejects.
+        last interior cell. Raises ValueError for a position off the grid
+        or a coordinate that is not a number.
         """
         ix = _axis_index(position[0], self.origin[0], self.cell_size, self.n_x)
         iy = _axis_index(position[1], self.origin[1], self.cell_size, self.n_y)
@@ -280,7 +283,7 @@ class Grid(Record):
         Raises ValueError unless both indices are integers (not bools) in
         [0, n_x) x [0, n_y).
         """
-        if not (_is_integer(ix) and _is_integer(iy) and 0 <= ix < self.n_x and 0 <= iy < self.n_y):
+        if not (is_integer(ix) and is_integer(iy) and 0 <= ix < self.n_x and 0 <= iy < self.n_y):
             raise ValueError(f"cell {(ix, iy)!r} is not a cell of the {self.n_x}x{self.n_y} grid")
         x0, y0 = self.origin
         return (x0 + (ix + 0.5) * self.cell_size, y0 + (iy + 0.5) * self.cell_size)
@@ -294,13 +297,13 @@ class Grid(Record):
 
 
 def _axis_index(coord: float, origin: float, cell_size: float, n: int) -> int | None:
-    """The cell holding ``coord`` on one axis, or None outside [origin, origin + n * cell_size].
+    """The cell holding ``coord`` on one axis, or None for a coordinate that is not a number or
+    lies outside [origin, origin + n * cell_size].
 
-    The upper limit is the float ``extent`` computes, so ``contains`` holds
-    exactly when ``cell_of`` returns; a point that floors to n or past it
-    within that limit belongs to the last cell.
+    The upper limit is the float ``extent`` computes; a point that floors to
+    n or past it within that limit belongs to the last cell.
     """
-    if not origin <= coord <= origin + n * cell_size:
+    if not (is_number(coord) and origin <= coord <= origin + n * cell_size):
         return None
     return math.floor(min((coord - origin) / cell_size, n - 1))
 
@@ -452,11 +455,12 @@ class Scenario(Record):
         """A copy with one more network appended (used for admitted entrants)."""
         return replace(self, networks=self.networks + (network,))
 
-    def all_ids(self) -> set[str]:
-        ids = {net.id for net in self.networks}
-        ids.update(t.id for t in self.transmitters())
-        ids.update(r.id for r in self.receivers())
-        return ids
+    def ids(self) -> Iterator[str]:
+        """Every network, transmitter and receiver id, in declaration order, each network's own first."""
+        for net in self.networks:
+            yield net.id
+            for entity in (*net.transmitters, *net.receivers):
+                yield entity.id
 
 
 def resolve(entity, lookup, kind: str):
@@ -524,8 +528,7 @@ def validation_errors(scenario: Scenario) -> list[str]:
         errors.append("propagation: min_distance_clamp_m must be positive")
 
     seen: set[str] = set()
-    for name in (entity.id for net in scenario.networks
-                 for entity in (net, *net.transmitters, *net.receivers)):
+    for name in scenario.ids():
         if name in seen:
             errors.append(f"duplicate id {name!r}")
         seen.add(name)
@@ -613,30 +616,35 @@ def check_slices(bands, quanta, dims: SpectrumSpaceDims, who: str, errors: list[
     for name, indices, count in ((names[0], bands, dims.b_hat), (names[1], quanta, dims.t_hat)):
         # grouped by type, so that sorted() never compares a string with a number
         for i in sorted(indices, key=lambda i: (type(i).__name__, i)):
-            if not _is_integer(i):
+            if not is_integer(i):
                 errors.append(f"{who}{name} {i!r} is not an integer")
-            elif _is_integer(count) and not 0 <= i < count:
+            elif is_integer(count) and not 0 <= i < count:
                 errors.append(f"{who}{name} {i} out of range [0, {count})")
 
 
 def check_non_negative(what: str, value) -> None:
-    """Raise ValueError unless ``value`` is a finite, non-negative real number."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+    """Raise ValueError unless ``value`` is a finite, non-negative number (see is_number)."""
+    if not (is_number(value) and math.isfinite(value) and value >= 0):
         raise ValueError(f"{what} must be finite and non-negative (got {value})")
 
 
-def _is_integer(value) -> bool:
-    """An int or numpy integer, but not a bool: the parser refuses bools where it wants integers."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def is_number(value) -> bool:
+    """A real number, but not a bool: the package's one test of what counts as a number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """A number (see is_number) that is an int or a numpy integer."""
+    return is_number(value) and isinstance(value, (int, np.integer))
 
 
 def _check_integers(who: str, errors: list[str], record, *names) -> bool:
-    """Report every named field of ``record`` that is not an integer (see _is_integer); True when
+    """Report every named field of ``record`` that is not an integer (see is_integer); True when
     none is."""
     count = len(errors)
     for name in names:
         value = getattr(record, name)
-        if not _is_integer(value):
+        if not is_integer(value):
             errors.append(f"{who}: {name} must be an integer (got {value!r})")
     return len(errors) == count
 
@@ -652,7 +660,7 @@ def _check_finite(who: str, errors: list[str], record, *names) -> bool:
     for name in names:
         value = getattr(record, name)
         parts = value if isinstance(value, tuple) else (value,)
-        if not all(isinstance(part, numbers.Real) for part in parts):
+        if not all(map(is_number, parts)):
             errors.append(f"{who}: {name} must be a number (got {value!r})")
         elif not all(map(math.isfinite, parts)):
             errors.append(f"{who}: {name} must be finite (got {value!r})")

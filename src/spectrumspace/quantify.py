@@ -32,7 +32,6 @@ receiver's caps are folded in a few rows at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Mapping
@@ -48,6 +47,7 @@ from .model import (
     Scenario,
     SpectrumSpaceDims,
     Transmitter,
+    check_non_negative,
     check_slices,
     db_to_linear,
     db_to_linear_in_place,
@@ -476,14 +476,14 @@ class LinkBudget:
         the band, in declaration order, each field built as it is read. A
         protected receiver the pairs yield folds margin / gain into every
         listed slice it is active in; any other receiver folds nothing and is
-        neither capped nor marked. The first caps
-        of a slice become its array, through np.fmin(inf, caps); a later
-        receiver's are folded in a few rows (about 4,096 cells) at a time,
-        each block's caps divided into a temporary of that many rows and
-        folded in with np.fmin, so no fold allocates a second full-grid
-        array. np.divide and np.fmin are elementwise and exact, so the fold
-        gives the same bits in any order and any block size. Each field is
-        finished as it is read, in the array its caps were folded into.
+        neither capped nor marked. A slice's array starts as inf on its first
+        fold, and every receiver's caps are folded into it a few rows (about
+        4,096 cells) at a time, each block's caps divided into a temporary of
+        that many rows and folded in with np.fmin, so no fold allocates a
+        second full-grid array. np.divide and np.fmin are elementwise and
+        exact, so the fold gives the same bits in any order and any block
+        size. Each field is finished as it is read, in the array its caps
+        were folded into.
         """
         scenario = self.scenario
         for band, run in groupby(keys, key=lambda key: key[0]):
@@ -499,13 +499,11 @@ class LinkBudget:
                 rows = max(1, 4096 // gain.shape[1])
                 for key, margin in folds.pop(rx.id, ()):
                     if key not in allowed:
-                        caps = allowed[key] = _entrant_caps(margin, gain)
-                        np.fmin(np.inf, caps, out=caps)
-                    else:
-                        for y in range(0, len(gain), rows):
-                            block = allowed[key][y:y + rows]
-                            np.fmin(block, _entrant_caps(margin, gain[y:y + rows]), out=block)
-                gain = caps = block = None  # release them before the next gain field is built
+                        allowed[key] = np.full(gain.shape, np.inf)
+                    for y in range(0, len(gain), rows):
+                        block = allowed[key][y:y + rows]
+                        np.fmin(block, _entrant_caps(margin, gain[y:y + rows]), out=block)
+                gain = block = None  # release them before the next gain field is built
             for key, found in budgets.items():
                 folded = [e for e in zip(found.receivers, found.cells, found.margin) if e[0].id not in folds]
                 yield _capped_field(key, allowed.pop(key, None), folded, scenario)
@@ -716,11 +714,11 @@ def price(consumed: SpectrumQuantity, sheet: PriceSheet) -> float:
 
     Slice rates apply to the breakdown when both are present, totalled with
     += in slice order as quantify() totals; otherwise the flat rate
-    multiplies the total. Negative or non-finite rates are rejected.
+    multiplies the total. Raises ValueError for a rate that is not a finite,
+    non-negative number.
     """
-    rates = [sheet.rate, *(sheet.slice_rates or {}).values()]
-    if not all(math.isfinite(r) and r >= 0 for r in rates):
-        raise ValueError("price rates must be finite and non-negative")
+    for rate in (sheet.rate, *(sheet.slice_rates or {}).values()):
+        check_non_negative("price rate", rate)
     if sheet.slice_rates and consumed.breakdown is not None:
         total = 0.0
         for key, amount in sorted(consumed.breakdown.items()):

@@ -35,6 +35,8 @@ from .model import (
     SpectrumSpaceDims,
     Transmitter,
     check_slices,
+    is_integer,
+    is_number,
     request_errors,
     validate_scenario,
 )
@@ -106,7 +108,7 @@ def _missing(path: str, key: str) -> ScenarioFormatError:
 # record read so far; only list readers use the last.
 
 def _num(value, path: str, parent=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise ScenarioFormatError(f"{path}: expected a number, got {value!r}")
     try:
         number = float(value)
@@ -117,9 +119,9 @@ def _num(value, path: str, parent=None) -> float:
     return number
 
 def _int(value, path: str, parent=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise ScenarioFormatError(f"{path}: expected an integer, got {value!r}")
-    return value
+    return int(value)
 
 def _str(value, path: str, parent=None) -> str:
     if not isinstance(value, str) or not value:

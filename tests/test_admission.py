@@ -241,7 +241,7 @@ class TestAdmitQuantified:
             with pytest.raises(ValueError, match=f"{label} must be finite"):
                 admit(canonical_link(), requests, value)
 
-    @pytest.mark.parametrize("value", ["a", 1j, [0.0], None], ids=["str", "complex", "list", "None"])
+    @pytest.mark.parametrize("value", ["a", 1j, [0.0], None, True], ids=["str", "complex", "list", "None", "bool"])
     @pytest.mark.parametrize("admit, label", [
         (lambda scn, reqs, value: admit_quantified(scn, reqs, value), "guard margin"),
         (lambda scn, reqs, value: rights_register(scn, reqs, value), "guard margin"),

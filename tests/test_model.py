@@ -22,6 +22,7 @@ from spectrumspace import (
 )
 from spectrumspace.model import MAX_CELLS, MAX_SLICES, AccessRequest, request_errors
 from spectrumspace.propagation import PropagationConfig
+from spectrumspace.quantify import aggregate_opportunity
 
 from helpers import BOUNDS, PROP, make_grid, make_link, make_scenario
 
@@ -88,6 +89,16 @@ class TestGrid:
             grid.cell_of((-0.001, 50.0))
         with pytest.raises(ValueError):
             grid.cell_of((50.0, 1000.001))
+
+    @pytest.mark.parametrize("position", [("a", 0.0), (None, 0.0), (True, 50.0), (50.0, False)])
+    def test_a_coordinate_that_is_not_a_number_is_off_the_grid(self, position):
+        # a bool was read as 0 or 1, and a string or None raised a TypeError
+        scn = make_scenario()
+        assert not scn.grid.contains(position)
+        with pytest.raises(ValueError, match="outside grid extent"):
+            scn.grid.cell_of(position)
+        with pytest.raises(ValueError, match="outside grid extent"):
+            aggregate_opportunity(scn, position)
 
     @given(st.floats(min_value=0.0, max_value=999.999), st.floats(min_value=0.0, max_value=999.999))
     def test_cell_of_partitions_extent(self, x, y):
@@ -311,7 +322,7 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError):
             validate_scenario(scn)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", True])
     @pytest.mark.parametrize("owner,field", [
         ("grid", "origin"), ("grid", "cell_size"),
         ("dims", "band_width_hz"), ("dims", "quantum_duration_s"),
@@ -345,7 +356,7 @@ class TestValidation:
                                 receivers=(parts["receiver"],)),),
         )
         errors = validation_errors(scn)
-        if isinstance(bad, str):  # one error: no range check compares a value of the wrong type
+        if not isinstance(bad, float):  # one error: no range check compares a value of the wrong type
             assert len(errors) == 1 and errors[0].startswith(entity), errors
             assert errors[0].endswith(f": {field} must be a number (got {value!r})")
         else:

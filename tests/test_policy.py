@@ -82,7 +82,7 @@ class TestGuardMargin:
         with pytest.raises(ValueError, match="finite"):
             apply_guard_margin(field, margin_db, BOUNDS)
 
-    @pytest.mark.parametrize("margin_db", ["a", None, 1j])
+    @pytest.mark.parametrize("margin_db", ["a", None, 1j, True])
     def test_a_margin_that_is_not_a_number_is_rejected(self, margin_db):
         field = PowerField(0, 0, np.zeros((1, 1)))
         with pytest.raises(ValueError, match=r"guard margin must be finite and non-negative \(got "):
@@ -190,7 +190,7 @@ class TestDefineRights:
             define_rights(load_scenario(CAMPUS), request, margin_db=0.0)
         assert err.value.errors == [named]
 
-    @pytest.mark.parametrize("margin_db", ["a", None, 1j])
+    @pytest.mark.parametrize("margin_db", ["a", None, 1j, True])
     def test_a_margin_that_is_not_a_number_is_rejected(self, margin_db):
         request = RightsRequest(tx_id="e1", position=(250.0, 50.0), desired_dbm=30.0,
                                 min_useful_dbm=0.0, band=0, quanta=frozenset({0}))
@@ -252,7 +252,7 @@ class TestEnforce:
         with pytest.raises(ValueError, match="finite"):
             enforce([grant], observed, tolerance_db=tolerance_db)
 
-    @pytest.mark.parametrize("tolerance_db", ["a", None, 1j])
+    @pytest.mark.parametrize("tolerance_db", ["a", None, 1j, True])
     def test_a_tolerance_that_is_not_a_number_is_rejected(self, tolerance_db):
         # math.isfinite used to leak its own TypeError, also with no grant to audit
         for grants in ([self._grant()], []):
@@ -428,9 +428,10 @@ class TestPrice:
             price(SpectrumQuantity(1.0, {(0, 0): 1.0}),
                   PriceSheet(slice_rates={(0, 0): -0.5}))
 
-    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, "a", None, True])
     def test_non_finite_rates_rejected(self, rate):
-        # a NaN rate used to price any quantity at NaN
+        # a NaN rate used to price any quantity at NaN, a string or None raised a TypeError and
+        # True priced at a rate of 1
         with pytest.raises(ValueError, match="finite"):
             price(SpectrumQuantity(1.0), PriceSheet(rate=rate))
         with pytest.raises(ValueError, match="finite"):

@@ -203,6 +203,16 @@ class TestParseDocument:
         with pytest.raises(ScenarioFormatError, match="expected an integer"):
             parse_document(bad_count)
 
+    def test_numpy_numbers_are_read_as_python_numbers(self):
+        # a numpy integer or float32 is a number to the model; the parser hands on a plain int or
+        # float, so the document still serializes
+        data = json.loads(json.dumps(FULL))
+        data["grid"]["n_x"] = np.int64(data["grid"]["n_x"])
+        data["networks"][0]["transmitters"][0]["tx_power_dbm"] = np.float32(30.0)
+        dumped = document_to_dict(parse_document(data))
+        assert type(dumped["grid"]["n_x"]) is int
+        assert json.dumps(dumped) == json.dumps(document_to_dict(parse_document(FULL)))
+
     def test_non_finite_numbers_rejected(self):
         data = json.loads(json.dumps(MINIMAL))
         data["bounds"]["p_max_dbm"] = float("inf")

@@ -23,6 +23,10 @@
   tolerance that is not a finite, non-negative number (``model.check_non_negative``),
   and a band or quantum that is not an integer or out of range
   (``model.check_slices``).
+- Only ``model`` imports ``numbers`` or calls ``isinstance(..., bool)``:
+  ``model.is_number`` and ``model.is_integer`` decide what counts as a
+  number, so a bool cannot pass as a margin, threshold, rate or power in one
+  module while another refuses it.
 - Only ``scenario_io`` imports ``json``: documents and reports are read and
   written there, so no other module builds or dumps JSON by hand.
 - Only ``scenario_io`` calls the report renderers (``format_number``,
@@ -186,6 +190,34 @@ def test_each_refusal_rule_is_written_once(template):
     lines = [f"{path.name}:{number}" for path in MODULES
              for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if template in line]
     assert len(lines) == 1, lines
+
+
+def _number_tests(source: str) -> list[int]:
+    """Lines that import ``numbers`` or anything from it, or call ``isinstance`` with ``bool``
+    alone or in a tuple."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numbers" for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numbers":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and _called_name(node) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_number_rule_sees_each_spelling():
+    source = ("import numbers\nfrom numbers import Real\nisinstance(x, bool)\n"
+              "isinstance(x, (int, bool))\nisinstance(x, int)\n")
+    assert _number_tests(source) == [1, 2, 3, 4]
+    assert _number_tests((PACKAGE / "model.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "model.py"], ids=lambda p: p.name)
+def test_only_model_decides_what_a_number_is(path):
+    assert _number_tests(path.read_text(encoding="utf-8")) == []
 
 
 def _json_imports(path: Path) -> list[int]:
