@@ -155,10 +155,22 @@ def tx_gain_db_field(tx, grid: Grid, config: PropagationConfig) -> np.ndarray:
 
 
 def entrant_gain_field_linear(rx_position: tuple[float, float], rx_pattern: AntennaPattern,
-                              grid: Grid, config: PropagationConfig) -> np.ndarray:
+                              grid: Grid, config: PropagationConfig,
+                              window: tuple[slice, slice] | None = None) -> np.ndarray:
     """Linear gain from an omni entrant at each cell center to one receiver.
 
     The receiver's own pattern weights each arrival direction, so a sectored
-    receiver is harder to disturb from behind. Returns a new (n_y, n_x) array.
+    receiver is harder to disturb from behind. Returns a new (n_y, n_x) array,
+    or with a ``window`` of (row, column) slices a new array of just those
+    cells. The window's cells are computed from the same cell centers by the
+    same elementwise chain, so each has the bits of its cell of the whole
+    field. quantify builds a receiver's gain only over its cap window: outside
+    it every entrant cap is at least p_max plus a 1 dB guard, far beyond the
+    chain's rounding, so the whole field's caps would finish there at p_max,
+    as the cells it never builds do.
     """
-    return db_to_linear_in_place(gain_db(rx_position, rx_pattern, grid.center_axes(), OMNI, config))
+    xs, ys = grid.center_axes()
+    if window is not None:
+        rows, cols = window
+        xs, ys = xs[:, cols], ys[rows]
+    return db_to_linear_in_place(gain_db(rx_position, rx_pattern, (xs, ys), OMNI, config))

@@ -23,6 +23,15 @@ every opportunity field, joint denial and receiver charge comes from it. A
 receiver's charge, rx_consumption, is the denial of protecting it alone;
 receiver_accounting folds it from the all-receiver budget, slice by slice.
 
+A receiver denies spectrum only near itself, so its entrant gain is built
+and its caps folded only over its cap window (_cap_window): the box of cells
+outside which each of its caps, for its least margin in the slices folded,
+is at least p_max + _CAP_GUARD_DB. The guard is far beyond the rounding of
+the chain from cap to finished field, so the full fold would finish each
+cell outside the window at exactly p_max, as the inf it keeps finishes, and
+no cell's bits change; host cells and zero-margin receivers are marked as
+before. A zero margin gives the whole grid, and a window may be empty.
+
 Every walk drops a full-grid array as soon as its last reader is done: a
 gain or received field once it is folded in, a network's sums once they are
 added, a finished field once it is read. No walk holds the previous field
@@ -32,6 +41,7 @@ receiver's caps are folded in a few rows at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Mapping
@@ -40,6 +50,7 @@ import numpy as np
 
 from .model import (
     OMNI,
+    OMNI_KIND,
     Grid,
     PowerBounds,
     Receiver,
@@ -97,8 +108,15 @@ __all__ = [
 
 Slice = tuple[int, int]
 Cell = tuple[int, int]
-# A band's (receiver, entrant gain field) pairs, for LinkBudget._opportunity_fields to fold.
-Gains = Callable[[int], Iterable[tuple[Receiver, np.ndarray]]]
+# The (row, column) slices of the cells a receiver's entrant gain is built over.
+Window = tuple[slice, slice]
+# A band's (receiver, window, entrant gain over the window) triples, for
+# LinkBudget._opportunity_fields to fold.
+Gains = Callable[[int], Iterable[tuple[Receiver, Window, np.ndarray]]]
+
+# A cap this many dB above p_max finishes at p_max through any rounding of the fold's chain, so a
+# receiver's gain is built only over the box of cells outside which its caps are at least that.
+_CAP_GUARD_DB = 1.0
 
 
 class PowerField(Record, eq=False):
@@ -189,11 +207,47 @@ def _entrant_caps(margin, gain):
         return np.divide(margin, gain)
 
 
-def _entrant_gains(scenario: Scenario, receivers: Iterable[Receiver]) -> Iterator[tuple[Receiver, np.ndarray]]:
-    """(receiver, entrant gain field) of each of ``receivers``, in that order, each field built as
-    it is read."""
+def _axis_span(low: float, high: float, origin: float, size: float, n: int) -> slice:
+    """The cells, of the n on one axis from ``origin``, whose centers lie strictly between ``low``
+    and ``high``; on the scale (coordinate - origin) / size - 0.5, cell i's center sits at i."""
+    first, last = (low - origin) / size - 0.5, (high - origin) / size - 0.5
+    return slice(math.floor(min(max(first, -1.0), n)) + 1, math.ceil(min(max(last, 0.0), n)))
+
+
+def _cap_window(scenario: Scenario, rx: Receiver, margin: float) -> Window:
+    """The box of cells outside which every entrant cap of ``rx`` is at least p_max + _CAP_GUARD_DB,
+    its margin being at least ``margin``.
+
+    The cap margin / gain reaches that at the distance d* = d0 * 10 ** ((p_max
+    + guard - 10 log10(margin) + G - PL0) / (10 n)), G the receiver's largest
+    pattern gain (0 dB for an omni one), and only grows farther out; a cell
+    outside the box of half-width d* around the receiver is at least d* away.
+    The whole grid when d* is not finite, as for a zero margin.
+    """
+    grid, config, pattern = scenario.grid, scenario.propagation, rx.pattern
+    top = 0.0 if pattern.kind == OMNI_KIND else max(pattern.main_gain_db, pattern.back_gain_db)
+    try:
+        reach = config.reference_distance_m * 10.0 ** (
+            (scenario.bounds.p_max_dbm + _CAP_GUARD_DB - linear_to_db(margin) + top - config.reference_loss_db)
+            / (10.0 * config.exponent))
+    except OverflowError:
+        reach = math.inf
+    if not math.isfinite(reach):
+        return slice(None), slice(None)
+    (x, y), (x0, y0) = rx.position, grid.origin
+    return (_axis_span(y - reach, y + reach, y0, grid.cell_size, grid.n_y),
+            _axis_span(x - reach, x + reach, x0, grid.cell_size, grid.n_x))
+
+
+def _entrant_gains(scenario: Scenario, receivers: Iterable[Receiver],
+                   margins: Mapping[str, float]) -> Iterator[tuple[Receiver, Window, np.ndarray]]:
+    """(receiver, cap window, entrant gain over it) of each of ``receivers``, in that order, each
+    window that of its least margin in ``margins`` and each gain built as it is read. A receiver
+    missing from ``margins`` folds nothing: an infinite margin gives it an empty window."""
     for rx in receivers:
-        yield rx, entrant_gain_field_linear(rx.position, rx.pattern, scenario.grid, scenario.propagation)
+        window = _cap_window(scenario, rx, margins.get(rx.id, math.inf))
+        yield rx, window, entrant_gain_field_linear(rx.position, rx.pattern, scenario.grid, scenario.propagation,
+                                                    window)
 
 
 def _received_field(tx: Transmitter, scenario: Scenario) -> np.ndarray:
@@ -465,48 +519,65 @@ class LinkBudget:
         return float(linear_to_db_in_place(np.array(total), self.scenario.bounds))
 
     def _opportunity_fields(self, keys: list[Slice], gains: Gains | None = None) -> Iterator[PowerField]:
-        """The opportunity fields of ``keys``, in that order, from a walk over (receiver, entrant
-        gain field) pairs: the one place entrant caps are folded into a grid.
+        """The opportunity fields of ``keys``, in that order, from a walk over (receiver, cap
+        window, entrant gain) triples: the one place entrant caps are folded into a grid.
 
         Each run of keys in one band is folded and its fields finished before
         the next run's gain fields are built, so the walk holds one band's caps
         at a time, and each gain field is dropped once it is folded, before
-        the next is built. ``gains(band)`` gives a run's pairs; by default
-        _entrant_gains of the protected receivers active in a listed slice of
-        the band, in declaration order, each field built as it is read. A
-        protected receiver the pairs yield folds margin / gain into every
-        listed slice it is active in; any other receiver folds nothing and is
-        neither capped nor marked. A slice's array starts as inf on its first
-        fold, and every receiver's caps are folded into it a few rows (about
-        4,096 cells) at a time, each block's caps divided into a temporary of
-        that many rows and folded in with np.fmin, so no fold allocates a
-        second full-grid array. np.divide and np.fmin are elementwise and
-        exact, so the fold gives the same bits in any order and any block
-        size. Each field is finished as it is read, in the array its caps
-        were folded into.
+        the next is built. ``gains(band)`` gives a run's (receiver, window,
+        gain) triples; by default _entrant_gains of the protected receivers
+        active in a listed slice of the band, in declaration order, each
+        window that of the receiver's least margin in those slices and each
+        gain built as it is read. A protected receiver the triples yield folds
+        margin / gain into the window of every listed slice it is active in;
+        any other receiver folds nothing and is neither capped nor marked. A
+        slice's array starts as inf on its first fold, even when the window
+        misses the grid, and every receiver's caps are folded into it a few
+        rows (about 4,096 cells) at a time, each block's caps divided into a
+        temporary of that many rows and folded in with np.fmin, so no fold
+        allocates a second full-grid array. np.divide and np.fmin are
+        elementwise and exact, so the fold gives the same bits in any order
+        and any block size. A cell outside a window keeps what it had: the
+        receiver's cap there is at least p_max + _CAP_GUARD_DB, which would
+        finish at p_max as the untouched inf does, and could lower no other
+        receiver's smaller cap. Each field is finished as it is read, in the
+        array its caps were folded into.
         """
         scenario = self.scenario
+        shape = (scenario.grid.n_y, scenario.grid.n_x)
         for band, run in groupby(keys, key=lambda key: key[0]):
             budgets = {key: self.slice(*key) for key in run}
             folds: dict[str, list[tuple[Slice, float]]] = {}
             for key, found in budgets.items():
                 for rx, margin in zip(found.receivers, found.margin):
                     folds.setdefault(rx.id, []).append((key, margin))
-            pairs = (_entrant_gains(scenario, [rx for rx in self._receivers if rx.id in folds])
-                     if gains is None else gains(band))
+            triples = (_entrant_gains(scenario, [rx for rx in self._receivers if rx.id in folds],
+                                      self._least_margins(budgets))
+                       if gains is None else gains(band))
             allowed: dict[Slice, np.ndarray] = {}
-            for rx, gain in pairs:
-                rows = max(1, 4096 // gain.shape[1])
+            for rx, (rows, cols), gain in triples:
+                step = max(1, 4096 // max(1, gain.shape[1]))
                 for key, margin in folds.pop(rx.id, ()):
                     if key not in allowed:
-                        allowed[key] = np.full(gain.shape, np.inf)
-                    for y in range(0, len(gain), rows):
-                        block = allowed[key][y:y + rows]
-                        np.fmin(block, _entrant_caps(margin, gain[y:y + rows]), out=block)
-                gain = block = None  # release them before the next gain field is built
+                        allowed[key] = np.full(shape, np.inf)
+                    caps = allowed[key][rows, cols]
+                    for y in range(0, len(gain), step):
+                        block = caps[y:y + step]
+                        np.fmin(block, _entrant_caps(margin, gain[y:y + step]), out=block)
+                gain = caps = block = None  # release them before the next gain is built
             for key, found in budgets.items():
                 folded = [e for e in zip(found.receivers, found.cells, found.margin) if e[0].id not in folds]
                 yield _capped_field(key, allowed.pop(key, None), folded, scenario)
+
+    def _least_margins(self, keys: Iterable[Slice]) -> dict[str, float]:
+        """Each receiver of the budgets of the slices ``keys``: its least margin among them."""
+        least: dict[str, float] = {}
+        for key in keys:
+            found = self.slice(*key)
+            for rx, margin in zip(found.receivers, found.margin):
+                least[rx.id] = min(margin, least.get(rx.id, margin))
+        return least
 
     def opportunity_at_cell(self, band: int, quantum: int, cell: Cell) -> tuple[float, str | None]:
         """:func:`opportunity_at_cell` of this budget's scenario and protected set."""
@@ -748,26 +819,32 @@ def receiver_accounting(scenario: Scenario, protected) -> tuple[SpectrumQuantity
     Returns (available_spectrum(scenario, protected), {rx id: quantify(
     rx_consumption(rx, scenario), grid, dims)}) with the receivers in
     declaration order. The walk goes band by band, in declaration order within
-    a band, and every receiver, protected or not, has its entrant gain field
-    built once: the walk folds it into its band's joint fields, then charges
-    its one-receiver denial from it through the all-receiver budget, one slice
-    at a time (each slice's caps folded, finished, turned into denial and summed
-    before the next is folded), and drops it before the next field is built.
+    a band, and every receiver, protected or not, has its entrant gain built
+    once, over its cap window: the walk folds it into its band's joint fields,
+    then charges its one-receiver denial from it through the all-receiver
+    budget, one slice at a time (each slice's caps folded, finished, turned
+    into denial and summed before the next is folded), and drops it before the
+    next gain is built. A receiver's margin does not depend on the protected
+    set, so its window, that of its least margin in the all-receiver budget,
+    serves the joint fold and the charge alike.
     """
     charges: dict[str, SpectrumQuantity] = {}
     keys = _all_slices(scenario.dims)
     joint = LinkBudget(scenario, protected)
     everyone = joint if protected is None else LinkBudget(scenario)
 
-    def solo_fields(rx: Receiver, gain: np.ndarray) -> Iterator[PowerField]:
+    def solo_fields(rx: Receiver, window: Window, gain: np.ndarray) -> Iterator[PowerField]:
         for key in keys:
             if rx.active_in(*key):
-                yield from everyone._opportunity_fields([key], lambda _: [(rx, gain)])
+                yield from everyone._opportunity_fields([key], lambda _: [(rx, window, gain)])
 
-    def walk(band: int) -> Iterator[tuple[Receiver, np.ndarray]]:
-        for rx, gain in _entrant_gains(scenario, [rx for rx in scenario.receivers() if rx.band == band]):
-            yield rx, gain
-            charges[rx.id] = _integrated(solo_fields(rx, gain), scenario, True, keys)
+    def walk(band: int) -> Iterator[tuple[Receiver, Window, np.ndarray]]:
+        receivers = [rx for rx in scenario.receivers() if rx.band == band]
+        margins = everyone._least_margins(
+            key for key in keys if key[0] == band and any(rx.active_in(*key) for rx in receivers))
+        for rx, window, gain in _entrant_gains(scenario, receivers, margins):
+            yield rx, window, gain
+            charges[rx.id] = _integrated(solo_fields(rx, window, gain), scenario, True, keys)
             gain = None  # release it before the next one is built
 
     available = _integrated(joint._opportunity_fields(keys, walk), scenario)

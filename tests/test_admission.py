@@ -38,6 +38,7 @@ from spectrumspace.scenario_io import load_document, parse_document
 
 from helpers import (
     BOUNDS,
+    crowded_scenario,
     make_grid,
     make_link,
     make_scenario,
@@ -689,6 +690,22 @@ class TestOneAdmissionWalk:
         assert result.osa.outcomes == osa.outcomes
         assert result.quantified.admitted_count == quantified.admitted_count
         assert result.osa.admitted_count == osa.admitted_count
+
+    @pytest.mark.parametrize("world", [*range(8), "crowded"])
+    def test_quantified_post_available_is_that_of_the_final_scenario(self, world):
+        """Bit for bit: the kept budget's margins have shrunk with every entrant, and the fold's
+        cap windows must be those of the final margins, as a fresh budget's are. On
+        crowded_scenario the windows cut the grid and the entrants shrink margins by more than
+        the windows' guard, so windows of the margins before admission would be too small."""
+        if world == "crowded":
+            scn = crowded_scenario()
+            requests = random_requests(5, scn, n=10)
+        else:
+            scn = random_scenario(world, b_hat=2, t_hat=2)
+            requests = random_requests(world + 400, scn, n=10)
+        outcome, final = admit_quantified(scn, requests, 3.0)
+        assert outcome.admitted_count > 0
+        assert outcome.post_available == available_spectrum(final)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_osa_post_available_is_that_of_the_final_scenario(self, seed):

@@ -475,17 +475,18 @@ class TestCommandMemory:
         holds at most, at once:
 
         - the slice's caps, its first receiver's with the second's folded in: 1 field;
-        - the second receiver's entrant gain field, the first's already dropped: 1.
+        - the second receiver's entrant gain over its cap window (at most the grid), the first's
+          already dropped: 1.
 
         The second receiver's caps are folded in a few rows at a time through a temporary of
-        about 4,096 cells, so no full-grid scratch is held. That is 2 fields, and 2.41 measured:
-        half a field for the small arrays would leave less than 0.1 field of slack, so this bound
-        counts them: the broadcast buffers (0.26), the document and the parser (0.13) and the
-        fold's block (0.07), 0.46 in all, rounded up to 3/4 field. A fold that divides the second
-        receiver's caps into a full-grid scratch holds one field more (3.14 measured), and a
-        command that keeps the field it last wrote while the next is built, and a walk that keeps
-        the first gain field while the second is built, one more each (4.41 measured with all
-        three).
+        about 4,096 cells, so no full-grid scratch is held. That is 2 fields: half a field for the
+        small arrays would leave little slack, so this bound counts them: the broadcast buffers
+        (0.26), the document and the parser (0.13) and the fold's block (0.07), 0.46 in all,
+        rounded up to 3/4 field. Each gain here is built over a window of under half the grid, so
+        1.94 is measured. A fold that divides the second receiver's caps into a scratch of its
+        whole window holds that window more (2.40 measured), and with a command that keeps the
+        field it last wrote while the next is built and a walk that keeps the first gain while
+        the second is built, 3.40 is measured for all three.
         """
         caps, gain, small = 1, 1, 3 / 4
         assert self.peak_fields(document, "opportunity") < caps + gain + small
@@ -496,12 +497,14 @@ class TestCommandMemory:
 
         - one array per slice of the band being walked, its first receiver's caps with the
           second's folded in: 2 fields;
-        - the entrant gain field of the receiver being charged: 1;
+        - the entrant gain of the receiver being charged, over its cap window (at most the
+          grid): 1;
         - that receiver's one-receiver denial, one slice at a time: 1;
         - while that slice turns from dBm into mW, two boolean masks of one byte per cell: 2/8.
 
-        That is 4.25 fields, 4.75 with the small arrays (4.44 measured). A fold that divides a
-        later receiver's caps into a full-grid scratch holds one field more (5.45 measured).
+        That is 4.25 fields, 4.75 with the small arrays (3.93 measured: each gain here is built
+        over a window of under half the grid). A fold that divides a later receiver's caps into
+        a scratch of its whole window holds that window more (4.44 measured).
         """
         slices, gain, solo, masks = 2, 1, 1, 2 / 8
         assert self.peak_fields(document, "report") < slices + gain + solo + masks + self.SMALL
@@ -610,12 +613,16 @@ class TestReportWalk:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        built = {"entrant": [], "tx": []}
+        """The receiver positions of the entrant gain builds, the cells each build computed, and
+        the transmitter ids of the gain field builds."""
+        built = {"entrant": [], "cells": [], "tx": []}
         entrant, tx_field = quantify_module.entrant_gain_field_linear, quantify_module.tx_gain_db_field
 
         def counting_entrant(position, *args):
             built["entrant"].append(position)
-            return entrant(position, *args)
+            gain = entrant(position, *args)
+            built["cells"].append(gain.size)
+            return gain
 
         def counting_tx(tx, *args):
             built["tx"].append(tx.id)
@@ -642,6 +649,16 @@ class TestReportWalk:
         # band by band, in declaration order within a band, each receiver exactly once
         assert built["entrant"] == [rx.position for rx in sorted(scn.receivers(), key=lambda rx: rx.band)]
         assert sorted(built["tx"]) == sorted(tx.id for tx in scn.transmitters())
+
+    @pytest.mark.parametrize("which", ["all", "one network"])
+    def test_the_builds_compute_only_the_cap_windows(self, tmp_path, built, which):
+        """A work count: on sectored_scenario(4)'s 16 x 20 grid the four entrant gains are built
+        over windows of 320, 320, 0 and 120 cells, whatever the protected set, not 4 x 320."""
+        scn = sectored_scenario(4)
+        path = write(tmp_path, scenario_to_dict(scn))
+        assert run(["report", "--scenario", str(path), "--out", str(tmp_path),
+                    "--protect", self.protect(scn, which)[0]]) == 0
+        assert sum(built["cells"]) == 760 < len(built["entrant"]) * scn.grid.a_hat
 
     @pytest.mark.parametrize("which", ["all", "one network"])
     @pytest.mark.parametrize("make, seed", SCENARIOS, ids=lambda v: getattr(v, "__name__", v))

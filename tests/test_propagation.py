@@ -254,6 +254,15 @@ class TestFieldKernelExactness:
         assert same_bits(entrant_gain_field_linear(src, pattern, grid, cfg), o_entrant_field(src, pattern, grid, cfg))
 
     @given(data=st.data(), grid=GRIDS, pattern=PATTERNS, cfg=_configs())
+    def test_a_window_of_the_entrant_field_has_the_oracle_bits(self, data, grid, pattern, cfg):
+        """Any box of rows and columns, empty ones included, is that box of the whole field."""
+        src = _source(data, grid)
+        rows = slice(data.draw(st.integers(0, grid.n_y)), data.draw(st.integers(0, grid.n_y)))
+        cols = slice(data.draw(st.integers(0, grid.n_x)), data.draw(st.integers(0, grid.n_x)))
+        window = entrant_gain_field_linear(src, pattern, grid, cfg, (rows, cols))
+        assert same_bits(window, o_entrant_field(src, pattern, grid, cfg)[rows, cols])
+
+    @given(data=st.data(), grid=GRIDS, pattern=PATTERNS, cfg=_configs())
     def test_tx_field_has_the_oracle_bits(self, data, grid, pattern, cfg):
         tx = _tx(pos=_source(data, grid), pattern=pattern)
         assert same_bits(tx_gain_db_field(tx, grid, cfg), o_tx_field(tx, grid, cfg))

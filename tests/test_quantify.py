@@ -727,13 +727,21 @@ class TestReceiverMajorFields:
         assert np.any(host.values_dbm > BOUNDS.p_min_dbm)
 
     @pytest.fixture
-    def built(self, monkeypatch):
+    def cells(self):
+        """The cells each entrant gain build computed, in build order, filled by ``built``."""
+        return []
+
+    @pytest.fixture
+    def built(self, monkeypatch, cells):
+        """The receiver positions of the entrant gain builds, in build order."""
         positions = []
         real = quantify_module.entrant_gain_field_linear
 
         def counting(position, *args):
             positions.append(position)
-            return real(position, *args)
+            gain = real(position, *args)
+            cells.append(gain.size)
+            return gain
 
         monkeypatch.setattr(quantify_module, "entrant_gain_field_linear", counting)
         return positions
@@ -744,6 +752,15 @@ class TestReceiverMajorFields:
         scn = sectored_scenario(seed)
         available_spectrum(scn)
         assert built == [rx.position for rx in sorted(scn.receivers(), key=lambda rx: rx.band)]
+
+    def test_available_spectrum_computes_only_the_cap_windows(self, built, cells):
+        """A work count: on sectored_scenario(4)'s 16 x 20 grid the four entrant gains are built
+        over windows of 320, 320, 0 and 120 cells (the host receiver's own link is so strong that
+        no cell of the grid can bring its cap below p_max), not 4 x 320."""
+        scn = sectored_scenario(4)
+        available_spectrum(scn)
+        assert cells == [320, 320, 0, 120]
+        assert sum(cells) == 760 < len(built) * scn.grid.a_hat
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rx_consumption_builds_its_field_once(self, seed, built):
@@ -814,7 +831,8 @@ class TestReceiverChargeWork:
         healthy, hopeless = scn.receiver("a-rx"), scn.receiver("z-rx")
         assert opportunity_map(scn, 0, 0).zero_margin_rx_ids == (hopeless.id,)
         gain = entrant_gain_field_linear(healthy.position, healthy.pattern, scn.grid, scn.propagation)
-        field = next(LinkBudget(scn)._opportunity_fields([(0, 0)], lambda _: [(healthy, gain)]))
+        whole = (slice(None), slice(None))
+        field = next(LinkBudget(scn)._opportunity_fields([(0, 0)], lambda _: [(healthy, whole, gain)]))
         solo = opportunity_map(scn, 0, 0, [healthy.id])
         assert field.zero_margin_rx_ids == solo.zero_margin_rx_ids == ()
         assert np.array_equal(field.values_dbm, solo.values_dbm)
@@ -957,7 +975,8 @@ class TestFieldMemory:
 
     - one array per slice of the band being walked, its first receiver's
       caps with every later receiver's folded in: 2 fields;
-    - the entrant gain field of the receiver being charged: 1;
+    - the entrant gain of the receiver being charged, over its cap window
+      (at most the grid): 1;
     - that receiver's one-receiver denial, charged one slice at a time (its
       caps folded, finished, turned into denial and summed before the next
       slice's are folded): 1;
@@ -968,13 +987,15 @@ class TestFieldMemory:
     temporary of about 4,096 cells (0.07 field), so no full-grid scratch is
     held. That is 4.25 fields; the bound adds half a field for the small
     arrays (cell axes, link budgets, the fold's block) and tracemalloc's own
-    counting, 4.75 in all (4.30 measured). A fold that divides a later
-    receiver's caps into a full-grid scratch holds one field more (5.30
-    measured), a charge that folds both slices of a two-quanta receiver
-    before it converts either holds one more, a walk that holds every
-    slice's caps until the last receiver has folded holds 4 more, one that
-    keeps a band's last finished slice while the next band is walked holds
-    one more, and a whole-run field cache holds one per receiver.
+    counting, 4.75 in all (3.85 measured: each gain here is built over a
+    window of under half the grid). A charge that folds both slices of a
+    two-quanta receiver before it converts either holds one field more, a
+    walk that holds every slice's caps until the last receiver has folded
+    holds 4 more, one that keeps a band's last finished slice while the next
+    band is walked holds one more, and a whole-run field cache holds one per
+    receiver. A fold that divides a later receiver's caps into a scratch of
+    its whole window holds only that window more (4.43 measured), which this
+    bound does not see; TestWalkMemory's crowded_scenario walks do.
     """
 
     SLICES, GAIN, SOLO, MASKS, SMALL = 2, 1, 1, 2 / 8, 1 / 2
@@ -1049,11 +1070,12 @@ class TestWalkMemory:
         - the slice's caps, its first receiver's with every later one's folded in: 1 field;
         - the gain field being built, the one last folded in already dropped: 1.
 
-        That is 2 fields, 2.5 with the small arrays (2.29 measured). A fold that divides a later
-        receiver's caps into a full-grid scratch holds 3 (3.29 measured), a walk that also keeps
-        the gain field last folded in bound while the next one is built holds 4 (4.29), one that
-        keeps every receiver's gain field holds 5 in slice (0, 1), where four receivers are
-        active, and one that keeps a slice's field while the next is built holds at least 3.
+        That is 2 fields, 2.5 with the small arrays (2.29 measured). A gain is built over the
+        receiver's cap window, which here covers most of the grid, so a fold that divides a later
+        receiver's caps into a scratch of its whole window holds 3.01 (measured), a walk that also
+        keeps the gain last folded in bound while the next one is built 3.11, one that keeps every
+        receiver's gain holds more in slice (0, 1), where four receivers are active, and one that
+        keeps a slice's field while the next is built holds at least 3.
         """
         scn = crowded_scenario()
         keys = [(b, q) for b in range(scn.dims.b_hat) for q in range(scn.dims.t_hat)]
@@ -1075,9 +1097,9 @@ class TestWalkMemory:
         - the gain field being built, the one last folded in already dropped: 1.
 
         That is 4 fields, 4.5 with the small arrays (4.29 measured). A fold that divides a later
-        receiver's caps into a full-grid scratch holds 5 (5.29 measured), a walk that also keeps
-        the gain field last folded in bound while the next one is built holds 6 (6.29), and one
-        that folds every band's caps before it reads any holds at least 5.
+        receiver's caps into a scratch of its whole cap window holds 5.02 (measured), a walk that
+        also keeps the gain last folded in bound while the next one is built 5.12, and one that
+        folds every band's caps before it reads any holds at least 5.
         """
         scn = crowded_scenario()
         caps, building = 3, 1
@@ -1089,9 +1111,9 @@ class TestWalkMemory:
         request by point queries, so its fields are those of its closing available_spectrum over
         the augmented scenario. The entrants are transmitters, so that walk holds the fields of
         test_peak_of_the_available_spectrum_walk: 4, 4.5 with the small arrays (4.33 measured).
-        A fold that divides a later receiver's caps into a full-grid scratch holds 5 (5.33
-        measured), and a walk that also keeps the gain field last folded in bound while the next
-        one is built holds 6 (6.33).
+        A fold that divides a later receiver's caps into a scratch of its whole cap window holds
+        5.06 (measured), and a walk that also keeps the gain last folded in bound while the next
+        one is built 5.33.
         """
         scn = crowded_scenario()
         requests = random_requests(5, scn, n=10)
